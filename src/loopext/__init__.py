@@ -57,7 +57,6 @@ from .loops import (
     analyze_properties,
     is_normal_subloop,
     make_loop,
-    opposite_loop,
     quotient_loop,
 )
 from .orbits import (
@@ -66,7 +65,6 @@ from .orbits import (
     PairOrbit,
     PairSymmetry,
     SigmaSet,
-    act_on_pair,
     gamma_orbit,
     gamma_orbits,
     phi_orbits,

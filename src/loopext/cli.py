@@ -122,7 +122,7 @@ def cmd_extend(args) -> int:
     cocycle = parse_cocycle_file(args.cocycle, loop)
     built = build_extension(cocycle)
     emit_loop_file(built.loop, args.out, comments=extension_comments(cocycle))
-    report = extension_report(cocycle, {
+    report = extension_report(built, {
         "loop": file_sha256(args.loop),
         "cocycle": file_sha256(args.cocycle),
     })

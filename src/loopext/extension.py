@@ -21,12 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .abelian import (
-    AbelianGroup,
-    Automorphism,
-    AutomorphismGroup,
-    enumerate_automorphisms,
-)
+from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import CocycleNormalizationError, InputError, PreconditionError
 from .loops import FiniteLoop
 from .orbits import GAMMA, sigma_set
@@ -52,12 +47,6 @@ class LoopCocycle:
 
     def q(self, x: int, y: int) -> int:
         return self.qtable[x][y]
-
-    def p_aut(self, x: int, y: int) -> Automorphism:
-        return self.autgroup.members[self.ptable[x][y]]
-
-    def q_aut(self, x: int, y: int) -> Automorphism:
-        return self.autgroup.members[self.qtable[x][y]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LoopCocycle):
@@ -243,19 +232,8 @@ def check_lip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_lip:
         raise PreconditionError("base loop does not have the left inverse property")
-    inv = report.inverse_map
-    t = cocycle.loop.table
-    pt, qt = cocycle.ptable, cocycle.qtable
-    c, v = cocycle.autgroup.compose_indices, cocycle.autgroup.invert_index
-    for x in cocycle.loop.elements():
-        ix = inv[x]
-        for y in cocycle.loop.elements():
-            xy = t[x][y]
-            if qt[ix][xy] != v(qt[x][y]):
-                return False
-            if pt[ix][xy] != c(v(qt[x][y]), c(pt[x][y], c(v(qt[ix][x]), pt[ix][x]))):
-                return False
-    return True
+    return _lip_conditions_hold(cocycle.loop.table, report.inverse_map,
+                                cocycle.ptable, cocycle.qtable, cocycle.autgroup)
 
 
 def check_rip_conditions(cocycle: LoopCocycle) -> bool:
@@ -264,21 +242,26 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
     For all x, y:  P(x*y, y^{-1}) = P(x,y)^{-1}  and
     Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y) P(y,y^{-1})^{-1} Q(y,y^{-1}).
     Requires the base loop to have the right inverse property.
+
+    These are the LIP conditions of the opposite cocycle (see
+    :func:`opposite_cocycle`), checked on the transposed tables.
     """
     report = cocycle.loop.properties()
     if not report.has_rip:
         raise PreconditionError("base loop does not have the right inverse property")
-    inv = report.inverse_map
-    t = cocycle.loop.table
-    pt, qt = cocycle.ptable, cocycle.qtable
-    c, v = cocycle.autgroup.compose_indices, cocycle.autgroup.invert_index
-    for x in cocycle.loop.elements():
-        for y in cocycle.loop.elements():
-            xy = t[x][y]
-            iy = inv[y]
-            if pt[xy][iy] != v(pt[x][y]):
+    return _lip_conditions_hold(tuple(zip(*cocycle.loop.table)), report.inverse_map,
+                                tuple(zip(*cocycle.qtable)), tuple(zip(*cocycle.ptable)),
+                                cocycle.autgroup)
+
+
+def _lip_conditions_hold(table, inv, pt, qt, autgroup: AutomorphismGroup) -> bool:
+    c, v = autgroup.compose_indices, autgroup.invert_index
+    for x, row in enumerate(table):
+        ix = inv[x]
+        for y, xy in enumerate(row):
+            if qt[ix][xy] != v(qt[x][y]):
                 return False
-            if qt[xy][iy] != c(v(pt[x][y]), c(qt[x][y], c(v(pt[y][iy]), qt[y][iy]))):
+            if pt[ix][xy] != c(v(qt[x][y]), c(pt[x][y], c(v(qt[ix][x]), pt[ix][x]))):
                 return False
     return True
 

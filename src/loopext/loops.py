@@ -150,10 +150,6 @@ def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
     return FiniteLoop(table)
 
 
-def opposite_loop(loop: FiniteLoop) -> FiniteLoop:
-    return loop.opposite()
-
-
 class LoopPropertyReport:
     """Inverse-property flags of a loop.
 
@@ -202,28 +198,29 @@ def first_inverse_mismatch(loop: FiniteLoop) -> Optional[int]:
 def first_lip_counterexample(loop: FiniteLoop,
                              iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
     """First (x, y) with iota(x)*(x*y) != y, using the left-inverse map by default."""
-    t = loop.table
     if iota is None:
         iota = [loop.left_inverse(x) for x in loop.elements()]
-    for x in loop.elements():
-        ix = iota[x]
-        row = t[x]
-        for y in loop.elements():
-            if t[ix][row[y]] != y:
-                return (x, y)
-    return None
+    return _first_lip_failure(loop.table, iota)
 
 
 def first_rip_counterexample(loop: FiniteLoop,
                              iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
-    """First (x, y) with (y*x)*iota(x) != y, using the left-inverse map by default."""
-    t = loop.table
+    """First (x, y) with (y*x)*iota(x) != y, using the left-inverse map by default.
+
+    This is the LIP law of the opposite loop, so the scan is the LIP scan of
+    the transposed table, in the same (x, y) order.
+    """
     if iota is None:
         iota = [loop.left_inverse(x) for x in loop.elements()]
-    for x in loop.elements():
-        ix = iota[x]
-        for y in loop.elements():
-            if t[t[y][x]][ix] != y:
+    return _first_lip_failure(tuple(zip(*loop.table)), iota)
+
+
+def _first_lip_failure(table: Sequence[Sequence[int]],
+                       iota: Sequence[int]) -> Optional[tuple[int, int]]:
+    for x, row in enumerate(table):
+        left = table[iota[x]]
+        for y, xy in enumerate(row):
+            if left[xy] != y:
                 return (x, y)
     return None
 
@@ -238,8 +235,8 @@ def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     return None
 
 
-def _exhaustive_iota(loop: FiniteLoop, *, left: bool) -> Optional[tuple[int, ...]]:
-    """Search for any bijection iota witnessing LIP (left=True) or RIP.
+def _exhaustive_iota(loop: FiniteLoop) -> Optional[tuple[int, ...]]:
+    """Search for any bijection iota witnessing LIP (RIP: pass ``loop.opposite()``).
 
     For each x the witness value is forced pointwise by each y, so the search
     reduces to checking that the forced value is constant in y and that the
@@ -249,10 +246,7 @@ def _exhaustive_iota(loop: FiniteLoop, *, left: bool) -> Optional[tuple[int, ...
     for x in loop.elements():
         value = None
         for y in loop.elements():
-            if left:
-                cand = loop.right_div(y, loop.mul(x, y))
-            else:
-                cand = loop.left_div(loop.mul(y, x), y)
+            cand = loop.right_div(y, loop.mul(x, y))
             if value is None:
                 value = cand
             elif value != cand:
@@ -271,8 +265,8 @@ def analyze_properties(loop: FiniteLoop, *, exhaustive_iota: bool = False) -> Lo
     any witnessing bijection (an audit mode, it must agree with the default).
     """
     if exhaustive_iota:
-        has_lip = _exhaustive_iota(loop, left=True) is not None
-        has_rip = _exhaustive_iota(loop, left=False) is not None
+        has_lip = _exhaustive_iota(loop) is not None
+        has_rip = _exhaustive_iota(loop.opposite()) is not None
     else:
         has_lip = first_lip_counterexample(loop) is None
         has_rip = first_rip_counterexample(loop) is None

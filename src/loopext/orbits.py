@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .abelian import Automorphism, AutomorphismGroup, compose, invert
+from .abelian import AutomorphismGroup
 from .errors import InputError, InternalError, Order3Error, PreconditionError
 from .loops import FiniteLoop
 
@@ -61,8 +61,8 @@ def sigma_set(loop: FiniteLoop) -> SigmaSet:
 
 
 # Cell maps take (table, inverse_map, x, y); pair maps take the composition
-# and inversion operators plus the pair, so one formula table serves both the
-# canonical-index algebra and Automorphism objects.
+# and inversion operators of the canonical-index algebra plus the pair of
+# automorphism indices.
 _CELL_MAPS: dict[str, Callable] = {
     "id": lambda t, inv, x, y: (x, y),
     "phi": lambda t, inv, x, y: (inv[x], t[x][y]),
@@ -86,12 +86,11 @@ _PAIR_MAPS: dict[str, Callable] = {
 class PairSymmetry:
     """One element of the six-element symmetry group.
 
-    ``word`` spells the element in the generators, rightmost factor applied
+    ``name`` spells the element in the generators, rightmost factor applied
     first; the direct formula tables above are used for application.
     """
 
     name: str
-    word: tuple[str, ...]
 
     def cell_image(self, loop: FiniteLoop, inverse_map: Sequence[int], cell: Cell) -> Cell:
         return _CELL_MAPS[self.name](loop.table, inverse_map, *cell)
@@ -99,35 +98,12 @@ class PairSymmetry:
     def pair_indices(self, autgroup: AutomorphismGroup, p: int, q: int) -> tuple[int, int]:
         return _PAIR_MAPS[self.name](autgroup.compose_indices, autgroup.invert_index, p, q)
 
-    def pair_auts(self, p: Automorphism, q: Automorphism) -> tuple[Automorphism, Automorphism]:
-        return _PAIR_MAPS[self.name](compose, invert, p, q)
-
 
 # Ordered as the orbit of (x, y) is conventionally listed:
 # (x,y), phi, psi, phi*psi*phi, phi*psi, psi*phi images.
-GAMMA: tuple[PairSymmetry, ...] = (
-    PairSymmetry("id", ()),
-    PairSymmetry("phi", ("phi",)),
-    PairSymmetry("psi", ("psi",)),
-    PairSymmetry("phi*psi*phi", ("phi", "psi", "phi")),
-    PairSymmetry("phi*psi", ("phi", "psi")),
-    PairSymmetry("psi*phi", ("psi", "phi")),
-)
+GAMMA: tuple[PairSymmetry, ...] = tuple(PairSymmetry(name) for name in _CELL_MAPS)
 
 GAMMA_BY_NAME = {g.name: g for g in GAMMA}
-
-
-def act_on_pair(tau, pq: tuple[Automorphism, Automorphism]) -> tuple[Automorphism, Automorphism]:
-    """Apply a symmetry (by name or element) to a pair of automorphisms."""
-    if isinstance(tau, str):
-        try:
-            tau = GAMMA_BY_NAME[tau]
-        except KeyError:
-            raise InputError(f"unknown pair symmetry {tau!r}") from None
-    elif not isinstance(tau, PairSymmetry):
-        raise InputError(f"expected a PairSymmetry or its name, got {tau!r}")
-    p, q = pq
-    return tau.pair_auts(p, q)
 
 
 def _require_ip_no_order3(loop: FiniteLoop):

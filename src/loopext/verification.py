@@ -16,6 +16,7 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .extension import (
+    ExtensionLoop,
     LoopCocycle,
     build_extension,
     check_cip,
@@ -29,7 +30,6 @@ from .extension import (
     is_strongly_linear,
 )
 from .loops import (
-    analyze_properties,
     first_inverse_mismatch,
     first_lip_counterexample,
     first_noncommuting_pair,
@@ -111,30 +111,12 @@ def _agreement(report: VerificationReport, name: str, condition: bool, brute: bo
                    note=f"condition says {condition}, built extension says {brute}")
 
 
-def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
-                   fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
-    """Run the dual-route verification of one cocycle.
-
-    ``mode='all'`` checks internal consistency: inverse formulas, kernel
-    normality, quotient reconstruction, and agreement between every
-    applicable closed-form condition and the built extension.  A property
-    mode (``lip``/``rip``/``ip``) additionally asserts that the property
-    itself holds, reporting a counterexample pair when it does not.
-    """
-    if mode not in VERIFY_MODES:
-        raise PreconditionError(f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}")
-    start = time.perf_counter()
-    report = VerificationReport("verify", dict(fingerprints or {}))
-    built = build_extension(cocycle)
-    base = cocycle.loop.properties()
-    ext_report = analyze_properties(built.loop)
-
-    report.add("extension-latin", True,
-               note=f"size {built.loop.size}")
-
+def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> None:
+    """Latin table, inverse formulas, kernel normality and quotient lines."""
+    cocycle = built.cocycle
+    report.add("extension-latin", True, note=f"size {built.loop.size}")
     witness = _check_inverse_formulas(cocycle, built)
     report.add("inverse-formulas", witness is None, witness)
-
     kernel = built.kernel()
     normal = is_normal_subloop(built.loop, kernel)
     report.add("kernel-normal", normal)
@@ -144,63 +126,68 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
     else:
         report.add("quotient-reconstructs-base", False, note="kernel not normal")
 
+
+def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
+                   fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
+    """Run the dual-route verification of one cocycle.
+
+    ``mode='all'`` checks internal consistency: inverse formulas, kernel
+    normality, quotient reconstruction, and agreement between every
+    applicable closed-form condition and the built extension.  A property
+    mode (``lip``/``rip``/``ip``) additionally asserts that the property
+    itself holds, reporting a counterexample pair when it does not; it is
+    refused up front when the base loop lacks the property.
+    """
+    if mode not in VERIFY_MODES:
+        raise PreconditionError(f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}")
+    base = cocycle.loop.properties()
+    if mode != "all" and not getattr(base, f"has_{mode}"):
+        raise PreconditionError(f"cannot assert {mode}: base loop lacks the property")
+    start = time.perf_counter()
+    report = VerificationReport("verify", dict(fingerprints or {}))
+    built = build_extension(cocycle)
+    ext = built.loop
+    _add_consistency(report, built)
+
     _agreement(report, "commutative", is_commutative_extension(cocycle),
-               built.loop.is_commutative(), first_noncommuting_pair(built.loop))
+               ext.is_commutative(), first_noncommuting_pair(ext))
 
     if base.two_sided_inverses_coincide:
-        mismatch = first_inverse_mismatch(built.loop)
+        mismatch = first_inverse_mismatch(ext)
         _agreement(report, "inverse-coincidence", check_cip(cocycle),
                    mismatch is None, None if mismatch is None else (mismatch,))
+    lip_witness = first_lip_counterexample(ext)
+    rip_witness = first_rip_counterexample(ext)
+    ip_witness = lip_witness or rip_witness
     if base.has_lip:
         _agreement(report, "lip", check_lip_conditions(cocycle),
-                   ext_report.has_lip, first_lip_counterexample(built.loop))
+                   lip_witness is None, lip_witness)
     if base.has_rip:
         _agreement(report, "rip", check_rip_conditions(cocycle),
-                   ext_report.has_rip, first_rip_counterexample(built.loop))
-    strongly_linear = is_strongly_linear(cocycle)
-    if base.has_ip and strongly_linear:
-        _agreement(report, "ip", check_ip_conditions(cocycle), ext_report.has_ip,
-                   first_lip_counterexample(built.loop) or first_rip_counterexample(built.loop))
+                   rip_witness is None, rip_witness)
+    if base.has_ip and is_strongly_linear(cocycle):
+        ip_condition = check_ip_conditions(cocycle)
+        _agreement(report, "ip", ip_condition, ip_witness is None, ip_witness)
         # the equivariance test only sees cells outside Sigma, so it answers
         # the same question as the closed-form conditions exactly when the
         # cocycle is Id on all of Sigma
         if not base.has_order3_element and _identity_on_sigma(cocycle):
             _agreement(report, "equivariance", check_equivariance(cocycle),
-                       check_ip_conditions(cocycle), None)
+                       ip_condition, None)
 
-    if mode == "lip":
-        if not base.has_lip:
-            raise PreconditionError("cannot assert lip: base loop lacks the property")
-        report.add("property-lip", ext_report.has_lip,
-                   first_lip_counterexample(built.loop))
-    elif mode == "rip":
-        if not base.has_rip:
-            raise PreconditionError("cannot assert rip: base loop lacks the property")
-        report.add("property-rip", ext_report.has_rip,
-                   first_rip_counterexample(built.loop))
-    elif mode == "ip":
-        if not base.has_ip:
-            raise PreconditionError("cannot assert ip: base loop lacks the property")
-        report.add("property-ip", ext_report.has_ip,
-                   first_lip_counterexample(built.loop) or first_rip_counterexample(built.loop))
+    if mode != "all":
+        witness = {"lip": lip_witness, "rip": rip_witness, "ip": ip_witness}[mode]
+        report.add(f"property-{mode}", witness is None, witness)
 
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def extension_report(cocycle: LoopCocycle,
+def extension_report(built: ExtensionLoop,
                      fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
     """Consistency report emitted alongside a built extension."""
     start = time.perf_counter()
     report = VerificationReport("extend", dict(fingerprints or {}))
-    built = build_extension(cocycle)
-    report.add("extension-latin", True, note=f"size {built.loop.size}")
-    witness = _check_inverse_formulas(cocycle, built)
-    report.add("inverse-formulas", witness is None, witness)
-    kernel = built.kernel()
-    normal = is_normal_subloop(built.loop, kernel)
-    report.add("kernel-normal", normal)
-    report.add("quotient-reconstructs-base",
-               normal and quotient_loop(built.loop, kernel) == cocycle.loop)
+    _add_consistency(report, built)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

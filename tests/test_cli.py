@@ -27,11 +27,17 @@ def run(capsys, *argv):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    import loopext
+
+    # run the package under test, also when only pytest's pythonpath finds it
+    src = os.path.dirname(os.path.dirname(loopext.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "loopext", "feasible", "--max-l", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "l: 2" in proc.stdout
 
@@ -149,6 +155,26 @@ class TestConstructVerifyExtend:
         assert code == 0
         assert f"check property-{mode}: pass" in out
 
+    def test_extend_builds_once(self, capsys, loop_files, tmp_path, monkeypatch):
+        from loopext import cli, extension, verification
+
+        out_path = str(tmp_path / "c.coc")
+        run(capsys, "construct", "--loop", loop_files["klein"], "--group", "3",
+            "--mode", "ip", "--seed", "7", "--out", out_path)
+        calls = []
+        original = extension.build_extension
+
+        def counting(cocycle):
+            calls.append(cocycle)
+            return original(cocycle)
+
+        for module in (cli, extension, verification):
+            monkeypatch.setattr(module, "build_extension", counting)
+        code, _, _ = run(capsys, "extend", "--loop", loop_files["klein"], "--cocycle", out_path,
+                         "--out", str(tmp_path / "f.loop"), "--no-timing")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_verify_mode_precondition_exit(self, capsys, tmp_path):
         # asserting lip over a base loop without the property is ill-posed
         from loopext.catalog import inverse_mismatch_loop
@@ -244,3 +270,71 @@ class TestConstructVerifyExtend:
                             "--cocycle", out_path, "--no-timing")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+# sha256 of the construct -> extend -> verify transcript of each chain below,
+# recorded before the right-hand checks were derived from the left-hand ones;
+# report text, witnesses and exit codes are frozen outputs
+FROZEN_CHAIN_DIGESTS = {
+    ("klein", "3", "lip"):
+        "c851ae88cd18242a8125a1af5a5d1533f38c7a33d90a299aa61e7ca7d822d996",
+    ("klein", "3", "rip"):
+        "b671ac067525bf99cdfef5e1aa8ab82e2955ff63f6fb7cd5a8bbacc40e1d7932",
+    ("klein", "3", "ip"):
+        "7f59660da33c384558d4fab2591a6188d9c52d0ebc910ea0b9c6a052a6c9acf0",
+    ("ip8", "2", "lip"):
+        "3eb30f6584b13a8dd00e4e3011db283fa3a07f6c0f393999e7673f6e9c89ea62",
+    ("ip8", "2", "rip"):
+        "639acd1d1844c79dae419ea257c27e6db9af425245d9033187a1486a8f680829",
+    ("ip8", "2", "ip"):
+        "f9b6cc2a3d03ed376c0148acba66bed76955ad69dbc063cac4343d4b83797a36",
+    ("klein", "3", "random"):
+        "7d95442052208d4f1b3c31d7d59bc4043d5e2e28e81a35b1ec433ad5a2aaf8c7",
+    ("lip_only", "3", "random"):
+        "d23fc83ea9e0319365d557db4e723e8fb14ed8042b3d6f0b492a376e438beef0",
+    ("mismatch", "3", "random"):
+        "a230c05715cc0a8f5dc1cbefd1ea4981ab8a4180b9e2fccd0377a36afa183396",
+}
+
+
+def chain_transcript(capsys, tmp_path, loop, group_spec, source):
+    """Exit code, report lines and errors of one chain, without ``wrote:`` paths.
+
+    ``source`` is a construction mode, or ``random`` for a seeded random
+    cocycle (which fails the properties, so its reports carry witnesses).
+    Every chain ends with one ``verify --no-timing`` per verify mode.
+    """
+    from loopext.verification import VERIFY_MODES
+
+    loop_path = str(tmp_path / "base.loop")
+    coc_path = str(tmp_path / "c.coc")
+    emit_loop_file(loop, loop_path)
+    steps = []
+    if source == "random":
+        group = make_group([int(n) for n in group_spec.split(",")])
+        emit_cocycle_file(random_cocycle(loop, group, ChoiceSource(4)), coc_path)
+    else:
+        steps.append(["construct", "--loop", loop_path, "--group", group_spec,
+                      "--mode", source, "--seed", "7", "--out", coc_path])
+    steps.append(["extend", "--loop", loop_path, "--cocycle", coc_path,
+                  "--out", str(tmp_path / "f.loop"), "--no-timing"])
+    for mode in VERIFY_MODES:
+        steps.append(["verify", "--loop", loop_path, "--cocycle", coc_path,
+                      "--mode", mode, "--no-timing"])
+    lines = []
+    for argv in steps:
+        code, out, err = run(capsys, *argv)
+        lines.append(f"$ {argv[0]} {argv[argv.index('--mode') + 1] if '--mode' in argv else ''}"
+                     f" -> {code}")
+        lines += [line for line in out.splitlines() if not line.startswith("wrote:")]
+        lines += err.splitlines()
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_CHAIN_DIGESTS))
+def test_frozen_report_text(capsys, tmp_path, loops, key):
+    import hashlib
+
+    name, group_spec, source = key
+    text = chain_transcript(capsys, tmp_path, loops[name], group_spec, source)
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_CHAIN_DIGESTS[key], text

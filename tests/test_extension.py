@@ -235,6 +235,24 @@ class TestLipRipConditions:
         assert check_lip_conditions(cocycle) == check_rip_conditions(opposite_cocycle(cocycle))
         assert check_rip_conditions(cocycle) == check_lip_conditions(opposite_cocycle(cocycle))
 
+    @pytest.mark.parametrize("opposite", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_precondition_duality(self, loops, groups, opposite, seed):
+        # lip_only has LIP but not RIP; its opposite has RIP but not LIP
+        cocycle = random_cocycle(loops["lip_only"], groups["z3"], ChoiceSource(seed))
+        if opposite:
+            cocycle = opposite_cocycle(cocycle)
+
+        def outcome(check, c):
+            try:
+                return check(c)
+            except PreconditionError as exc:
+                return type(exc)
+
+        assert outcome(check_rip_conditions, cocycle) == outcome(
+            check_lip_conditions, opposite_cocycle(cocycle))
+        assert (outcome(check_rip_conditions, cocycle) is PreconditionError) == (not opposite)
+
     def test_mirrored_counterexample(self, loops, groups):
         # the known failing LIP cell mirrors to a failing RIP cocycle
         cocycle = cocycle_with(loops["z2"], groups["z3"], q_cells=[((1, 1), 1)])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from loopext.errors import (
@@ -14,7 +16,6 @@ from loopext.loops import (
     first_rip_counterexample,
     is_normal_subloop,
     make_loop,
-    opposite_loop,
     quotient_loop,
 )
 
@@ -154,26 +155,89 @@ class TestProperties:
 class TestOpposite:
     def test_commutative_fixed(self, loops):
         for name in ("z4", "klein", "z7"):
-            assert opposite_loop(loops[name]) == loops[name]
+            assert loops[name].opposite() == loops[name]
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_involution(self, loops, name):
         loop = loops[name]
-        assert opposite_loop(opposite_loop(loop)) == loop
+        assert loop.opposite().opposite() == loop
 
     def test_lip_only_swaps(self, loops):
         loop = loops["lip_only"]
         report = loop.properties()
         assert report.has_lip and not report.has_rip
-        opposite = opposite_loop(loop).properties()
+        opposite = loop.opposite().properties()
         assert opposite.has_rip and not opposite.has_lip
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_lip_rip_duality(self, loops, name):
         loop = loops[name]
-        opposite = opposite_loop(loop)
+        opposite = loop.opposite()
         assert loop.properties().has_lip == opposite.properties().has_rip
         assert loop.properties().has_rip == opposite.properties().has_lip
+
+
+def reference_rip_scan(loop, iota=None):
+    """Direct column scan for the first (x, y) with (y*x)*iota(x) != y."""
+    t = loop.table
+    if iota is None:
+        iota = [loop.left_inverse(x) for x in loop.elements()]
+    for x in loop.elements():
+        ix = iota[x]
+        for y in loop.elements():
+            if t[t[y][x]][ix] != y:
+                return (x, y)
+    return None
+
+
+class TestRipScanDuality:
+    """The RIP scan runs as the LIP scan of the transposed table; its
+    witnesses must be those of a direct scan of the original table."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_witnesses(self, loops, name):
+        loop = loops[name]
+        assert first_rip_counterexample(loop) == reference_rip_scan(loop)
+        right = [loop.right_inverse(x) for x in loop.elements()]
+        assert first_rip_counterexample(loop, right) == reference_rip_scan(loop, right)
+
+    @pytest.mark.parametrize("name,group", [
+        ("z4", "z3"), ("klein", "z3"), ("ip8", "z3"), ("lip_only", "z3"),
+        ("mismatch", "z2xz2"), ("z5", "z4"),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extension_witnesses(self, loops, groups, name, group, seed):
+        from loopext.constructions import ChoiceSource, random_cocycle
+        from loopext.extension import build_extension
+
+        cocycle = random_cocycle(loops[name], groups[group], ChoiceSource(seed))
+        built = build_extension(cocycle).loop
+        assert first_rip_counterexample(built) == reference_rip_scan(built)
+
+    def test_relabeled_mismatch_witnesses(self, loops):
+        # some relabelings put an element with distinct left and right
+        # inverses first; there the default left-inverse map decides the witness
+        base = loops["mismatch"]
+        sensitive = 0
+        for perm in itertools.permutations(range(1, base.size)):
+            label = (0,) + perm
+            back = {v: i for i, v in enumerate(label)}
+            loop = make_loop([[label[base.table[back[x]][back[y]]] for y in base.elements()]
+                              for x in base.elements()])
+            assert first_rip_counterexample(loop) == reference_rip_scan(loop)
+            right = [loop.right_inverse(x) for x in loop.elements()]
+            sensitive += reference_rip_scan(loop) != reference_rip_scan(loop, right)
+        assert sensitive
+
+    def test_constructed_lip_extension_witness(self, loops, groups):
+        from loopext.constructions import ChoiceSource, construct_lip_cocycle
+        from loopext.extension import build_extension
+
+        built = build_extension(
+            construct_lip_cocycle(loops["klein"], groups["z3"], ChoiceSource(7))).loop
+        witness = first_rip_counterexample(built)
+        assert witness is not None
+        assert witness == reference_rip_scan(built)
 
 
 class TestNormality:

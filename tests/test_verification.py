@@ -2,7 +2,7 @@ import pytest
 
 from loopext.constructions import ChoiceSource, construct_ip_cocycle, random_cocycle
 from loopext.errors import PreconditionError
-from loopext.extension import make_cocycle
+from loopext.extension import build_extension, make_cocycle
 from loopext.verification import extension_report, verify_cocycle
 
 
@@ -71,9 +71,48 @@ class TestVerifyCocycle:
         assert "elapsed-ms" in timed
 
 
+class TestSinglePass:
+    def test_ip_mode_runs_each_scan_once(self, loops, groups, monkeypatch):
+        import loopext.loops as loops_module
+        from loopext import verification
+
+        cocycle = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
+        cocycle.loop.properties()  # the cached base analysis is not part of the count
+        calls = []
+        for name in ("first_lip_counterexample", "first_rip_counterexample"):
+            original = getattr(loops_module, name)
+
+            def counting(loop, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(loop, *args)
+
+            monkeypatch.setattr(loops_module, name, counting)
+            monkeypatch.setattr(verification, name, counting)
+        report = verify_cocycle(cocycle, mode="ip")
+        assert report.passed
+        assert sorted(calls) == ["first_lip_counterexample", "first_rip_counterexample"]
+
+    @pytest.mark.parametrize("name,mode", [
+        ("mismatch", "lip"), ("mismatch", "rip"), ("mismatch", "ip"),
+        ("lip_only", "rip"), ("lip_only", "ip"),
+    ])
+    def test_unassertable_mode_refused_before_build(self, loops, groups, monkeypatch,
+                                                     name, mode):
+        from loopext import verification
+
+        def no_build(cocycle):
+            raise AssertionError("extension built for a refused mode")
+
+        monkeypatch.setattr(verification, "build_extension", no_build)
+        cocycle = random_cocycle(loops[name], groups["z3"], ChoiceSource(0))
+        with pytest.raises(PreconditionError,
+                           match=f"^cannot assert {mode}: base loop lacks the property$"):
+            verify_cocycle(cocycle, mode=mode)
+
+
 class TestExtensionReport:
     def test_basic(self, loops, groups):
-        report = extension_report(identity_cocycle(loops["z4"], groups["z2xz2"]))
+        report = extension_report(build_extension(identity_cocycle(loops["z4"], groups["z2xz2"])))
         assert report.passed
         assert outcome_names(report) == [
             "extension-latin", "inverse-formulas", "kernel-normal",
