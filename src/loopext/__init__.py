@@ -65,7 +65,6 @@ from .orbits import (
     PairOrbit,
     PairSymmetry,
     SigmaSet,
-    gamma_orbit,
     gamma_orbits,
     phi_orbits,
     psi_orbits,

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import InputError, InternalError, PreconditionError
 from .loops import FiniteLoop
-from .orbits import gamma_orbits, sigma_set
+from .orbits import gamma_orbits
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,5 @@ def cross_check_orbit_count(loop: FiniteLoop) -> bool:
         )
     l = loop.size
     expected = l * l - 3 * l + 2
-    complement = sigma_set(loop).complement()
-    if len(complement) != expected:
-        return False
-    return len(gamma_orbits(loop).orbits) * 6 == expected
+    decomposition = gamma_orbits(loop)
+    return len(decomposition.sigma.complement()) == expected == len(decomposition.orbits) * 6

@@ -80,6 +80,13 @@ def cmd_aut(args) -> int:
     return 0
 
 
+def _orbit_line(i: int, orbit) -> str:
+    members = " ".join(
+        f"{name}:({x},{y})" for name, (x, y) in zip(orbit.symmetries, orbit.members)
+    )
+    return f"orbit {i}: {members}"
+
+
 def cmd_orbits(args) -> int:
     loop = parse_loop_file(args.loop)
     sigma = sigma_set(loop)
@@ -90,10 +97,7 @@ def cmd_orbits(args) -> int:
     print(f"complement-size: {len(sigma.complement())}")
     print(f"orbits: {len(decomposition.orbits)}")
     for i, orbit in enumerate(decomposition.orbits):
-        members = " ".join(
-            f"{name}:({x},{y})" for name, (x, y) in zip(orbit.symmetries, orbit.members)
-        )
-        print(f"orbit {i}: {members}")
+        print(_orbit_line(i, orbit))
     return 0
 
 
@@ -109,11 +113,8 @@ def cmd_construct(args) -> int:
     if args.report:
         decomposition = _ORBIT_MODES[{"lip": "phi", "rip": "psi", "ip": "gamma"}[args.mode]](loop)
         for i, orbit in enumerate(decomposition.orbits):
-            members = " ".join(
-                f"{name}:({x},{y})" for name, (x, y) in zip(orbit.symmetries, orbit.members)
-            )
             rx, ry = orbit.representative
-            print(f"orbit {i}: {members} P={cocycle.p(rx, ry)} Q={cocycle.q(rx, ry)}")
+            print(f"{_orbit_line(i, orbit)} P={cocycle.p(rx, ry)} Q={cocycle.q(rx, ry)}")
     return 0
 
 

@@ -41,7 +41,8 @@ from .extension import (
     make_cocycle,
 )
 from .loops import FiniteLoop, analyze_properties
-from .orbits import GAMMA_BY_NAME, gamma_orbits, phi_orbits, psi_orbits, sigma_set
+from .orbits import (GAMMA_BY_NAME, OrbitDecomposition, gamma_orbits, phi_orbits, psi_orbits,
+                     sigma_set)
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,6 +137,14 @@ def _empty_tables(l: int):
     return ([[None] * l for _ in range(l)], [[None] * l for _ in range(l)])
 
 
+def _id_tables(l: int, ident: int, cells):
+    """P and Q tables holding Id on ``cells`` and unassigned elsewhere."""
+    ptable, qtable = _empty_tables(l)
+    for x, y in cells:
+        ptable[x][y] = qtable[x][y] = ident
+    return ptable, qtable
+
+
 def _finish(loop, group, autgroup, ptable, qtable) -> LoopCocycle:
     for name, table in (("P", ptable), ("Q", qtable)):
         for x, row in enumerate(table):
@@ -143,6 +152,17 @@ def _finish(loop, group, autgroup, ptable, qtable) -> LoopCocycle:
                 if value is None:
                     raise InternalError(f"construction left {name}({x}, {y}) unassigned")
     return make_cocycle(loop, group, ptable, qtable, autgroup=autgroup)
+
+
+def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
+    """``cocycle`` once each closed-form check passes and the built extension
+    has ``prop`` at the definition level; anything else is an internal fault."""
+    for check in checks:
+        if not check(cocycle):
+            raise InternalError(f"constructed cocycle fails {check.__name__}")
+    if not getattr(analyze_properties(build_extension(cocycle).loop), f"has_{prop}"):
+        raise InternalError(f"built extension fails the definition-level {prop} check")
+    return cocycle
 
 
 def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
@@ -193,13 +213,7 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
         qtable[ax][ay] = v(qr)
         ptable[ax][ay] = c(v(qr), c(pr, c(v(qmap[x]), pmap[x])))
 
-    cocycle = _finish(loop, group, autgroup, ptable, qtable)
-    if not check_lip_conditions(cocycle):
-        raise InternalError("constructed cocycle fails the left-inverse conditions")
-    built = build_extension(cocycle)
-    if not analyze_properties(built.loop).has_lip:
-        raise InternalError("built extension fails the definition-level left inverse check")
-    return cocycle
+    return _gated(_finish(loop, group, autgroup, ptable, qtable), "lip", check_lip_conditions)
 
 
 def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
@@ -251,13 +265,26 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
         ptable[ax][ay] = v(pr)
         qtable[ax][ay] = c(v(pr), c(qr, c(v(ptable[y][iy]), qtable[y][iy])))
 
-    cocycle = _finish(loop, group, autgroup, ptable, qtable)
-    if not check_rip_conditions(cocycle):
-        raise InternalError("constructed cocycle fails the right-inverse conditions")
-    built = build_extension(cocycle)
-    if not analyze_properties(built.loop).has_rip:
-        raise InternalError("built extension fails the definition-level right inverse check")
-    return cocycle
+    return _gated(_finish(loop, group, autgroup, ptable, qtable), "rip", check_rip_conditions)
+
+
+def _ip_cocycle(loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGroup,
+                decomposition: OrbitDecomposition, rep_choices: dict) -> LoopCocycle:
+    naut = len(autgroup)
+    ptable, qtable = _id_tables(loop.size, autgroup.identity_index, decomposition.sigma.pairs)
+    for orbit in decomposition.orbits:
+        try:
+            pr, qr = rep_choices[orbit.representative]
+        except KeyError:
+            raise InputError(f"no choice given for orbit representative "
+                             f"{orbit.representative}") from None
+        if not (0 <= pr < naut and 0 <= qr < naut):
+            raise InputError(f"choice {(pr, qr)} at {orbit.representative} "
+                             f"is not a pair of automorphism indices")
+        for name, (x, y) in zip(orbit.symmetries, orbit.members):
+            ptable[x][y], qtable[x][y] = GAMMA_BY_NAME[name].pair_indices(autgroup, pr, qr)
+    return _gated(_finish(loop, group, autgroup, ptable, qtable), "ip",
+                  is_strongly_linear, check_ip_conditions, check_equivariance)
 
 
 def ip_cocycle_from_choices(loop: FiniteLoop, group: AbelianGroup,
@@ -272,49 +299,7 @@ def ip_cocycle_from_choices(loop: FiniteLoop, group: AbelianGroup,
     """
     if autgroup is None:
         autgroup = enumerate_automorphisms(group)
-    decomposition = gamma_orbits(loop)  # validates IP and the order-3 precondition
-    l = loop.size
-    ident = autgroup.identity_index
-    naut = len(autgroup)
-
-    complement = sigma_set(loop).complement()
-    if len(complement) % 6:
-        raise InternalError(
-            f"complement has {len(complement)} cells, not divisible by 6"
-        )
-
-    ptable, qtable = _empty_tables(l)
-    for x, y in sigma_set(loop).pairs:
-        ptable[x][y] = ident
-        qtable[x][y] = ident
-
-    for orbit in decomposition.orbits:
-        try:
-            pr, qr = rep_choices[orbit.representative]
-        except KeyError:
-            raise InputError(f"no choice given for orbit representative "
-                             f"{orbit.representative}") from None
-        if not (0 <= pr < naut and 0 <= qr < naut):
-            raise InputError(f"choice {(pr, qr)} at {orbit.representative} "
-                             f"is not a pair of automorphism indices")
-        for name, (x, y) in zip(orbit.symmetries, orbit.members):
-            pv, qv = GAMMA_BY_NAME[name].pair_indices(autgroup, pr, qr)
-            if ptable[x][y] is not None:
-                raise InternalError(f"cell ({x}, {y}) assigned twice")
-            ptable[x][y] = pv
-            qtable[x][y] = qv
-
-    cocycle = _finish(loop, group, autgroup, ptable, qtable)
-    if not is_strongly_linear(cocycle):
-        raise InternalError("constructed cocycle is not strongly linear")
-    if not check_ip_conditions(cocycle):
-        raise InternalError("constructed cocycle fails the inverse-property conditions")
-    if not check_equivariance(cocycle):
-        raise InternalError("constructed cocycle is not equivariant")
-    built = build_extension(cocycle)
-    if not analyze_properties(built.loop).has_ip:
-        raise InternalError("built extension fails the definition-level inverse check")
-    return cocycle
+    return _ip_cocycle(loop, group, autgroup, gamma_orbits(loop), rep_choices)
 
 
 def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
@@ -333,7 +318,7 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSo
         orbit.representative: (choice.pick(naut), choice.pick(naut))
         for orbit in decomposition.orbits
     }
-    return ip_cocycle_from_choices(loop, group, rep_choices, autgroup=autgroup)
+    return _ip_cocycle(loop, group, autgroup, decomposition, rep_choices)
 
 
 def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
@@ -351,12 +336,10 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
     l = loop.size
     naut = len(autgroup)
     ident = autgroup.identity_index
-    ptable, qtable = _empty_tables(l)
     if strongly_linear:
-        for x, y in sigma_set(loop).pairs:
-            ptable[x][y] = ident
-            qtable[x][y] = ident
+        ptable, qtable = _id_tables(l, ident, sigma_set(loop).pairs)
     else:
+        ptable, qtable = _empty_tables(l)
         for x in range(l):
             ptable[x][0] = ident
             qtable[0][x] = ident

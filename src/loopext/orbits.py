@@ -6,6 +6,12 @@ involutions act on the complement, ``phi: (x, y) -> (x^{-1}, x*y)`` and
 ``psi: (x, y) -> (x*y, y^{-1})``; together they generate a six-element group
 (isomorphic to S3 when no element satisfies x*x = x^{-1}) that acts both on
 complement cells and on pairs of automorphisms.
+
+The LIP, RIP and IP orbits are one walk of the complement under the
+subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
+``psi_orbits`` and ``gamma_orbits`` each check their precondition and call
+the same walker, which builds Sigma once and refuses any orbit that is not a
+fresh block of complement cells closed under its generators.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import AutomorphismGroup
-from .errors import InputError, InternalError, Order3Error, PreconditionError
+from .errors import InternalError, Order3Error, PreconditionError
 from .loops import FiniteLoop
 
 Cell = tuple[int, int]
@@ -26,9 +32,6 @@ class SigmaSet:
 
     size: int
     pairs: frozenset[Cell]
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -106,33 +109,6 @@ GAMMA: tuple[PairSymmetry, ...] = tuple(PairSymmetry(name) for name in _CELL_MAP
 GAMMA_BY_NAME = {g.name: g for g in GAMMA}
 
 
-def _require_ip_no_order3(loop: FiniteLoop):
-    report = loop.properties()
-    if not report.has_ip:
-        raise PreconditionError("loop does not have the inverse property")
-    if report.has_order3_element:
-        raise Order3Error(
-            "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
-        )
-    return report
-
-
-def gamma_orbit(loop: FiniteLoop, cell: Cell) -> tuple[Cell, ...]:
-    """The six images of a complement cell under the full symmetry group."""
-    report = _require_ip_no_order3(loop)
-    sigma = sigma_set(loop)
-    if cell in sigma:
-        raise InputError(f"cell {cell} lies in Sigma; orbits are only defined outside it")
-    inv = report.inverse_map
-    images = tuple(g.cell_image(loop, inv, cell) for g in GAMMA)
-    if len(set(images)) != 6:
-        raise Order3Error(f"orbit of {cell} has fewer than six distinct cells")
-    for image in images:
-        if image in sigma:
-            raise InternalError(f"orbit member {image} of {cell} fell into Sigma")
-    return images
-
-
 @dataclass(frozen=True)
 class PairOrbit:
     representative: Cell
@@ -144,45 +120,57 @@ class PairOrbit:
 class OrbitDecomposition:
     mode: str
     orbits: tuple[PairOrbit, ...]
+    sigma: SigmaSet
 
     def cells(self) -> int:
         return sum(len(orbit.members) for orbit in self.orbits)
 
 
-def _two_orbits(loop: FiniteLoop, mode: str, inverse_map) -> OrbitDecomposition:
-    symmetry = GAMMA_BY_NAME[mode]
+def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
+            inverse_map: Sequence[int]) -> OrbitDecomposition:
+    """Walk the complement of Sigma once, row-major, under the cell maps ``names``.
+
+    Each cell not met before is a representative, and its members are its
+    images under ``names`` in that order.  The members must be fresh
+    complement cells permuted by every generator (phi, psi) among ``names``;
+    otherwise the maps do not partition the complement.
+    """
     sigma = sigma_set(loop)
+    pinned, table = sigma.pairs, loop.table
+    maps = [_CELL_MAPS[name] for name in names]
+    generators = [(name, _CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
     seen: set[Cell] = set()
     orbits = []
     for cell in sigma.complement():
         if cell in seen:
             continue
-        image = symmetry.cell_image(loop, inverse_map, cell)
-        if image == cell or image in sigma or image in seen:
-            raise InternalError(f"{mode} does not pair {cell} with a fresh complement cell")
-        back = symmetry.cell_image(loop, inverse_map, image)
-        if back != cell:
-            raise InternalError(f"{mode} is not an involution at {cell}")
-        seen.add(cell)
-        seen.add(image)
-        orbits.append(PairOrbit(cell, (cell, image), ("id", mode)))
-    return OrbitDecomposition(mode, tuple(orbits))
+        x, y = cell
+        members = tuple([m(table, inverse_map, x, y) for m in maps])
+        block = set(members)
+        if len(block) != len(members) or not block.isdisjoint(seen) or not block.isdisjoint(pinned):
+            raise InternalError(f"{mode} orbit of {cell} is not a set of fresh complement cells")
+        for name, g in generators:
+            if {g(table, inverse_map, u, v) for u, v in members} != block:
+                raise InternalError(f"{mode} orbit of {cell} is not closed under {name}")
+        seen |= block
+        orbits.append(PairOrbit(cell, members, names))
+    return OrbitDecomposition(mode, tuple(orbits), sigma)
 
 
 def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
-    """Size-2 orbits of phi on the complement; requires the left inverse property."""
+    """Size-2 orbits of {id, phi} on the complement; requires the left inverse property."""
     report = loop.properties()
     if not report.has_lip:
         raise PreconditionError("phi orbits need a loop with the left inverse property")
-    return _two_orbits(loop, "phi", report.inverse_map)
+    return _orbits(loop, "phi", ("id", "phi"), report.inverse_map)
 
 
 def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
-    """Size-2 orbits of psi on the complement; requires the right inverse property."""
+    """Size-2 orbits of {id, psi} on the complement; requires the right inverse property."""
     report = loop.properties()
     if not report.has_rip:
         raise PreconditionError("psi orbits need a loop with the right inverse property")
-    return _two_orbits(loop, "psi", report.inverse_map)
+    return _orbits(loop, "psi", ("id", "psi"), report.inverse_map)
 
 
 def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -191,17 +179,11 @@ def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     Requires an inverse-property loop with no element x*x = x^{-1}; under
     that precondition the orbits partition the complement.
     """
-    _require_ip_no_order3(loop)
-    sigma = sigma_set(loop)
-    seen: set[Cell] = set()
-    orbits = []
-    for cell in sigma.complement():
-        if cell in seen:
-            continue
-        members = gamma_orbit(loop, cell)
-        for member in members:
-            if member in seen:
-                raise InternalError(f"orbit of {cell} collides with a previous orbit")
-            seen.add(member)
-        orbits.append(PairOrbit(cell, members, tuple(g.name for g in GAMMA)))
-    return OrbitDecomposition("gamma", tuple(orbits))
+    report = loop.properties()
+    if not report.has_ip:
+        raise PreconditionError("loop does not have the inverse property")
+    if report.has_order3_element:
+        raise Order3Error(
+            "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
+        )
+    return _orbits(loop, "gamma", tuple(_CELL_MAPS), report.inverse_map)

@@ -338,3 +338,70 @@ def test_frozen_report_text(capsys, tmp_path, loops, key):
     name, group_spec, source = key
     text = chain_transcript(capsys, tmp_path, loops[name], group_spec, source)
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_CHAIN_DIGESTS[key], text
+
+
+# sha256 of the output of ``orbits`` and ``construct --report`` (without the
+# ``wrote:`` line), recorded before the phi, psi and gamma orbit walks were
+# merged into one; orbit listings and their order are frozen outputs
+FROZEN_ORBIT_DIGESTS = {
+    ("ip8", "construct", "ip"):
+        "27ed35835282f03ae1802c1b2ee15f5ff10d421e9564d6c9a6c9a6a1d1df4023",
+    ("ip8", "construct", "lip"):
+        "17c2cbc00574f8f992b8c37549bdebf0aa7f2a928ad3fe94a71074f2d54784ea",
+    ("ip8", "construct", "rip"):
+        "f1861446f37e40e3b4c7e9ebf474084dd3b00117794bffd96dd157b47e5dc539",
+    ("ip8", "orbits", "gamma"):
+        "0b25002a221658a9010fd0e9caf087ebc47a3a0aa65973fca893f818960ede76",
+    ("ip8", "orbits", "phi"):
+        "a96f0c20e8aed32db73530bf12805b77a1b60f4855e08abf2cdff3cabdaf623e",
+    ("ip8", "orbits", "psi"):
+        "0b979a61d4facd7d6f8801fc1690dfc4d15b93a689effa1fdca5bafb39ec5636",
+    ("klein", "orbits", "gamma"):
+        "7a3b4436de845ec5ebc34f301e28a63942ee165016fd66517ca51acab52f30c4",
+    ("klein", "orbits", "phi"):
+        "5d4eef9ef7220dea0c187a8debb0578ce31567461f29e3e85255232f01051e10",
+    ("klein", "orbits", "psi"):
+        "376280a98069375b2c46418723e5405782c28b0634a0ea2163a0f3aebbfda725",
+    ("lip_only", "orbits", "phi"):
+        "6c7853a28882b56a24811dd58e239249858ca6201551d59182d397ab43477475",
+    ("z4", "orbits", "gamma"):
+        "93a90499ddf19a4ad9636a0b28ed4a1fdd2b08774c75ac545ee14104c8e511d1",
+    ("z4", "orbits", "phi"):
+        "776a482a56529595d4e7b512ccd5195bcbec46d383726e4d7f95ed395653a619",
+    ("z4", "orbits", "psi"):
+        "383626b9a363350d9db98205beabf38e98efb7fdfc9abbe93f57a601e896b0af",
+    ("z5", "orbits", "gamma"):
+        "46124c4cc8bbfe1666a149eceb4eae8e2ffc6e34a929266ebde546bc54200f3d",
+    ("z5", "orbits", "phi"):
+        "162d08fc1082fe2e83f6728d7040d72e1d2408c8881761a4de952457fd7fb799",
+    ("z5", "orbits", "psi"):
+        "fce12c3c3869fb3271613eb4668c8874c4f776d633c285ae5860fd13eac0cfad",
+    ("z7", "orbits", "gamma"):
+        "d5343479c07753ca012e447c5c1ef79a08b0f31cff3cb1b52e834fdf5ad03742",
+    ("z7", "orbits", "phi"):
+        "d9fff7c8f76a4f0ccafd92ff71b86b4debf3ad31521080294532ee20c57163e1",
+    ("z7", "orbits", "psi"):
+        "776b6b3967428d85d281f8587b1fd63fe855aed719dd9fc0705613b886b77f91",
+    ("z8", "orbits", "gamma"):
+        "04856ae918e1f3e3c6745bc72a8dacd0bcec427f3ef2dce08d5330d9137540da",
+    ("z8", "orbits", "phi"):
+        "c39298bbf6f1e57eb7ffbd487507f7fc9d0600fc09b3f9a58b42a2c3f6c128ad",
+    ("z8", "orbits", "psi"):
+        "1367cb07ce71b9643c52e114510a03917e4953301c0ebfbe15057226eef36cfb",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_ORBIT_DIGESTS))
+def test_frozen_orbit_text(capsys, tmp_path, loops, key):
+    import hashlib
+
+    name, command, mode = key
+    loop_path = str(tmp_path / "base.loop")
+    emit_loop_file(loops[name], loop_path)
+    argv = [command, "--loop", loop_path, "--mode", mode]
+    if command == "construct":
+        argv += ["--group", "2", "--seed", "7", "--out", str(tmp_path / "c.coc"), "--report"]
+    code, out, err = run(capsys, *argv)
+    lines = [f"-> {code}"] + [line for line in out.splitlines() if not line.startswith("wrote:")]
+    text = "\n".join(lines + err.splitlines()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ORBIT_DIGESTS[key], text

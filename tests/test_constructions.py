@@ -304,6 +304,21 @@ class TestIpConstruction:
         b = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(77))
         assert dumps_cocycle(a) == dumps_cocycle(b)
 
+    def test_orbits_computed_once(self, loops, groups, monkeypatch):
+        from loopext import constructions
+
+        calls = []
+        original = constructions.gamma_orbits
+
+        def counting(loop):
+            calls.append(loop)
+            return original(loop)
+
+        monkeypatch.setattr(constructions, "gamma_orbits", counting)
+        cocycle = construct_ip_cocycle(loops["ip8"], groups["z3"], ChoiceSource(5))
+        assert len(calls) == 1
+        assert check_ip_conditions(cocycle)
+
 
 class TestRandomCocycle:
     @pytest.mark.parametrize("seed", range(10))

@@ -1,10 +1,10 @@
 import pytest
 
-from loopext.errors import InputError, Order3Error, PreconditionError
+from loopext import orbits
+from loopext.errors import InternalError, Order3Error, PreconditionError
 from loopext.orbits import (
     GAMMA,
     GAMMA_BY_NAME,
-    gamma_orbit,
     gamma_orbits,
     phi_orbits,
     psi_orbits,
@@ -94,25 +94,24 @@ class TestPhiPsiOrbits:
 
 class TestGammaOrbit:
     def test_klein_orbit_is_all_distinct_pairs(self, loops):
-        orbit = gamma_orbit(loops["klein"], (1, 2))
-        assert set(orbit) == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
+        (orbit,) = gamma_orbits(loops["klein"]).orbits
+        assert orbit.representative == (1, 2)
+        assert set(orbit.members) == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
 
     def test_z4_orbit_listing(self, loops):
-        assert gamma_orbit(loops["z4"], (1, 1)) == (
+        (orbit,) = gamma_orbits(loops["z4"]).orbits
+        assert orbit.members == (
             (1, 1), (3, 2), (2, 3), (3, 3), (2, 1), (1, 2),
         )
+        assert orbit.symmetries == tuple(g.name for g in GAMMA)
 
     def test_z3_order3_error(self, loops):
         with pytest.raises(Order3Error):
-            gamma_orbit(loops["z3"], (1, 1))
-
-    def test_sigma_cell_rejected(self, loops):
-        with pytest.raises(InputError):
-            gamma_orbit(loops["klein"], (1, 1))  # (x, x) is on the inverse diagonal
+            gamma_orbits(loops["z3"])
 
     def test_not_ip_rejected(self, loops):
         with pytest.raises(PreconditionError):
-            gamma_orbit(loops["lip_only"], (1, 2))
+            gamma_orbits(loops["lip_only"])
 
     @pytest.mark.parametrize("name,count", [
         ("z4", 1), ("z5", 2), ("klein", 1), ("z7", 5), ("z8", 7), ("ip8", 7),
@@ -128,6 +127,42 @@ class TestGammaOrbit:
 
     def test_z2_no_orbits(self, loops):
         assert gamma_orbits(loops["z2"]).orbits == ()
+
+    def test_sigma_built_once(self, loops, monkeypatch):
+        calls = []
+        original = orbits.sigma_set
+
+        def counting(loop):
+            calls.append(loop)
+            return original(loop)
+
+        monkeypatch.setattr(orbits, "sigma_set", counting)
+        decomposition = gamma_orbits(loops["ip8"])
+        assert len(calls) == 1
+        assert len(decomposition.orbits) == 7
+
+
+class TestWalkerChecks:
+    """The walker refuses cell maps that do not partition the complement."""
+
+    @pytest.mark.parametrize("broken", ["order3", "fixes_image"])
+    def test_non_involution_rejected(self, loops, monkeypatch, broken):
+        phi = orbits._CELL_MAPS["phi"]
+        maps = {
+            # phi*psi has order three: {cell, image} is not closed under it
+            "order3": orbits._CELL_MAPS["phi*psi"],
+            # sends the representative to its partner but fixes the partner
+            "fixes_image": lambda t, inv, x, y: max(phi(t, inv, x, y), (x, y)),
+        }
+        monkeypatch.setitem(orbits._CELL_MAPS, "phi", maps[broken])
+        with pytest.raises(InternalError, match="not closed under phi"):
+            phi_orbits(loops["z5"])
+
+    def test_map_into_sigma_rejected(self, loops, monkeypatch):
+        # (x, y) -> (y^{-1}, y) lands on the inverse diagonal
+        monkeypatch.setitem(orbits._CELL_MAPS, "phi", lambda t, inv, x, y: (inv[y], y))
+        with pytest.raises(InternalError, match="fresh complement cells"):
+            phi_orbits(loops["z5"])
 
 
 class TestPairAction:
