@@ -2,20 +2,33 @@
 enumeration of their automorphism groups.
 
 Elements are plain integers ``0..size-1`` encoding residue tuples in mixed
-radix (first factor most significant); index 0 is the zero element.  All
-objects are immutable after construction and safe to share between threads.
+radix (first factor most significant); index 0 is the zero element, and the
+generator ``e_j`` of factor j has index ``n_{j+1} * ... * n_k``, so the
+generator of the last factor is index 1.  All objects are immutable after
+construction and safe to share between threads.
+
+Aut(A) is enumerated by a backtracking search over the generator images in
+lexicographic order of the image tables.  Its size is known in closed form
+beforehand (:func:`automorphism_count`), so an enumeration above
+``AUT_ORDER_CAP`` members is refused before any work is done.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import InputError, ResourceError
+from .errors import InputError, InternalError, ResourceError
 
 DEFAULT_SIZE_CAP = 64
+# Largest |Aut(A)| that enumerate_automorphisms builds.  Among groups of
+# order <= DEFAULT_SIZE_CAP it refuses exactly Z2^5, Z2^4 x Z4 and Z2^6 (in any
+# factor order).
+AUT_ORDER_CAP = 200_000
+# AutomorphismGroup.compose_indices memoises at most this many products.
+_COMPOSE_MEMO_CAP = 1 << 16
 
 GroupElement = int
 
@@ -60,19 +73,19 @@ class AbelianGroup:
             acc *= n
         self._strides = tuple(reversed(strides))
 
-        tuples = [self.tuple_of(a) for a in range(size)]
-        self.add_table = tuple(
-            tuple(
-                self.index_of(tuple((x + y) % n for x, y, n in zip(ta, tb, orders)))
-                for tb in tuples
+        # add_table of Z_n x B from that of B: (x, r) + (y, s) = (x + y, r + s)
+        add: tuple[tuple[int, ...], ...] = ((0,),)
+        for n in reversed(orders):
+            span = len(add)
+            add = tuple(
+                tuple(((x + y) % n) * span + v for y in range(n) for v in row)
+                for x in range(n) for row in add
             )
-            for ta in tuples
-        )
-        self.neg_table = tuple(
-            self.index_of(tuple((-x) % n for x, n in zip(ta, orders))) for ta in tuples
-        )
+        self.add_table = add
+        self.neg_table = tuple(row.index(0) for row in add)
         self.element_orders = tuple(
-            math.lcm(*(n // math.gcd(x, n) for x, n in zip(ta, orders))) for ta in tuples
+            math.lcm(*(n // math.gcd(x, n) for x, n in zip(self.tuple_of(a), orders)))
+            for a in range(size)
         )
 
     @property
@@ -161,6 +174,16 @@ class Automorphism:
 
 
 def _validate_automorphism(group: AbelianGroup, table: tuple[int, ...]) -> None:
+    """Raise ``InputError`` unless ``table`` is an additive permutation.
+
+    Additivity is tested against the generators only: ``f(a + e_j) ==
+    f(a) + f(e_j)`` for every element a and every generator e_j.  That is
+    the full check over all pairs.  Let B be the set of b with
+    ``f(a + b) == f(a) + f(b)`` for every a.  For b, b' in B and any a,
+    ``f(a + b + b') == f(a + b) + f(b') == f(a) + f(b) + f(b')``, and
+    ``f(b + b') == f(b) + f(b')`` (take a = b), so b + b' is in B.  B is
+    closed under + and contains every generator, hence B = A.
+    """
     n = group.size
     if len(table) != n:
         raise InputError(f"automorphism table has {len(table)} entries, group size is {n}")
@@ -169,12 +192,11 @@ def _validate_automorphism(group: AbelianGroup, table: tuple[int, ...]) -> None:
     if table[0] != 0:
         raise InputError("automorphism does not fix the zero element")
     add = group.add_table
-    for i in range(n):
-        ti = table[i]
-        row = add[i]
-        for j in range(n):
-            if table[row[j]] != add[ti][table[j]]:
-                raise InputError(f"map is not additive at ({i}, {j})")
+    for e in sorted(group._strides):
+        shifted, image_row = add[e], add[table[e]]
+        if [table[x] for x in shifted] != [image_row[x] for x in table]:
+            a = next(a for a in range(n) if table[shifted[a]] != image_row[table[a]])
+            raise InputError(f"map is not additive at ({a}, {e})")
 
 
 def identity_automorphism(group: AbelianGroup) -> Automorphism:
@@ -244,7 +266,8 @@ class AutomorphismGroup:
         if out is None:
             ft = self.members[i].table
             out = self._index[tuple(ft[x] for x in self.members[j].table)]
-            self._compose[key] = out
+            if len(self._compose) < _COMPOSE_MEMO_CAP:
+                self._compose[key] = out
         return out
 
     def invert_index(self, i: int) -> int:
@@ -259,47 +282,116 @@ class AutomorphismGroup:
         return out
 
 
-@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """``(p, e)`` for each prime power ``p**e`` exactly dividing ``n``."""
+    p = 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            yield p, e
+        p += 1
+
+
+def automorphism_count(group: AbelianGroup) -> int:
+    """|Aut(A)| in closed form, without enumerating.
+
+    The factors are split into their primary components, and Aut(A) is the
+    product of the automorphism groups of the p-parts.  For a p-part
+    ``Z_{p^e_1} x ... x Z_{p^e_k}`` with ``e_1 <= ... <= e_k``, let d_i be the
+    largest and c_i the smallest position holding the exponent e_i; then
+    (C. J. Hillar and D. L. Rhea, "Automorphisms of finite abelian groups",
+    Amer. Math. Monthly 114 (2007))
+
+        |Aut| = prod_i (p^d_i - p^(i-1)) * p^(e_i (k - d_i)) * p^((e_i - 1)(k - c_i + 1)).
+    """
+    exponents: dict[int, list[int]] = {}
+    for n in group.orders:
+        for p, e in _prime_powers(n):
+            exponents.setdefault(p, []).append(e)
+    count = 1
+    for p, es in exponents.items():
+        es.sort()
+        k = len(es)
+        for i, e in enumerate(es, 1):
+            d = bisect_right(es, e)
+            c = bisect_left(es, e) + 1
+            count *= (p**d - p**(i - 1)) * p**(e * (k - d)) * p**((e - 1) * (k - c + 1))
+    return count
+
+
+def _automorphism_tables(group: AbelianGroup) -> Iterator[tuple[int, ...]]:
+    """Image tables of every automorphism, in lexicographic order.
+
+    Depth-first over the generator images, taken as (e_k, ..., e_1).  After
+    choosing the images of e_k..e_{j+1}, the table is filled on the subgroup
+    they generate, which is the index range ``0..s_j - 1`` with s_j the index
+    of e_j.  An image g for e_j must have order exactly n_j; it extends the
+    table by ``table[m*s_j + r] = m*g + table[r]`` for m = 1..n_j-1, and the
+    branch is pruned at the first value that repeats.  Index s_j is the
+    first entry that depends on g, so taking candidates in increasing order
+    emits the tables in lexicographic order.
+    """
+    add = group.add_table
+    orders, strides = group.orders, group._strides
+    candidates = [[a for a in group.elements() if group.element_orders[a] == n] for n in orders]
+    table = [0] * group.size
+    used = [False] * group.size
+    used[0] = True
+
+    def extend(j: int) -> Iterator[tuple[int, ...]]:
+        if j < 0:
+            yield tuple(table)
+            return
+        span = strides[j]
+        for g in candidates[j]:
+            end, multiple, fresh = span, 0, True
+            for _ in range(orders[j] - 1):
+                multiple = add[multiple][g]
+                row = add[multiple]
+                for r in range(span):
+                    v = row[table[r]]
+                    if used[v]:
+                        fresh = False
+                        break
+                    used[v] = True
+                    table[end] = v
+                    end += 1
+                if not fresh:
+                    break
+            if fresh:
+                yield from extend(j - 1)
+            for a in range(span, end):
+                used[table[a]] = False
+
+    return extend(len(orders) - 1)
+
+
+@lru_cache(maxsize=16)
 def enumerate_automorphisms(
     group: AbelianGroup, *, size_cap: int = DEFAULT_SIZE_CAP
 ) -> AutomorphismGroup:
     """Exhaustively enumerate Aut(A) for a finite abelian group A.
 
-    Brute force over images of the canonical cyclic generators: generator i
-    may map to any element whose order divides the factor order n_i; every
-    such assignment extends to an additive map, which is kept when bijective.
-    Exponential in the number of factors; guarded by ``size_cap``.
+    Members come in canonical order: lexicographic in their image tables,
+    which is lexicographic in the generator images taken as (e_k, ..., e_1)
+    (see :func:`_automorphism_tables`).  Each member is validated through
+    :class:`Automorphism`, and their number must match
+    :func:`automorphism_count`.  Raises ``ResourceError`` before any work
+    when |A| exceeds ``size_cap`` or |Aut(A)| exceeds ``AUT_ORDER_CAP``.
     """
     if group.size > size_cap:
         raise ResourceError(
             f"automorphism enumeration refused: group size {group.size} exceeds cap {size_cap}"
         )
-    n = group.size
-    add = group.add_table
-    candidates = [
-        [a for a in range(n) if order % group.element_orders[a] == 0]
-        for order in group.orders
-    ]
-    tuples = [group.tuple_of(a) for a in range(n)]
-
-    members = []
-    for images in itertools.product(*candidates):
-        # multiples[j][m] = m * images[j]
-        multiples = []
-        for g, order in zip(images, group.orders):
-            row = [0]
-            for _ in range(order - 1):
-                row.append(add[row[-1]][g])
-            multiples.append(row)
-        table = []
-        for residues in tuples:
-            acc = 0
-            for j, c in enumerate(residues):
-                acc = add[acc][multiples[j][c]]
-            table.append(acc)
-        if len(set(table)) != n:
-            continue
-        members.append(Automorphism(group, table))
-
-    members.sort(key=lambda aut: aut.table)
+    count = automorphism_count(group)
+    if count > AUT_ORDER_CAP:
+        raise ResourceError(
+            f"automorphism enumeration refused: |Aut(A)| = {count} exceeds cap {AUT_ORDER_CAP}"
+        )
+    members = tuple(Automorphism(group, table) for table in _automorphism_tables(group))
+    if len(members) != count:
+        raise InternalError(f"enumerated {len(members)} automorphisms, closed form gives {count}")
     return AutomorphismGroup(group, members)

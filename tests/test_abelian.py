@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from loopext import abelian
 from loopext.abelian import (
+    AUT_ORDER_CAP,
     Automorphism,
+    automorphism_count,
     compose,
     enumerate_automorphisms,
     identity_automorphism,
@@ -30,6 +34,14 @@ def brute_force_automorphism_tables(group):
         ):
             found.append(table)
     return sorted(found)
+
+
+def ordered_specs(limit=64, prefix=()):
+    """Every tuple of factor orders >= 2 whose product is at most ``limit``."""
+    if prefix:
+        yield prefix
+    for n in range(2, limit // math.prod(prefix) + 1):
+        yield from ordered_specs(limit, prefix + (n,))
 
 
 class TestMakeGroup:
@@ -173,6 +185,43 @@ class TestEnumeration:
         with pytest.raises(ResourceError):
             enumerate_automorphisms(group, size_cap=32)
 
+    def test_cache_bounded(self):
+        assert enumerate_automorphisms.cache_info().maxsize == 16
+
+
+class TestAutomorphismCount:
+    @pytest.mark.parametrize("orders,count", [
+        ((2, 2, 2, 2, 2), 9_999_360),
+        ((2, 2, 2, 2, 4), 10_321_920),
+        ((2, 2, 4, 4), 147_456),
+        ((2, 2, 2, 2, 2, 2), 20_158_709_760),
+        ((12,), 4),
+        ((2, 6), 12),
+    ])
+    def test_known_values(self, orders, count):
+        assert automorphism_count(make_group(orders)) == count
+
+    def test_matches_enumeration(self):
+        specs = [s for s in ordered_specs() if automorphism_count(make_group(s)) <= 2048]
+        assert len(specs) > 350
+        for orders in specs + [(2, 2, 2, 2), (3, 3, 3)]:
+            group = make_group(orders)
+            assert len(enumerate_automorphisms(group)) == automorphism_count(group), orders
+
+    def test_refused_specs(self):
+        refused = {tuple(sorted(s)) for s in ordered_specs()
+                   if automorphism_count(make_group(s)) > AUT_ORDER_CAP}
+        assert refused == {(2, 2, 2, 2, 2), (2, 2, 2, 2, 4), (2, 2, 2, 2, 2, 2)}
+
+    @pytest.mark.parametrize("orders", [(2,) * 5, (2,) * 6, (4, 2, 2, 2, 2)])
+    def test_refused_before_search(self, monkeypatch, orders):
+        def search(group):
+            raise AssertionError("the backtracker ran on a refused group")
+
+        monkeypatch.setattr(abelian, "_automorphism_tables", search)
+        with pytest.raises(ResourceError, match="exceeds cap 200000"):
+            enumerate_automorphisms(make_group(orders))
+
 
 class TestComposeInvert:
     def test_identity_neutral(self, groups, autgroups):
@@ -208,6 +257,14 @@ class TestComposeInvert:
         with pytest.raises(InputError):
             compose(f, h)
 
+    def test_compose_memo_bounded(self, monkeypatch, autgroups):
+        monkeypatch.setattr(abelian, "_COMPOSE_MEMO_CAP", 10)
+        autgroup = abelian.AutomorphismGroup(autgroups["z2xz2"].group, autgroups["z2xz2"].members)
+        for i, f in enumerate(autgroup):
+            for j, h in enumerate(autgroup):
+                assert autgroup.compose_indices(i, j) == autgroup.index_of(compose(f, h))
+        assert len(autgroup._compose) == 10
+
     def test_index_algebra_matches_object_algebra(self, autgroups):
         autgroup = autgroups["z2xz2"]
         for i, f in enumerate(autgroup):
@@ -231,3 +288,20 @@ class TestAutomorphismValidation:
         g = make_group([4])
         with pytest.raises(InputError):
             Automorphism(g, (0, 2, 1, 3))
+
+    @pytest.mark.parametrize("orders", [(2, 2), (4,), (2, 4), (4, 2), (6,), (2, 3)])
+    def test_generator_check_matches_full_check(self, orders):
+        g = make_group(orders)
+        n = g.size
+        add = g.add_table
+        for perm in itertools.permutations(range(1, n)):
+            table = (0,) + perm
+            additive = all(table[add[i][j]] == add[table[i]][table[j]]
+                           for i in range(n) for j in range(n))
+            try:
+                Automorphism(g, table)
+            except InputError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == additive, table

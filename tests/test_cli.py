@@ -101,6 +101,55 @@ class TestAut:
         assert code == 0
         assert "automorphisms: 64" in out  # odd residues mod 128
 
+    @pytest.mark.parametrize("spec", ["2,2,2,2,2", "2,2,2,2,2,2"])
+    def test_aut_order_cap(self, capsys, spec):
+        code, out, err = run(capsys, "aut", "--group", spec)
+        assert code == 2
+        assert out == ""
+        assert "exceeds cap 200000" in err
+
+    def test_construct_refuses_large_aut(self, capsys, loop_files, tmp_path):
+        out_path = tmp_path / "c.coc"
+        code, _, err = run(capsys, "construct", "--loop", loop_files["klein"],
+                           "--group", "2,2,2,2,2", "--mode", "ip", "--out", str(out_path))
+        assert code == 2
+        assert "exceeds cap 200000" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["extend", "verify"])
+    def test_cocycle_file_refuses_large_aut(self, capsys, loop_files, tmp_path, command):
+        coc_path = tmp_path / "c.coc"
+        coc_path.write_text("cocycle l=2 group=2,2,2,2,2\nP\n0 0\n0 0\nQ\n0 0\n0 0\n")
+        argv = [command, "--loop", loop_files["z2"], "--cocycle", str(coc_path)]
+        if command == "extend":
+            argv += ["--out", str(tmp_path / "f.loop")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "exceeds cap 200000" in err
+
+
+# sha256 of ``aut --group X`` stdout, recorded before Aut(A) was enumerated by
+# backtracking; cocycle files index into this order, so it is a frozen output
+FROZEN_AUT_DIGESTS = {
+    "2,2,2,2": "b5f57aea5c466e5a4a02c8cf96a66a4e6becb617daf854324c4a8a0b7e77bcb2",
+    "3,3,3": "6b200742ff77a029c64362421d0010ca60fafc17bef2bffeafa572349768c383",
+    "4,4,2": "1dbec1c48e211e5bd6460720b9ece3a2d1eb97efdd05d90ccaeb544f07a68b9f",
+    "8,8": "a405f48388f10516db106a8750bd0fd5befa8b43c9d4db2c59ecda408469847f",
+    "2,6": "e69aaaa53682edfbe94834791ded97a39f9d2ba2483693c4991285f9adb03807",
+    "4,6": "cfefc42f9fa5159ce7e31fd368819b8b234c95d2dd702dbddb7cc398edfd032b",
+    "2,12": "13e3547ec7aed9f4d4010826a41ee119175fc65c5e5fd1f87f69ea25e24cfb73",
+    "8,2,2": "f9c285fe0c699aaf26d8876863f6279256e1d1e0658428e16b2b3d1792f85a27",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_AUT_DIGESTS))
+def test_frozen_aut_text(capsys, spec):
+    import hashlib
+
+    code, out, _ = run(capsys, "aut", "--group", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_AUT_DIGESTS[spec]
+
 
 class TestOrbits:
     def test_gamma_klein(self, capsys, loop_files):
