@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success / property holds; 1 a verified property fails (the
-report carries a replayable counterexample); 2 input or precondition error.
+Exit codes: 0 success / property holds; 1 a verified property or check fails
+(the report carries a replayable counterexample); 2 input or precondition error.
 """
 
 from __future__ import annotations
@@ -118,16 +118,18 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _fingerprints(args) -> dict[str, str]:
+    return {"loop": file_sha256(args.loop), "cocycle": file_sha256(args.cocycle)}
+
+
 def cmd_extend(args) -> int:
     loop = parse_loop_file(args.loop)
     cocycle = parse_cocycle_file(args.cocycle, loop)
     built = build_extension(cocycle)
-    emit_loop_file(built.loop, args.out, comments=extension_comments(cocycle))
-    report = extension_report(built, {
-        "loop": file_sha256(args.loop),
-        "cocycle": file_sha256(args.cocycle),
-    })
-    print(f"wrote: {args.out}")
+    if built.loop is not None:
+        emit_loop_file(built.loop, args.out, comments=extension_comments(cocycle))
+        print(f"wrote: {args.out}")
+    report = extension_report(built, _fingerprints(args))
     sys.stdout.write(report.to_text(include_timing=not args.no_timing))
     return 0 if report.passed else 1
 
@@ -135,10 +137,7 @@ def cmd_extend(args) -> int:
 def cmd_verify(args) -> int:
     loop = parse_loop_file(args.loop)
     cocycle = parse_cocycle_file(args.cocycle, loop)
-    report = verify_cocycle(cocycle, mode=args.mode, fingerprints={
-        "loop": file_sha256(args.loop),
-        "cocycle": file_sha256(args.cocycle),
-    })
+    report = verify_cocycle(cocycle, mode=args.mode, fingerprints=_fingerprints(args))
     sys.stdout.write(report.to_text(include_timing=not args.no_timing))
     return 0 if report.passed else 1
 

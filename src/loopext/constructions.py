@@ -145,6 +145,17 @@ def _id_tables(l: int, ident: int, cells):
     return ptable, qtable
 
 
+def _pinned_tables(loop, autgroup, data):
+    """P and Q tables holding Id on the cocycle boundary and p, q on the
+    inverse diagonal, unassigned elsewhere."""
+    inv = loop.properties().inverse_map
+    ptable, qtable = _empty_tables(loop.size)
+    for x in loop.elements():
+        ptable[x][0] = qtable[0][x] = autgroup.identity_index
+        ptable[inv[x]][x], qtable[inv[x]][x] = data.pmap[x], data.qmap[x]
+    return ptable, qtable
+
+
 def _finish(loop, group, autgroup, ptable, qtable) -> LoopCocycle:
     for name, table in (("P", ptable), ("Q", qtable)):
         for x, row in enumerate(table):
@@ -160,7 +171,10 @@ def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
     for check in checks:
         if not check(cocycle):
             raise InternalError(f"constructed cocycle fails {check.__name__}")
-    if not getattr(analyze_properties(build_extension(cocycle).loop), f"has_{prop}"):
+    built = build_extension(cocycle)
+    if built.loop is None:
+        raise InternalError(f"built extension is not a loop: {built.defect}")
+    if not getattr(analyze_properties(built.loop), f"has_{prop}"):
         raise InternalError(f"built extension fails the definition-level {prop} check")
     return cocycle
 
@@ -181,34 +195,22 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
         raise PreconditionError("construction needs a loop with the left inverse property")
     if autgroup is None:
         autgroup = enumerate_automorphisms(group)
-    inv = report.inverse_map
     l = loop.size
     naut = len(autgroup)
-    ident = autgroup.identity_index
     c, v = autgroup.compose_indices, autgroup.invert_index
 
     data = construct_pq(loop, autgroup, choice)
     pmap, qmap = data.pmap, data.qmap
-
-    ptable, qtable = _empty_tables(l)
-    for x in range(l):
-        ptable[x][0] = ident
-        qtable[0][x] = ident
-    qtable[0][0] = ident
+    ptable, qtable = _pinned_tables(loop, autgroup, data)
     for x in range(1, l):
         qtable[x][0] = v(qmap[x])
     for y in range(1, l):
         ptable[0][y] = choice.pick(naut)
-    for x in range(1, l):
-        ptable[inv[x]][x] = pmap[x]
-        qtable[inv[x]][x] = qmap[x]
 
     for orbit in phi_orbits(loop).orbits:
         x, y = orbit.representative
-        pr = choice.pick(naut)
-        qr = choice.pick(naut)
-        ptable[x][y] = pr
-        qtable[x][y] = qr
+        ptable[x][y] = pr = choice.pick(naut)
+        qtable[x][y] = qr = choice.pick(naut)
         ax, ay = orbit.members[1]
         qtable[ax][ay] = v(qr)
         ptable[ax][ay] = c(v(qr), c(pr, c(v(qmap[x]), pmap[x])))
@@ -236,30 +238,19 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     inv = report.inverse_map
     l = loop.size
     naut = len(autgroup)
-    ident = autgroup.identity_index
     c, v = autgroup.compose_indices, autgroup.invert_index
 
     data = construct_pq(loop, autgroup, choice)
-    pmap, qmap = data.pmap, data.qmap
-
-    ptable, qtable = _empty_tables(l)
-    for x in range(l):
-        ptable[x][0] = ident
-        qtable[0][x] = ident
+    ptable, qtable = _pinned_tables(loop, autgroup, data)
     for x in range(1, l):
         qtable[x][0] = choice.pick(naut)
     for y in range(1, l):
-        ptable[0][y] = v(pmap[inv[y]])
-    for x in range(1, l):
-        ptable[inv[x]][x] = pmap[x]
-        qtable[inv[x]][x] = qmap[x]
+        ptable[0][y] = v(data.pmap[inv[y]])
 
     for orbit in psi_orbits(loop).orbits:
         x, y = orbit.representative
-        pr = choice.pick(naut)
-        qr = choice.pick(naut)
-        ptable[x][y] = pr
-        qtable[x][y] = qr
+        ptable[x][y] = pr = choice.pick(naut)
+        qtable[x][y] = qr = choice.pick(naut)
         ax, ay = orbit.members[1]
         iy = inv[y]
         ptable[ax][ay] = v(pr)

@@ -15,7 +15,11 @@ class InputError(LoopextError):
 
 
 class StructureError(InputError):
-    """A table that is not a Latin square (duplicate in a row or column)."""
+    """A table that is not a Latin square; ``index`` is the row or column named."""
+
+    def __init__(self, message: str, *, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class IdentityPositionError(StructureError):

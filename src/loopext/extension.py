@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
-from .errors import CocycleNormalizationError, InputError, PreconditionError
-from .loops import FiniteLoop
-from .orbits import GAMMA, sigma_set
+from .errors import CocycleNormalizationError, InputError, PreconditionError, StructureError
+from .loops import FiniteLoop, validate_table
+from .orbits import GAMMA_BY_NAME, gamma_orbits
 
 Pair = tuple[int, int]
 
@@ -99,18 +99,23 @@ def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable, *,
 
 
 class ExtensionLoop:
-    """The loop built from a cocycle, on pair indices (x, a) -> x*|A| + a."""
+    """The table built from a cocycle, on pair indices (x, a) -> x*|A| + a.
 
-    __slots__ = ("cocycle", "loop", "kernel_size")
+    ``loop`` is None when the table fails the Latin check, whose error is then
+    ``defect``."""
 
-    def __init__(self, cocycle: LoopCocycle, loop: FiniteLoop):
+    __slots__ = ("cocycle", "loop", "defect", "kernel_size")
+
+    def __init__(self, cocycle: LoopCocycle, loop: Optional[FiniteLoop],
+                 defect: Optional[StructureError] = None):
         self.cocycle = cocycle
         self.loop = loop
+        self.defect = defect
         self.kernel_size = cocycle.group.size
 
     @property
     def size(self) -> int:
-        return self.loop.size
+        return self.cocycle.loop.size * self.kernel_size
 
     def pair_index(self, x: int, a: int) -> int:
         return x * self.kernel_size + a
@@ -124,7 +129,19 @@ class ExtensionLoop:
 
 
 def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
-    """Multiply out the cocycle into a validated loop of size l * |A|."""
+    """Multiply out the cocycle into a table of size l * |A| and run the Latin
+    check on it once; a table that fails is kept out of :class:`FiniteLoop`
+    and its defect is returned instead."""
+    rows = _extension_rows(cocycle)
+    try:
+        validate_table(rows)
+    except StructureError as defect:
+        return ExtensionLoop(cocycle, None, defect)
+    return ExtensionLoop(cocycle, FiniteLoop(rows, _checked=True))
+
+
+def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
+    """The multiplication table of the extension, row by row."""
     loop = cocycle.loop
     group = cocycle.group
     auts = [m.table for m in cocycle.autgroup.members]
@@ -143,8 +160,8 @@ def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
                 pa = add[auts[prow[y]][a]]
                 qt = auts[qrow[y]]
                 row.extend(base + pa[qt[b]] for b in range(n))
-            rows.append(row)
-    return ExtensionLoop(cocycle, FiniteLoop(rows))
+            rows.append(tuple(row))
+    return rows
 
 
 def is_commutative_extension(cocycle: LoopCocycle) -> bool:
@@ -313,6 +330,11 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
     Requires a strongly linear cocycle over an inverse-property loop with no
     element x*x = x^{-1}; under those preconditions this is equivalent to
     :func:`check_ip_conditions` when the cocycle is Id on all of Sigma.
+
+    Each orbit member is compared with its symmetry's pair map of the
+    representative's (P, Q) only.  That suffices: the cell maps and the pair
+    maps are actions of the same six-element group, and the orbit walker
+    proves that each orbit has six distinct members.
     """
     if not is_strongly_linear(cocycle):
         raise PreconditionError("equivariance test needs a strongly linear cocycle")
@@ -323,17 +345,12 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
         raise PreconditionError(
             "equivariance test needs a loop with no element x*x = x^{-1}"
         )
-    inv = report.inverse_map
-    sigma = sigma_set(cocycle.loop)
     pt, qt = cocycle.ptable, cocycle.qtable
-    autgroup = cocycle.autgroup
-    loop = cocycle.loop
-    for cell in sigma.complement():
-        x, y = cell
-        p, q = pt[x][y], qt[x][y]
-        for tau in GAMMA:
-            ix, iy = tau.cell_image(loop, inv, cell)
-            if (pt[ix][iy], qt[ix][iy]) != tau.pair_indices(autgroup, p, q):
+    for orbit in gamma_orbits(cocycle.loop).orbits:
+        rx, ry = orbit.representative
+        p, q = pt[rx][ry], qt[rx][ry]
+        for name, (x, y) in zip(orbit.symmetries, orbit.members):
+            if (pt[x][y], qt[x][y]) != GAMMA_BY_NAME[name].pair_indices(cocycle.autgroup, p, q):
                 return False
     return True
 

@@ -129,7 +129,7 @@ def loads_cocycle(text: str, loop: FiniteLoop, *, source: str = "<string>") -> L
     qtable = [_parse_row(line, num, l, "Q", source) for num, line in body[l + 2:]]
     try:
         return make_cocycle(loop, group, ptable, qtable)
-    except LoopextError as exc:
+    except InputError as exc:
         raise ParseError(str(exc), line=number, source=source) from exc
 
 

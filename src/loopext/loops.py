@@ -21,31 +21,26 @@ LoopElement = int
 
 
 class FiniteLoop:
-    """Cayley-table loop with precomputed left/right division tables."""
+    """Cayley-table loop: the validated table and its two inverse maps.
 
-    __slots__ = ("size", "table", "_ldiv", "_rdiv", "_report")
+    Nothing else of size l^2 is kept; ``left_div`` and ``right_div`` scan one
+    row or one column per call.
+    """
+
+    __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_report")
 
     def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
-        if not _checked:
-            _validate_table(rows)
+        if _checked:
+            rows = tuple(map(tuple, table))
+        else:
+            rows = tuple(tuple(int(v) for v in row) for row in table)
+            validate_table(rows)
         self.size = len(rows)
         self.table = rows
-        l = self.size
-        ldiv = []
-        for row in rows:
-            inv = [0] * l
-            for z, y in enumerate(row):
-                inv[y] = z
-            ldiv.append(tuple(inv))
-        self._ldiv = tuple(ldiv)
-        rdiv = []
-        for y in range(l):
-            inv = [0] * l
-            for z in range(l):
-                inv[rows[z][y]] = z
-            rdiv.append(tuple(inv))
-        self._rdiv = tuple(rdiv)
+        # x\e is where row x holds e; e/z = x exactly when x\e = z, so the
+        # left-inverse map is the inverse permutation of the right one
+        right = self._right_inverse = tuple(row.index(0) for row in rows)
+        self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
         self._report = None
 
     @property
@@ -61,39 +56,33 @@ class FiniteLoop:
         return self.table[x][y]
 
     def left_div(self, x: int, y: int) -> int:
-        """Unique z with x*z = y."""
+        """Unique z with x*z = y (a scan of row x)."""
         self._check(x)
         self._check(y)
-        return self._ldiv[x][y]
+        return self.table[x].index(y)
 
     def right_div(self, x: int, y: int) -> int:
-        """Unique z with z*y = x."""
+        """Unique z with z*y = x (a scan of column y)."""
         self._check(x)
         self._check(y)
-        return self._rdiv[y][x]
+        return [row[y] for row in self.table].index(x)
 
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""
         self._check(x)
-        return self._rdiv[x][0]
+        return self._left_inverse[x]
 
     def right_inverse(self, x: int) -> int:
         """The element x\\e, i.e. the solution of x*z = e."""
         self._check(x)
-        return self._ldiv[x][0]
+        return self._right_inverse[x]
 
     def opposite(self) -> "FiniteLoop":
         """Loop with reversed multiplication (transposed table)."""
-        l = self.size
-        return FiniteLoop(
-            tuple(tuple(self.table[y][x] for y in range(l)) for x in range(l)),
-            _checked=True,
-        )
+        return FiniteLoop(tuple(zip(*self.table)), _checked=True)
 
     def is_commutative(self) -> bool:
-        t = self.table
-        l = self.size
-        return all(t[x][y] == t[y][x] for x in range(l) for y in range(x + 1, l))
+        return first_noncommuting_pair(self) is None
 
     def is_associative(self) -> bool:
         t = self.table
@@ -122,27 +111,30 @@ class FiniteLoop:
         return f"FiniteLoop(size={self.size})"
 
 
-def _validate_table(rows: tuple[tuple[int, ...], ...]) -> None:
+def validate_table(rows: Sequence[Sequence[int]]) -> None:
+    """Raise StructureError unless ``rows`` is a loop table with identity 0:
+    one pass over the rows (length, range, permutation), one over the
+    columns, then the identity row and column."""
     l = len(rows)
     if l < 1:
         raise StructureError("loop table must have at least one row")
-    full = list(range(l))
+    full = set(range(l))
     for i, row in enumerate(rows):
         if len(row) != l:
-            raise StructureError(f"row {i} has {len(row)} entries, expected {l}")
-        for v in row:
-            if not 0 <= v < l:
-                raise StructureError(f"row {i} contains out-of-range entry {v}")
-        if sorted(row) != full:
-            raise StructureError(f"row {i} is not a permutation of 0..{l - 1}")
-    for j in range(l):
-        col = sorted(rows[i][j] for i in range(l))
-        if col != full:
-            raise StructureError(f"column {j} is not a permutation of 0..{l - 1}")
-    if rows[0] != tuple(full):
-        raise IdentityPositionError("row 0 is not the identity permutation")
-    if tuple(rows[i][0] for i in range(l)) != tuple(full):
-        raise IdentityPositionError("column 0 is not the identity permutation")
+            raise StructureError(f"row {i} has {len(row)} entries, expected {l}", index=i)
+        if set(row) != full:
+            for v in row:
+                if not 0 <= v < l:
+                    raise StructureError(f"row {i} contains out-of-range entry {v}", index=i)
+            raise StructureError(f"row {i} is not a permutation of 0..{l - 1}", index=i)
+    for j, col in enumerate(zip(*rows)):
+        if set(col) != full:
+            raise StructureError(f"column {j} is not a permutation of 0..{l - 1}", index=j)
+    identity = tuple(range(l))
+    if tuple(rows[0]) != identity:
+        raise IdentityPositionError("row 0 is not the identity permutation", index=0)
+    if tuple(row[0] for row in rows) != identity:
+        raise IdentityPositionError("column 0 is not the identity permutation", index=0)
 
 
 def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
@@ -240,21 +232,20 @@ def _exhaustive_iota(loop: FiniteLoop) -> Optional[tuple[int, ...]]:
 
     For each x the witness value is forced pointwise by each y, so the search
     reduces to checking that the forced value is constant in y and that the
-    resulting map is a bijection.
+    resulting map is a bijection.  The audit builds its own right-division
+    table once, so it stays O(l^2) and shares nothing with the default route.
     """
+    over = [[0] * loop.size for _ in loop.elements()]  # over[b][a] = a/b
+    for z, row in enumerate(loop.table):
+        for b, a in enumerate(row):
+            over[b][a] = z
     iota = []
-    for x in loop.elements():
-        value = None
-        for y in loop.elements():
-            cand = loop.right_div(y, loop.mul(x, y))
-            if value is None:
-                value = cand
-            elif value != cand:
-                return None
-        iota.append(value)
-    if sorted(iota) != list(loop.elements()):
-        return None
-    return tuple(iota)
+    for row in loop.table:
+        forced = {over[xy][y] for y, xy in enumerate(row)}
+        if len(forced) != 1:
+            return None
+        iota.extend(forced)
+    return tuple(iota) if sorted(iota) == list(loop.elements()) else None
 
 
 def analyze_properties(loop: FiniteLoop, *, exhaustive_iota: bool = False) -> LoopPropertyReport:
@@ -271,24 +262,22 @@ def analyze_properties(loop: FiniteLoop, *, exhaustive_iota: bool = False) -> Lo
         has_lip = first_lip_counterexample(loop) is None
         has_rip = first_rip_counterexample(loop) is None
     coincide = first_inverse_mismatch(loop) is None
+    inverse_map = order3 = None
     if coincide:
         inverse_map = tuple(loop.left_inverse(x) for x in loop.elements())
-        order3 = any(
-            x != 0 and loop.table[x][x] == inverse_map[x] for x in loop.elements()
-        )
-    else:
-        inverse_map = None
-        order3 = None
-    return LoopPropertyReport(
-        has_lip=has_lip,
-        has_rip=has_rip,
-        two_sided_inverses_coincide=coincide,
-        inverse_map=inverse_map,
-        order3=order3,
-    )
+        order3 = any(x != 0 and loop.table[x][x] == inverse_map[x] for x in loop.elements())
+    return LoopPropertyReport(has_lip=has_lip, has_rip=has_rip,
+                              two_sided_inverses_coincide=coincide,
+                              inverse_map=inverse_map, order3=order3)
 
 
 def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:
+    """Raise InputError unless ``members`` holds e and is closed under products.
+
+    Closure under both divisions follows.  For x in S, y -> x*y is injective
+    (rows are permutations) and maps the finite S into S, so it is onto S:
+    each y in S is x*z with z in S, that is x\\y is in S.  Columns give y/x.
+    """
     if 0 not in members:
         raise InputError("subloop must contain the identity")
     for x in members:
@@ -297,44 +286,27 @@ def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:
         for y in members:
             if loop.table[x][y] not in members:
                 raise InputError(f"set is not closed under multiplication at ({x}, {y})")
-            if loop.left_div(x, y) not in members:
-                raise InputError(f"set is not closed under left division at ({x}, {y})")
-            if loop.right_div(x, y) not in members:
-                raise InputError(f"set is not closed under right division at ({x}, {y})")
 
 
-def _left_cosets(loop: FiniteLoop, members: frozenset[int]):
-    """Coset id per element, or None if left cosets do not partition the loop."""
+def _normal_cosets(loop: FiniteLoop, members: frozenset[int]):
+    """Coset id per element and the left cosets of a normal subloop, else
+    (None, None); raises InputError when ``members`` is not a subloop."""
+    _validate_subloop(loop, members)
+    t = loop.table
     coset_of: list[Optional[int]] = [None] * loop.size
     classes: list[frozenset[int]] = []
     for x in loop.elements():
         if coset_of[x] is not None:
             continue
-        coset = frozenset(loop.table[x][n] for n in members)
+        coset = frozenset(t[x][n] for n in members)
         for u in coset:
             if coset_of[u] is not None:
                 return None, None
             coset_of[u] = len(classes)
         classes.append(coset)
-    return coset_of, classes
-
-
-def is_normal_subloop(loop: FiniteLoop, members: Iterable[int]) -> bool:
-    """Whether a subloop is the kernel of a homomorphism (brute force).
-
-    Checks that left cosets partition the loop, that xN = Nx for every x, and
-    that the induced multiplication of cosets is well defined.  Raises
-    InputError when ``members`` is not a subloop at all.
-    """
-    members = frozenset(members)
-    _validate_subloop(loop, members)
-    coset_of, classes = _left_cosets(loop, members)
-    if coset_of is None:
-        return False
-    t = loop.table
     for x in loop.elements():
         if frozenset(t[n][x] for n in members) != classes[coset_of[x]]:
-            return False
+            return None, None
     k = len(classes)
     qt: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
     for u in loop.elements():
@@ -346,20 +318,30 @@ def is_normal_subloop(loop: FiniteLoop, members: Iterable[int]) -> bool:
             if qrow[cv] is None:
                 qrow[cv] = cw
             elif qrow[cv] != cw:
-                return False
-    return True
+                return None, None
+    return coset_of, classes
+
+
+def is_normal_subloop(loop: FiniteLoop, members: Iterable[int]) -> bool:
+    """Whether a subloop is the kernel of a homomorphism (brute force).
+
+    Checks that left cosets partition the loop, that xN = Nx for every x, and
+    that the induced multiplication of cosets is well defined.  Raises
+    InputError when ``members`` is not a subloop at all.
+    """
+    return _normal_cosets(loop, frozenset(members))[0] is not None
 
 
 def quotient_loop(loop: FiniteLoop, members: Iterable[int]) -> FiniteLoop:
     """Factor loop on the cosets of a normal subloop.
 
     Cosets are labeled canonically by ascending minimal element, so the
-    identity coset is element 0.
+    identity coset is element 0.  Raises NotNormalError when the subloop is
+    not normal, after the same single pass as :func:`is_normal_subloop`.
     """
-    members = frozenset(members)
-    if not is_normal_subloop(loop, members):
+    coset_of, classes = _normal_cosets(loop, frozenset(members))
+    if coset_of is None:
         raise NotNormalError("cannot form quotient: subloop is not normal")
-    coset_of, classes = _left_cosets(loop, members)
     order = sorted(range(len(classes)), key=lambda c: min(classes[c]))
     relabel = {c: i for i, c in enumerate(order)}
     reps = [min(classes[c]) for c in order]

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import PreconditionError
+from .errors import NotNormalError, PreconditionError
 from .extension import (
     ExtensionLoop,
     LoopCocycle,
@@ -34,7 +34,6 @@ from .loops import (
     first_lip_counterexample,
     first_noncommuting_pair,
     first_rip_counterexample,
-    is_normal_subloop,
     quotient_loop,
 )
 from .orbits import sigma_set
@@ -96,7 +95,7 @@ def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int, 
         pair = built.pair_of(index)
         left = built.pair_index(*extension_left_inverse(cocycle, pair))
         right = built.pair_index(*extension_right_inverse(cocycle, pair))
-        if left != loop.right_div(0, index) or right != loop.left_div(index, 0):
+        if left != loop.left_inverse(index) or right != loop.right_inverse(index):
             return (index,)
     return None
 
@@ -111,20 +110,24 @@ def _agreement(report: VerificationReport, name: str, condition: bool, brute: bo
                    note=f"condition says {condition}, built extension says {brute}")
 
 
-def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> None:
-    """Latin table, inverse formulas, kernel normality and quotient lines."""
-    cocycle = built.cocycle
+def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> bool:
+    """Latin table, inverse formulas, kernel normality and quotient lines; False,
+    after the Latin line alone, when the build's Latin check failed."""
+    if built.loop is None:
+        report.add("extension-latin", False, (built.defect.index,), note=str(built.defect))
+        return False
     report.add("extension-latin", True, note=f"size {built.loop.size}")
-    witness = _check_inverse_formulas(cocycle, built)
+    witness = _check_inverse_formulas(built.cocycle, built)
     report.add("inverse-formulas", witness is None, witness)
-    kernel = built.kernel()
-    normal = is_normal_subloop(built.loop, kernel)
-    report.add("kernel-normal", normal)
-    if normal:
-        report.add("quotient-reconstructs-base",
-                   quotient_loop(built.loop, kernel) == cocycle.loop)
-    else:
+    try:
+        quotient = quotient_loop(built.loop, built.kernel())
+    except NotNormalError:
+        report.add("kernel-normal", False)
         report.add("quotient-reconstructs-base", False, note="kernel not normal")
+    else:
+        report.add("kernel-normal", True)
+        report.add("quotient-reconstructs-base", quotient == built.cocycle.loop)
+    return True
 
 
 def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
@@ -146,8 +149,10 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
     start = time.perf_counter()
     report = VerificationReport("verify", dict(fingerprints or {}))
     built = build_extension(cocycle)
+    if not _add_consistency(report, built):
+        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return report
     ext = built.loop
-    _add_consistency(report, built)
 
     _agreement(report, "commutative", is_commutative_extension(cocycle),
                ext.is_commutative(), first_noncommuting_pair(ext))

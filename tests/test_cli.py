@@ -224,6 +224,29 @@ class TestConstructVerifyExtend:
         assert code == 0
         assert len(calls) == 1
 
+    def test_extend_runs_one_normality_pass(self, capsys, loop_files, tmp_path, monkeypatch):
+        # the kernel-normal and quotient lines share one pass (three at the
+        # time both lines called their own normality test)
+        from loopext import loops
+
+        out_path = str(tmp_path / "c.coc")
+        run(capsys, "construct", "--loop", loop_files["ip8"], "--group", "2",
+            "--mode", "ip", "--seed", "3", "--out", out_path)
+        calls = []
+        original = loops._normal_cosets
+
+        def counting(loop, members):
+            calls.append(members)
+            return original(loop, members)
+
+        monkeypatch.setattr(loops, "_normal_cosets", counting)
+        code, out, _ = run(capsys, "extend", "--loop", loop_files["ip8"], "--cocycle", out_path,
+                           "--out", str(tmp_path / "f.loop"), "--no-timing")
+        assert code == 0
+        assert "check kernel-normal: pass" in out
+        assert "check quotient-reconstructs-base: pass" in out
+        assert calls == [frozenset({0, 1})]
+
     def test_verify_mode_precondition_exit(self, capsys, tmp_path):
         # asserting lip over a base loop without the property is ill-posed
         from loopext.catalog import inverse_mismatch_loop
@@ -319,6 +342,60 @@ class TestConstructVerifyExtend:
                             "--cocycle", out_path, "--no-timing")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestBrokenBuild:
+    """A build that is not a Latin square is a failed check, not bad input."""
+
+    @pytest.fixture()
+    def cocycle_path(self, capsys, loop_files, tmp_path):
+        path = str(tmp_path / "c.coc")
+        code, _, _ = run(capsys, "construct", "--loop", loop_files["klein"], "--group", "3",
+                         "--mode", "ip", "--seed", "7", "--out", path)
+        assert code == 0
+        return path
+
+    @pytest.fixture()
+    def broken_build(self, monkeypatch):
+        # swap two entries of row 1: rows stay permutations, columns 2 and 3 do not
+        from loopext import extension
+
+        original = extension._extension_rows
+
+        def swapped(cocycle):
+            rows = original(cocycle)
+            row = list(rows[1])
+            row[2], row[3] = row[3], row[2]
+            rows[1] = tuple(row)
+            return rows
+
+        monkeypatch.setattr(extension, "_extension_rows", swapped)
+
+    @pytest.mark.parametrize("command", ["extend", "verify"])
+    def test_latin_line_fails(self, capsys, loop_files, tmp_path, cocycle_path, broken_build,
+                              command):
+        out_path = tmp_path / "f.loop"
+        argv = [command, "--loop", loop_files["klein"], "--cocycle", cocycle_path, "--no-timing"]
+        if command == "extend":
+            argv += ["--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith(("check ", "counterexample "))] == [
+            "check extension-latin: fail (column 2 is not a permutation of 0..11)",
+            "counterexample extension-latin: 2",
+        ]
+        assert lines[-1] == "result: fail"
+        assert not out_path.exists()
+
+    def test_construction_gate_raises(self, loop_files, tmp_path, broken_build):
+        from loopext.errors import InternalError
+
+        with pytest.raises(InternalError, match="not a loop: column 2"):
+            main(["construct", "--loop", loop_files["klein"], "--group", "3",
+                  "--mode", "ip", "--seed", "7", "--out", str(tmp_path / "x.coc")])
+        assert not (tmp_path / "x.coc").exists()
 
 
 # sha256 of the construct -> extend -> verify transcript of each chain below,

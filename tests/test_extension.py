@@ -1,6 +1,11 @@
 import pytest
 
-from loopext.constructions import ChoiceSource, construct_ip_cocycle, random_cocycle
+from loopext.constructions import (
+    ChoiceSource,
+    construct_ip_cocycle,
+    ip_cocycle_from_choices,
+    random_cocycle,
+)
 from loopext.errors import CocycleNormalizationError, InputError, PreconditionError
 from loopext.extension import (
     InverseCoincidenceData,
@@ -24,6 +29,7 @@ from loopext.loops import (
     is_normal_subloop,
     quotient_loop,
 )
+from loopext.orbits import gamma_orbits
 
 
 def identity_tables(l):
@@ -334,6 +340,23 @@ class TestIpAndEquivariance:
         assert not check_equivariance(broken)
         assert not check_ip_conditions(broken)
         assert not analyze_properties(build_extension(broken).loop).has_ip
+
+    @pytest.mark.parametrize("member", range(1, 6))
+    def test_changed_orbit_member_detected(self, loops, groups, member):
+        # equivariance compares members with their representative only, so a
+        # change at any non-representative member must still be seen
+        loop = loops["ip8"]
+        decomposition = gamma_orbits(loop)
+        choices = {orbit.representative: (1, 0) for orbit in decomposition.orbits}
+        cocycle = ip_cocycle_from_choices(loop, groups["z3"], choices)
+        assert check_equivariance(cocycle)
+        x, y = decomposition.orbits[3].members[member]
+        broken_q = [list(row) for row in cocycle.qtable]
+        broken_q[x][y] ^= 1
+        broken = make_cocycle(loop, cocycle.group, cocycle.ptable, broken_q)
+        assert is_strongly_linear(broken)
+        assert not check_equivariance(broken)
+        assert not check_ip_conditions(broken)
 
 
 class TestOppositeCocycle:

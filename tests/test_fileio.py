@@ -1,7 +1,7 @@
 import pytest
 
 from loopext.constructions import ChoiceSource, construct_ip_cocycle, construct_lip_cocycle
-from loopext.errors import ParseError
+from loopext.errors import ParseError, ResourceError
 from loopext.fileio import (
     dumps_cocycle,
     dumps_loop,
@@ -131,6 +131,14 @@ class TestCocycleFormat:
         bad_q = "cocycle l=2 group=3\nP\n0 0\n0 0\nQ\n0 1\n0 0\n"
         with pytest.raises(ParseError):  # Q(e, 1) must be Id
             loads_cocycle(bad_q, loops["z2"])
+
+    def test_oversized_aut_is_resource_error(self, loops):
+        # refusing Aut(Z2^5) is a resource limit, not a defect of the file
+        text = "cocycle l=2 group=2,2,2,2,2\nP\n0 0\n0 0\nQ\n0 0\n0 0\n"
+        with pytest.raises(ResourceError) as info:
+            loads_cocycle(text, loops["z2"])
+        assert not isinstance(info.value, ParseError)
+        assert "exceeds cap 200000" in str(info.value)
 
     def test_comment_lines_allowed(self, sample):
         loop, cocycle = sample

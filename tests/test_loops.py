@@ -9,6 +9,7 @@ from loopext.errors import (
     StructureError,
     UndefinedPropertyError,
 )
+from loopext.catalog import bundled_corpus
 from loopext.loops import (
     analyze_properties,
     first_inverse_mismatch,
@@ -273,6 +274,26 @@ class TestNormality:
         assert not is_normal_subloop(ip7, members)
         with pytest.raises(NotNormalError):
             quotient_loop(ip7, members)
+
+    def test_product_closure_implies_division_closure(self, loops):
+        # reference for _validate_subloop, which checks products only
+        corpus = {**bundled_corpus(), "lip_only": loops["lip_only"],
+                  "mismatch": loops["mismatch"]}
+        closed_sets = 0
+        for loop in corpus.values():
+            others = range(1, loop.size)
+            for k in range(loop.size):
+                for rest in itertools.combinations(others, k):
+                    members = {0, *rest}
+                    if any(loop.mul(x, y) not in members for x in members for y in members):
+                        continue
+                    closed_sets += 1
+                    for x in members:
+                        for y in members:
+                            assert loop.left_div(x, y) in members
+                            assert loop.right_div(x, y) in members
+                    is_normal_subloop(loop, members)  # accepted as a subloop
+        assert closed_sets > len(corpus) * 2
 
     def test_klein_subgroup_quotient(self, loops):
         klein = loops["klein"]

@@ -1,6 +1,7 @@
 import pytest
 
 from loopext import orbits
+from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.errors import InternalError, Order3Error, PreconditionError
 from loopext.orbits import (
     GAMMA,
@@ -199,6 +200,21 @@ class TestPairAction:
                         for name in reversed(tau.name.split("*")):
                             folded = GAMMA_BY_NAME[name].pair_indices(autgroup, *folded)
                         assert folded == tau.pair_indices(autgroup, pi, qi)
+
+    def test_words_reproduce_table_on_larger_aut(self):
+        # Aut(Z3 x Z3) = GL(2, 3) has 48 members, so a formula that only
+        # holds in the six-element Aut(Z2 x Z2) would fail here
+        autgroup = enumerate_automorphisms(make_group((3, 3)))
+        assert len(autgroup) == 48
+        c, v = autgroup.compose_indices, autgroup.invert_index
+        for name, pair_map in orbits._PAIR_MAPS.items():
+            factors = name.split("*")
+            for p in range(len(autgroup)):
+                for q in range(len(autgroup)):
+                    folded = (p, q)
+                    for factor in reversed(factors):  # "phi*psi" is phi after psi
+                        folded = orbits._PAIR_MAPS[factor](c, v, *folded)
+                    assert folded == pair_map(c, v, p, q)
 
     def test_words_reproduce_table_on_cells(self, loops):
         for name in ("klein", "z4", "z5", "ip8"):
