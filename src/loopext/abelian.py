@@ -1,16 +1,22 @@
-"""Finite abelian groups as direct sums of cyclic factors, with exhaustive
-enumeration of their automorphism groups.
+"""Finite abelian groups as direct sums of cyclic factors, with their
+automorphism groups in a canonical order.
 
 Elements are plain integers ``0..size-1`` encoding residue tuples in mixed
 radix (first factor most significant); index 0 is the zero element, and the
 generator ``e_j`` of factor j has index ``n_{j+1} * ... * n_k``, so the
-generator of the last factor is index 1.  All objects are immutable after
-construction and safe to share between threads.
+generator of the last factor is index 1.  Groups and automorphisms are
+immutable after construction and safe to share between threads; an
+:class:`AutomorphismGroup` only adds entries to its memos.
 
-Aut(A) is enumerated by a backtracking search over the generator images in
-lexicographic order of the image tables.  Its size is known in closed form
-beforehand (:func:`automorphism_count`), so an enumeration above
-``AUT_ORDER_CAP`` members is refused before any work is done.
+The canonical order of Aut(A) is the lexicographic order of the image
+tables, that is of the generator images taken as (e_k, ..., e_1).  Members
+are ranked and unranked in that order from their generator images, without
+listing Aut(A): a prefix of images extends to an automorphism exactly when
+the map it fixes on a subgroup is injective with a pure image, and the number
+of automorphisms extending it is the order of a pointwise stabiliser, which
+does not depend on the prefix (see :class:`AutomorphismGroup`).  |Aut(A)| is
+known in closed form (:func:`automorphism_count`), and a group with more
+than ``AUT_ORDER_CAP`` automorphisms is refused before any work is done.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ from typing import Iterator, Sequence
 from .errors import InputError, InternalError, ResourceError
 
 DEFAULT_SIZE_CAP = 64
-# Largest |Aut(A)| that enumerate_automorphisms builds.  Among groups of
+# Largest |Aut(A)| that enumerate_automorphisms admits.  Among groups of
 # order <= DEFAULT_SIZE_CAP it refuses exactly Z2^5, Z2^4 x Z4 and Z2^6 (in any
 # factor order).
 AUT_ORDER_CAP = 200_000
-# AutomorphismGroup.compose_indices memoises at most this many products.
+# AutomorphismGroup memoises at most _COMPOSE_MEMO_CAP products (and as many
+# inverses) and at most _MEMBER_MEMO_CAP members.
 _COMPOSE_MEMO_CAP = 1 << 16
+_MEMBER_MEMO_CAP = 1 << 12
 
 GroupElement = int
 
@@ -220,52 +228,97 @@ def invert(f: Automorphism) -> Automorphism:
 
 
 class AutomorphismGroup:
-    """All automorphisms of a group in canonical (lexicographic) order.
+    """Aut(A) in canonical order, as a lazy view: members are ranked and
+    unranked from their generator images, never listed.
 
     The canonical order is load-bearing: cocycle files reference automorphisms
-    by their position in ``members``, so enumeration must be deterministic.
-    The identity is always member 0 (it is lexicographically minimal).
+    by their index in it.  It is the lexicographic order of the image tables,
+    which is the lexicographic order of the generator images taken as
+    (e_k, ..., e_1), so the identity is member 0.
+
+    Ranking.  Choose the generator images in that order.  After t choices the
+    table is fixed on the subgroup H they generate (the indices below the next
+    generator's index).  Such a prefix extends to an automorphism exactly when
+    the table is injective on H and its image S is pure, ``nA & S == nS`` for
+    every prime power n dividing the exponent of A: H is a direct summand, an
+    automorphism maps it onto a summand, and a summand is pure; conversely a
+    pure S is a summand, and its complement is isomorphic to that of H by
+    cancellation, so the map extends.  The automorphisms extending a prefix
+    form a coset of the pointwise stabiliser of H, so their number does not
+    depend on the prefix: it is the product of the later per-step counts
+    N_t of extendable images, each taken under the identity prefix.  Hence
+
+        rank(f) = sum_t (position of f's t-th image among the extendable
+                         images at its prefix) * prod_{t' > t} N_t'.
+
+    The constructor raises ``InternalError`` unless the N_t multiply to
+    |Aut(A)| from :func:`automorphism_count`.  The extendable
+    images are memoised per prefix (at most one entry per internal node of the
+    search tree) and per image subgroup; members are memoised per index and
+    products and inverses per argument, up to fixed caps.
     """
 
-    __slots__ = ("group", "members", "identity_index", "_index", "_compose", "_invert")
+    __slots__ = ("group", "identity_index", "_count", "_generators", "_orders", "_of_order",
+                 "_purity", "_weights", "_by_prefix", "_by_image", "_members", "_compose",
+                 "_invert")
 
-    def __init__(self, group: AbelianGroup, members: Sequence[Automorphism]):
+    def __init__(self, group: AbelianGroup):
         self.group = group
-        self.members = tuple(members)
-        self._index = {aut.table: i for i, aut in enumerate(self.members)}
-        if len(self._index) != len(self.members):
-            raise InputError("duplicate automorphisms in member list")
-        ident = tuple(range(group.size))
-        if ident not in self._index:
-            raise InputError("member list is missing the identity automorphism")
-        self.identity_index = self._index[ident]
+        self.identity_index = 0
+        self._count = count = automorphism_count(group)
+        # choice order e_k, ..., e_1: the generator indices ascending
+        self._generators = tuple(reversed(group._strides))
+        self._orders = tuple(reversed(group.orders))
+        self._of_order = tuple(
+            tuple(a for a in group.elements() if group.element_orders[a] == n)
+            for n in self._orders
+        )
+        self._purity = tuple(_purity_tests(group))
+        self._by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._by_image: dict[frozenset[int], tuple[int, ...]] = {}
+        self._members: dict[int, Automorphism] = {}
         self._compose: dict[tuple[int, int], int] = {}
         self._invert: dict[int, int] = {}
+        counts = [len(self._extendable(self._generators[:t]))
+                  for t in range(len(self._generators))]
+        if math.prod(counts) != count:
+            raise InternalError(f"per-step counts {counts} give {math.prod(counts)} "
+                                f"automorphisms, closed form gives {count}")
+        self._weights = tuple(math.prod(counts[t + 1:]) for t in range(len(counts)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self._count
 
     def __getitem__(self, i: int) -> Automorphism:
-        return self.members[i]
+        try:
+            return self._members[i]
+        except KeyError:
+            pass
+        if not 0 <= i < self._count:
+            raise IndexError(f"automorphism index {i} out of range 0..{self._count - 1}")
+        aut = self._unrank(i)
+        if len(self._members) < _MEMBER_MEMO_CAP:
+            self._members[i] = aut
+        return aut
 
     def __iter__(self) -> Iterator[Automorphism]:
-        return iter(self.members)
+        return map(self._unrank, range(self._count))
 
     def index_of(self, aut: Automorphism) -> int:
         if aut.group != self.group:
             raise InputError("automorphism belongs to a different group")
         try:
-            return self._index[aut.table]
-        except KeyError:
+            return self._rank(tuple(aut.table[e] for e in self._generators))
+        except ValueError:
             raise InputError("automorphism is not a member of this enumeration") from None
 
     def compose_indices(self, i: int, j: int) -> int:
-        """Canonical index of ``members[i]`` after ``members[j]``."""
+        """Canonical index of member i after member j."""
         key = (i, j)
         out = self._compose.get(key)
         if out is None:
-            ft = self.members[i].table
-            out = self._index[tuple(ft[x] for x in self.members[j].table)]
+            ft, ht = self[i].table, self[j].table
+            out = self._rank(tuple(ft[ht[e]] for e in self._generators))
             if len(self._compose) < _COMPOSE_MEMO_CAP:
                 self._compose[key] = out
         return out
@@ -273,13 +326,83 @@ class AutomorphismGroup:
     def invert_index(self, i: int) -> int:
         out = self._invert.get(i)
         if out is None:
-            table = self.members[i].table
-            inv = [0] * len(table)
-            for a, x in enumerate(table):
-                inv[x] = a
-            out = self._index[tuple(inv)]
-            self._invert[i] = out
+            table = self[i].table
+            out = self._rank(tuple(table.index(e) for e in self._generators))
+            if len(self._invert) < _COMPOSE_MEMO_CAP:
+                self._invert[i] = out
         return out
+
+    def _extendable(self, images: tuple[int, ...]) -> tuple[int, ...]:
+        """Images for the next generator, ascending, with which the prefix
+        ``images`` still extends to an automorphism.  They depend on the
+        prefix only through the image of the subgroup it fixes, so prefixes
+        with one image share an entry."""
+        found = self._by_prefix.get(images)
+        if found is None:
+            image = self._table(images)
+            key = frozenset(image)
+            found = self._by_image.get(key)
+            if found is None:
+                t = len(images)
+                found = self._by_image[key] = tuple(
+                    g for g in self._of_order[t] if self._extends(image, g, self._orders[t]))
+            self._by_prefix[images] = found
+        return found
+
+    def _extends(self, image: list[int], g: int, n: int) -> bool:
+        """Whether S + <g> has |S| * n elements and is pure, for S the
+        subgroup listed by ``image`` and g of order n."""
+        extended = _extend(self.group.add_table, image, g, n)
+        span = set(extended)
+        return len(span) == len(extended) and all(
+            multiples & span == {times[s] for s in span} for times, multiples in self._purity
+        )
+
+    def _table(self, images: tuple[int, ...]) -> list[int]:
+        """The table on the subgroup generated by the first len(images)
+        generators, which ``images`` send to their images."""
+        table = [0]
+        for g, n in zip(images, self._orders):
+            table = _extend(self.group.add_table, table, g, n)
+        return table
+
+    def _rank(self, images: tuple[int, ...]) -> int:
+        """Canonical index of the automorphism with these generator images;
+        ValueError when they extend to none."""
+        return sum(self._extendable(images[:t]).index(g) * w
+                   for t, (g, w) in enumerate(zip(images, self._weights)))
+
+    def _unrank(self, i: int) -> Automorphism:
+        images: tuple[int, ...] = ()
+        table = [0]
+        for w, n in zip(self._weights, self._orders):
+            digit, i = divmod(i, w)
+            g = self._extendable(images)[digit]
+            images += (g,)
+            table = _extend(self.group.add_table, table, g, n)
+        return Automorphism(self.group, table)
+
+
+def _extend(add, table: list[int], g: int, n: int) -> list[int]:
+    """``table`` on a subgroup H extended to H + <e>, for the generator e of
+    order n after H, by e -> g: entry m*|H| + r is m*g + table[r]."""
+    out = list(table)
+    multiple = 0
+    for _ in range(n - 1):
+        multiple = add[multiple][g]
+        row = add[multiple]
+        out += [row[v] for v in table]
+    return out
+
+
+def _purity_tests(group: AbelianGroup) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """``(a -> n*a, nA)`` for each prime power n dividing the exponent."""
+    for p, e in _prime_powers(max(group.element_orders)):
+        for i in range(1, e + 1):
+            n = p**i
+            times = tuple(group.index_of([n * r for r in group.tuple_of(a)])
+                          for a in group.elements())
+            yield times, frozenset(times)
 
 
 def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
@@ -322,63 +445,15 @@ def automorphism_count(group: AbelianGroup) -> int:
     return count
 
 
-def _automorphism_tables(group: AbelianGroup) -> Iterator[tuple[int, ...]]:
-    """Image tables of every automorphism, in lexicographic order.
-
-    Depth-first over the generator images, taken as (e_k, ..., e_1).  After
-    choosing the images of e_k..e_{j+1}, the table is filled on the subgroup
-    they generate, which is the index range ``0..s_j - 1`` with s_j the index
-    of e_j.  An image g for e_j must have order exactly n_j; it extends the
-    table by ``table[m*s_j + r] = m*g + table[r]`` for m = 1..n_j-1, and the
-    branch is pruned at the first value that repeats.  Index s_j is the
-    first entry that depends on g, so taking candidates in increasing order
-    emits the tables in lexicographic order.
-    """
-    add = group.add_table
-    orders, strides = group.orders, group._strides
-    candidates = [[a for a in group.elements() if group.element_orders[a] == n] for n in orders]
-    table = [0] * group.size
-    used = [False] * group.size
-    used[0] = True
-
-    def extend(j: int) -> Iterator[tuple[int, ...]]:
-        if j < 0:
-            yield tuple(table)
-            return
-        span = strides[j]
-        for g in candidates[j]:
-            end, multiple, fresh = span, 0, True
-            for _ in range(orders[j] - 1):
-                multiple = add[multiple][g]
-                row = add[multiple]
-                for r in range(span):
-                    v = row[table[r]]
-                    if used[v]:
-                        fresh = False
-                        break
-                    used[v] = True
-                    table[end] = v
-                    end += 1
-                if not fresh:
-                    break
-            if fresh:
-                yield from extend(j - 1)
-            for a in range(span, end):
-                used[table[a]] = False
-
-    return extend(len(orders) - 1)
-
-
 @lru_cache(maxsize=16)
 def enumerate_automorphisms(
     group: AbelianGroup, *, size_cap: int = DEFAULT_SIZE_CAP
 ) -> AutomorphismGroup:
-    """Exhaustively enumerate Aut(A) for a finite abelian group A.
+    """Aut(A) for a finite abelian group A, as a view in canonical order.
 
-    Members come in canonical order: lexicographic in their image tables,
-    which is lexicographic in the generator images taken as (e_k, ..., e_1)
-    (see :func:`_automorphism_tables`).  Each member is validated through
-    :class:`Automorphism`, and their number must match
+    Members are ranked and unranked on demand (see
+    :class:`AutomorphismGroup`), and each one handed out is validated through
+    :class:`Automorphism`; the per-step counts must multiply to
     :func:`automorphism_count`.  Raises ``ResourceError`` before any work
     when |A| exceeds ``size_cap`` or |Aut(A)| exceeds ``AUT_ORDER_CAP``.
     """
@@ -391,7 +466,4 @@ def enumerate_automorphisms(
         raise ResourceError(
             f"automorphism enumeration refused: |Aut(A)| = {count} exceeds cap {AUT_ORDER_CAP}"
         )
-    members = tuple(Automorphism(group, table) for table in _automorphism_tables(group))
-    if len(members) != count:
-        raise InternalError(f"enumerated {len(members)} automorphisms, closed form gives {count}")
-    return AutomorphismGroup(group, members)
+    return AutomorphismGroup(group)

@@ -189,6 +189,11 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     (x^{-1}, x*y) is forced by
         Q(x^{-1}, x*y) = Q(x,y)^{-1},
         P(x^{-1}, x*y) = Q(x,y)^{-1} P(x,y) Q(x^{-1},x)^{-1} P(x^{-1},x).
+
+    The image need not be every LIP cocycle.  At a self-inverse element
+    x != e, :func:`construct_pq` takes p(x) = q(x), although the property
+    only asks (p(x)^{-1} q(x))^2 = Id; on L = Z2 with A = Z3 the construction
+    reaches 4 of the 8 LIP cocycles.
     """
     report = loop.properties()
     if not report.has_lip:
@@ -229,6 +234,9 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     Partner cells (x*y, y^{-1}) are forced by
         P(x*y, y^{-1}) = P(x,y)^{-1},
         Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y) P(y,y^{-1})^{-1} Q(y,y^{-1}).
+
+    As for LIP, p(x) = q(x) at a self-inverse x != e, so the image need not
+    be every RIP cocycle: 4 of the 8 on L = Z2 with A = Z3.
     """
     report = loop.properties()
     if not report.has_rip:
@@ -274,8 +282,12 @@ def _ip_cocycle(loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGro
                              f"is not a pair of automorphism indices")
         for name, (x, y) in zip(orbit.symmetries, orbit.members):
             ptable[x][y], qtable[x][y] = GAMMA_BY_NAME[name].pair_indices(autgroup, pr, qr)
+
+    def equivariance(cocycle):  # on the orbits at hand, not a second walk
+        return check_equivariance(cocycle, decomposition)
+
     return _gated(_finish(loop, group, autgroup, ptable, qtable), "ip",
-                  is_strongly_linear, check_ip_conditions, check_equivariance)
+                  is_strongly_linear, check_ip_conditions, equivariance)
 
 
 def ip_cocycle_from_choices(loop: FiniteLoop, group: AbelianGroup,

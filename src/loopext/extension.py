@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import CocycleNormalizationError, InputError, PreconditionError, StructureError
 from .loops import FiniteLoop, validate_table
-from .orbits import GAMMA_BY_NAME, gamma_orbits
+from .orbits import GAMMA_BY_NAME, OrbitDecomposition, gamma_orbits
 
 Pair = tuple[int, int]
 
@@ -144,21 +144,22 @@ def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
     """The multiplication table of the extension, row by row."""
     loop = cocycle.loop
     group = cocycle.group
-    auts = [m.table for m in cocycle.autgroup.members]
+    autgroup = cocycle.autgroup
+    auts = {i: autgroup[i].table for i in set().union(*cocycle.ptable, *cocycle.qtable)}
     add = group.add_table
     l = loop.size
     n = group.size
     rows = []
     for x in range(l):
         lrow = loop.table[x]
-        prow = cocycle.ptable[x]
-        qrow = cocycle.qtable[x]
+        prow = [auts[i] for i in cocycle.ptable[x]]
+        qrow = [auts[i] for i in cocycle.qtable[x]]
         for a in range(n):
             row = []
             for y in range(l):
                 base = lrow[y] * n
-                pa = add[auts[prow[y]][a]]
-                qt = auts[qrow[y]]
+                pa = add[prow[y][a]]
+                qt = qrow[y]
                 row.extend(base + pa[qt[b]] for b in range(n))
             rows.append(tuple(row))
     return rows
@@ -179,8 +180,8 @@ def extension_left_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
     loop, group, aut = cocycle.loop, cocycle.group, cocycle.autgroup
     group._check(a)
     li = loop.left_inverse(x)
-    value = aut.members[cocycle.qtable[li][x]].table[a]
-    value = aut.members[aut.invert_index(cocycle.ptable[li][x])].table[value]
+    value = aut[cocycle.qtable[li][x]].table[a]
+    value = aut[aut.invert_index(cocycle.ptable[li][x])].table[value]
     return (li, group.neg_table[value])
 
 
@@ -190,8 +191,8 @@ def extension_right_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
     loop, group, aut = cocycle.loop, cocycle.group, cocycle.autgroup
     group._check(a)
     ri = loop.right_inverse(x)
-    value = aut.members[cocycle.ptable[x][ri]].table[a]
-    value = aut.members[aut.invert_index(cocycle.qtable[x][ri])].table[value]
+    value = aut[cocycle.ptable[x][ri]].table[a]
+    value = aut[aut.invert_index(cocycle.qtable[x][ri])].table[value]
     return (ri, group.neg_table[value])
 
 
@@ -324,7 +325,8 @@ def check_ip_conditions(cocycle: LoopCocycle) -> bool:
     return True
 
 
-def check_equivariance(cocycle: LoopCocycle) -> bool:
+def check_equivariance(cocycle: LoopCocycle,
+                       decomposition: Optional[OrbitDecomposition] = None) -> bool:
     """Whether (P, Q) commutes with the pair symmetries on every complement cell.
 
     Requires a strongly linear cocycle over an inverse-property loop with no
@@ -334,7 +336,9 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
     Each orbit member is compared with its symmetry's pair map of the
     representative's (P, Q) only.  That suffices: the cell maps and the pair
     maps are actions of the same six-element group, and the orbit walker
-    proves that each orbit has six distinct members.
+    proves that each orbit has six distinct members.  A caller that holds the
+    ``gamma_orbits`` decomposition of the cocycle's loop passes it as
+    ``decomposition``, so the orbits are not walked again.
     """
     if not is_strongly_linear(cocycle):
         raise PreconditionError("equivariance test needs a strongly linear cocycle")
@@ -346,7 +350,9 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
             "equivariance test needs a loop with no element x*x = x^{-1}"
         )
     pt, qt = cocycle.ptable, cocycle.qtable
-    for orbit in gamma_orbits(cocycle.loop).orbits:
+    if decomposition is None:
+        decomposition = gamma_orbits(cocycle.loop)
+    for orbit in decomposition.orbits:
         rx, ry = orbit.representative
         p, q = pt[rx][ry], qt[rx][ry]
         for name, (x, y) in zip(orbit.symmetries, orbit.members):

@@ -192,27 +192,31 @@ def first_lip_counterexample(loop: FiniteLoop,
     """First (x, y) with iota(x)*(x*y) != y, using the left-inverse map by default."""
     if iota is None:
         iota = [loop.left_inverse(x) for x in loop.elements()]
-    return _first_lip_failure(loop.table, iota)
+    t = loop.table
+    for x, row in enumerate(t):
+        left = t[iota[x]]
+        for y, xy in enumerate(row):
+            if left[xy] != y:
+                return (x, y)
+    return None
 
 
 def first_rip_counterexample(loop: FiniteLoop,
                              iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
     """First (x, y) with (y*x)*iota(x) != y, using the left-inverse map by default.
 
-    This is the LIP law of the opposite loop, so the scan is the LIP scan of
-    the transposed table, in the same (x, y) order.
+    This is the LIP law of the opposite loop, scanned in the same (x, y)
+    order.  Column x of the table is row x of the opposite loop; the columns
+    are taken one at a time, so an early witness costs only the columns
+    before it, not a full transpose.
     """
     if iota is None:
         iota = [loop.left_inverse(x) for x in loop.elements()]
-    return _first_lip_failure(tuple(zip(*loop.table)), iota)
-
-
-def _first_lip_failure(table: Sequence[Sequence[int]],
-                       iota: Sequence[int]) -> Optional[tuple[int, int]]:
-    for x, row in enumerate(table):
-        left = table[iota[x]]
-        for y, xy in enumerate(row):
-            if left[xy] != y:
+    t = loop.table
+    for x, column in enumerate(zip(*t)):
+        ix = iota[x]
+        for y, yx in enumerate(column):
+            if t[yx][ix] != y:
                 return (x, y)
     return None
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from loopext import abelian
 from loopext.abelian import (
     AUT_ORDER_CAP,
     Automorphism,
+    AutomorphismGroup,
     automorphism_count,
     compose,
     enumerate_automorphisms,
@@ -16,7 +18,7 @@ from loopext.abelian import (
     make_group,
     parse_group_spec,
 )
-from loopext.errors import InputError, ResourceError
+from loopext.errors import InputError, InternalError, ResourceError
 
 
 def brute_force_automorphism_tables(group):
@@ -34,6 +36,53 @@ def brute_force_automorphism_tables(group):
         ):
             found.append(table)
     return sorted(found)
+
+
+def reference_automorphism_tables(group):
+    """Reference order: depth-first search over the generator images, taken
+    as (e_k, ..., e_1).
+
+    After choosing the images of e_k..e_{j+1}, the table is filled on the
+    subgroup they generate, which is the index range ``0..s_j - 1`` with s_j
+    the index of e_j.  An image g for e_j must have order exactly n_j; it
+    extends the table by ``table[m*s_j + r] = m*g + table[r]`` for
+    m = 1..n_j-1, and the branch is pruned at the first value that repeats.
+    Index s_j is the first entry that depends on g, so taking candidates in
+    increasing order yields the tables in lexicographic order.
+    """
+    add = group.add_table
+    orders, strides = group.orders, group._strides
+    candidates = [[a for a in group.elements() if group.element_orders[a] == n] for n in orders]
+    table = [0] * group.size
+    used = [False] * group.size
+    used[0] = True
+
+    def extend(j):
+        if j < 0:
+            yield tuple(table)
+            return
+        span = strides[j]
+        for g in candidates[j]:
+            end, multiple, fresh = span, 0, True
+            for _ in range(orders[j] - 1):
+                multiple = add[multiple][g]
+                row = add[multiple]
+                for r in range(span):
+                    v = row[table[r]]
+                    if used[v]:
+                        fresh = False
+                        break
+                    used[v] = True
+                    table[end] = v
+                    end += 1
+                if not fresh:
+                    break
+            if fresh:
+                yield from extend(j - 1)
+            for a in range(span, end):
+                used[table[a]] = False
+
+    return list(extend(len(orders) - 1))
 
 
 def ordered_specs(limit=64, prefix=()):
@@ -161,7 +210,7 @@ class TestEnumeration:
     def test_closure(self, groups, autgroups):
         for name in ("z3", "z4", "z2xz2"):
             autgroup = autgroups[name]
-            members = set(autgroup.members)
+            members = set(autgroup)
             for f in autgroup:
                 assert invert(f) in members
                 for h in autgroup:
@@ -178,7 +227,7 @@ class TestEnumeration:
     def test_identity_is_member_zero(self, autgroups):
         for autgroup in autgroups.values():
             assert autgroup.identity_index == 0
-            assert autgroup.members[0].is_identity()
+            assert autgroup[0].is_identity()
 
     def test_cap(self):
         group = make_group([2] * 6, size_cap=64)
@@ -215,12 +264,81 @@ class TestAutomorphismCount:
 
     @pytest.mark.parametrize("orders", [(2,) * 5, (2,) * 6, (4, 2, 2, 2, 2)])
     def test_refused_before_search(self, monkeypatch, orders):
-        def search(group):
-            raise AssertionError("the backtracker ran on a refused group")
+        def view(group):
+            raise AssertionError("Aut(A) was set up for a refused group")
 
-        monkeypatch.setattr(abelian, "_automorphism_tables", search)
+        monkeypatch.setattr(abelian, "AutomorphismGroup", view)
         with pytest.raises(ResourceError, match="exceeds cap 200000"):
             enumerate_automorphisms(make_group(orders))
+
+
+class TestRanking:
+    """The view ranks and unranks in the order of the reference search."""
+
+    def test_reference_order(self):
+        specs = [s for s in ordered_specs() if automorphism_count(make_group(s)) <= 20160]
+        assert len(specs) > 400
+        for orders in specs:
+            group = make_group(orders)
+            autgroup = AutomorphismGroup(group)
+            members = list(autgroup)
+            assert [aut.table for aut in members] == reference_automorphism_tables(group), orders
+            assert all(autgroup.index_of(aut) == i for i, aut in enumerate(members)), orders
+            for i in range(0, len(members), 97):
+                assert autgroup[i] == members[i]
+
+    def test_largest_admitted_group_sampled(self):
+        group = make_group([2, 2, 4, 4])
+        autgroup = enumerate_automorphisms(group)
+        assert len(autgroup) == 147_456
+        rng = random.Random(2007)
+        picks = sorted({0, len(autgroup) - 1, *rng.sample(range(len(autgroup)), 200)})
+        add = group.add_table
+        tables = []
+        for i in picks:
+            aut = autgroup[i]
+            assert autgroup.index_of(aut) == i
+            Automorphism(group, aut.table)  # re-runs full validation
+            t = aut.table
+            assert all(t[add[a][b]] == add[t[a]][t[b]] for a in range(64) for b in range(64))
+            tables.append(t)
+        assert tables[0] == tuple(range(64))
+        assert all(a < b for a, b in zip(tables, tables[1:]))
+
+    def test_no_member_list_built(self, monkeypatch, loops):
+        from loopext.constructions import ChoiceSource, construct_ip_cocycle
+        from loopext.verification import verify_cocycle
+
+        built = []
+        init = Automorphism.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Automorphism, "__init__", counting)
+        group = make_group([2, 2, 2, 2])
+        autgroup = AutomorphismGroup(group)
+        assert built == []
+        assert autgroup[5] is autgroup[5]
+        assert len(built) == 1
+        cocycle = construct_ip_cocycle(loops["klein"], group, ChoiceSource(3), autgroup=autgroup)
+        assert verify_cocycle(cocycle, mode="ip").passed
+        assert len(built) < 100  # of 20160 members
+
+    def test_step_counts_checked_against_closed_form(self, monkeypatch):
+        extendable = AutomorphismGroup._extendable
+        monkeypatch.setattr(AutomorphismGroup, "_extendable",
+                            lambda self, images: extendable(self, images)[:-1])
+        group = make_group([2, 2])
+        with pytest.raises(InternalError, match="closed form gives 6"):
+            AutomorphismGroup(group)
+
+    def test_index_out_of_range(self, autgroups):
+        autgroup = autgroups["z2xz2"]
+        for i in (-1, 6):
+            with pytest.raises(IndexError):
+                autgroup[i]
 
 
 class TestComposeInvert:
@@ -233,7 +351,7 @@ class TestComposeInvert:
 
     def test_negation_involution(self):
         autgroup = enumerate_automorphisms(make_group([3]))
-        neg = autgroup.members[1]
+        neg = autgroup[1]
         assert neg.table == (0, 2, 1)
         assert compose(neg, neg).is_identity()
 
@@ -246,7 +364,7 @@ class TestComposeInvert:
         # compose(f, h) applies h first; Aut(Z2xZ2) is non-abelian, so the
         # order is observable.
         autgroup = enumerate_automorphisms(make_group([2, 2]))
-        f, h = autgroup.members[1], autgroup.members[2]
+        f, h = autgroup[1], autgroup[2]
         fh = compose(f, h)
         assert fh.table == tuple(f.table[x] for x in h.table)
         assert fh != compose(h, f)
@@ -257,13 +375,16 @@ class TestComposeInvert:
         with pytest.raises(InputError):
             compose(f, h)
 
-    def test_compose_memo_bounded(self, monkeypatch, autgroups):
+    def test_compose_memo_bounded(self, monkeypatch):
         monkeypatch.setattr(abelian, "_COMPOSE_MEMO_CAP", 10)
-        autgroup = abelian.AutomorphismGroup(autgroups["z2xz2"].group, autgroups["z2xz2"].members)
+        monkeypatch.setattr(abelian, "_MEMBER_MEMO_CAP", 4)
+        group = make_group([2, 2])
+        autgroup = AutomorphismGroup(group)
         for i, f in enumerate(autgroup):
             for j, h in enumerate(autgroup):
                 assert autgroup.compose_indices(i, j) == autgroup.index_of(compose(f, h))
         assert len(autgroup._compose) == 10
+        assert len(autgroup._members) == 4
 
     def test_index_algebra_matches_object_algebra(self, autgroups):
         autgroup = autgroups["z2xz2"]

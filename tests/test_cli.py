@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -26,18 +27,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_module_entry_point():
+def child_env():
+    """Environment for a child interpreter that imports the package under
+    test, also when only pytest's pythonpath finds it."""
     import os
-    import subprocess
-    import sys
 
     import loopext
 
-    # run the package under test, also when only pytest's pythonpath finds it
     src = os.path.dirname(os.path.dirname(loopext.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point():
+    import subprocess
+    import sys
+
     proc = subprocess.run([sys.executable, "-m", "loopext", "feasible", "--max-l", "2"],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "l: 2" in proc.stdout
 
@@ -126,6 +133,40 @@ class TestAut:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "exceeds cap 200000" in err
+
+
+# Runs loopext's CLI on its arguments, then prints its own peak RSS.  That is
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child of a
+# large test process would report the parent's peak.
+RSS_PROBE = """\
+import re, sys
+from loopext.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"^VmHWM:.*$", status.read(), re.M).group(0))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_largest_admitted_group_chain_memory(loop_files, tmp_path):
+    # Z2^2 x Z4^2 has 147456 automorphisms; no step may hold them all
+    import subprocess
+
+    coc, ext = str(tmp_path / "big.coc"), str(tmp_path / "big-ext.loop")
+    base = ["--loop", loop_files["klein"]]
+    steps = [
+        ["construct", *base, "--group", "2,2,4,4", "--mode", "ip", "--seed", "1", "--out", coc],
+        ["extend", *base, "--cocycle", coc, "--out", ext],
+        ["verify", *base, "--cocycle", coc, "--mode", "ip"],
+    ]
+    for argv in steps:
+        proc = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv], capture_output=True,
+                              text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        kib = int(re.search(r"^VmHWM:\s*(\d+) kB$", proc.stdout, re.M).group(1))
+        assert kib < 60 * 1024, (argv[0], kib)
+    assert "result: pass" in proc.stdout.splitlines()
 
 
 # sha256 of ``aut --group X`` stdout, recorded before Aut(A) was enumerated by

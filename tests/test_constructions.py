@@ -94,7 +94,7 @@ class TestConstructPq:
         autgroup = autgroups["z2xz2"]
         data = construct_pq(loop, autgroup, ChoiceSource(seed))
         inv = loop.properties().inverse_map
-        members = autgroup.members
+        members = autgroup
         for x in loop.elements():
             ix = inv[x]
             recomputed = compose(members[data.qmap[x]],
@@ -105,8 +105,8 @@ class TestConstructPq:
         # at a self-inverse element with q = negation, both Id and negation
         # satisfy (p^{-1} q)^2 = Id
         autgroup = autgroups["z3"]
-        neg = autgroup.members[1]
-        ident = autgroup.members[0]
+        neg = autgroup[1]
+        ident = autgroup[0]
         for p in (ident, neg):
             s = compose(invert(p), neg)
             assert compose(s, s).is_identity()
@@ -318,6 +318,21 @@ class TestIpConstruction:
         cocycle = construct_ip_cocycle(loops["ip8"], groups["z3"], ChoiceSource(5))
         assert len(calls) == 1
         assert check_ip_conditions(cocycle)
+
+    def test_orbits_walked_once(self, loops, groups, monkeypatch):
+        # the gate's equivariance check reuses the construction's orbits
+        from loopext import orbits
+
+        walks = []
+        original = orbits._orbits
+
+        def counting(loop, mode, *args):
+            walks.append(mode)
+            return original(loop, mode, *args)
+
+        monkeypatch.setattr(orbits, "_orbits", counting)
+        construct_ip_cocycle(loops["ip8"], groups["z3"], ChoiceSource(5))
+        assert walks == ["gamma"]
 
 
 class TestRandomCocycle:
