@@ -8,6 +8,13 @@ generator of the last factor is index 1.  Groups and automorphisms are
 immutable after construction and safe to share between threads; an
 :class:`AutomorphismGroup` only adds entries to its memos.
 
+The index algebra of Aut(A) is one pair of lazily filled memos on each
+:class:`AutomorphismGroup`: ``products[i][j]`` is the canonical index of
+member i after member j and ``inverses[i]`` that of the inverse of member i.
+Both are dicts that rank a missing entry on first read and keep it while
+fewer than ``_COMPOSE_MEMO_CAP`` are stored, so hot loops index them
+directly, with a row ``products[i]`` looked up once per row of work.
+
 The canonical order of Aut(A) is the lexicographic order of the image
 tables, that is of the generator images taken as (e_k, ..., e_1).  Members
 are ranked and unranked in that order from their generator images, without
@@ -254,13 +261,23 @@ class AutomorphismGroup:
     The constructor raises ``InternalError`` unless the N_t multiply to
     |Aut(A)| from :func:`automorphism_count`.  The extendable
     images are memoised per prefix (at most one entry per internal node of the
-    search tree) and per image subgroup; members are memoised per index and
-    products and inverses per argument, up to fixed caps.
+    search tree) and per image subgroup, and members per index up to
+    ``_MEMBER_MEMO_CAP``.
+
+    The index algebra is ``products`` and ``inverses``: ``products[i][j]`` is
+    the index of member i after member j and ``inverses[i]`` that of the
+    inverse of member i.  Each is a dict that ranks a missing entry on first
+    read (from the generator images of the product or inverse) and keeps it
+    while fewer than ``_COMPOSE_MEMO_CAP`` products, or inverses, are stored;
+    past the cap entries are still answered, only not kept.  The row
+    ``products[i]`` is itself such a dict, so a kernel that composes with one
+    left factor many times looks the row up once.  ``compose_indices`` and
+    ``invert_index`` read the same memos.
     """
 
-    __slots__ = ("group", "identity_index", "_count", "_generators", "_orders", "_of_order",
-                 "_purity", "_weights", "_by_prefix", "_by_image", "_members", "_compose",
-                 "_invert")
+    __slots__ = ("group", "identity_index", "products", "inverses", "_count", "_generators",
+                 "_orders", "_of_order", "_purity", "_weights", "_by_prefix", "_by_image",
+                 "_members")
 
     def __init__(self, group: AbelianGroup):
         self.group = group
@@ -277,8 +294,8 @@ class AutomorphismGroup:
         self._by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._by_image: dict[frozenset[int], tuple[int, ...]] = {}
         self._members: dict[int, Automorphism] = {}
-        self._compose: dict[tuple[int, int], int] = {}
-        self._invert: dict[int, int] = {}
+        self.products = _Products(self)
+        self.inverses = _Inverses(self)
         counts = [len(self._extendable(self._generators[:t]))
                   for t in range(len(self._generators))]
         if math.prod(counts) != count:
@@ -313,24 +330,12 @@ class AutomorphismGroup:
             raise InputError("automorphism is not a member of this enumeration") from None
 
     def compose_indices(self, i: int, j: int) -> int:
-        """Canonical index of member i after member j."""
-        key = (i, j)
-        out = self._compose.get(key)
-        if out is None:
-            ft, ht = self[i].table, self[j].table
-            out = self._rank(tuple(ft[ht[e]] for e in self._generators))
-            if len(self._compose) < _COMPOSE_MEMO_CAP:
-                self._compose[key] = out
-        return out
+        """Canonical index of member i after member j: ``products[i][j]``."""
+        return self.products[i][j]
 
     def invert_index(self, i: int) -> int:
-        out = self._invert.get(i)
-        if out is None:
-            table = self[i].table
-            out = self._rank(tuple(table.index(e) for e in self._generators))
-            if len(self._invert) < _COMPOSE_MEMO_CAP:
-                self._invert[i] = out
-        return out
+        """Canonical index of the inverse of member i: ``inverses[i]``."""
+        return self.inverses[i]
 
     def _extendable(self, images: tuple[int, ...]) -> tuple[int, ...]:
         """Images for the next generator, ascending, with which the prefix
@@ -381,6 +386,62 @@ class AutomorphismGroup:
             images += (g,)
             table = _extend(self.group.add_table, table, g, n)
         return Automorphism(self.group, table)
+
+
+class _Products(dict):
+    """``products[i]``: the row of products with left factor i, created on
+    first read and kept while the product memo is under its cap."""
+
+    __slots__ = ("autgroup", "stored")
+
+    def __init__(self, autgroup: AutomorphismGroup):
+        self.autgroup = autgroup
+        self.stored = 0  # products kept over all rows
+
+    def __missing__(self, i: int) -> "_ProductRow":
+        row = _ProductRow(self, self.autgroup[i].table)
+        if self.stored < _COMPOSE_MEMO_CAP:
+            self[i] = row
+        return row
+
+
+class _ProductRow(dict):
+    """``products[i][j]``, ranked from the generator images of f_i after f_j
+    on first read."""
+
+    __slots__ = ("products", "table")
+
+    def __init__(self, products: _Products, table: tuple[int, ...]):
+        self.products = products
+        self.table = table
+
+    def __missing__(self, j: int) -> int:
+        products = self.products
+        autgroup = products.autgroup
+        ft, ht = self.table, autgroup[j].table
+        out = autgroup._rank(tuple(ft[ht[e]] for e in autgroup._generators))
+        if products.stored < _COMPOSE_MEMO_CAP:
+            self[j] = out
+            products.stored += 1
+        return out
+
+
+class _Inverses(dict):
+    """``inverses[i]``, ranked from the preimages of the generators on first
+    read and kept while fewer than ``_COMPOSE_MEMO_CAP`` are stored."""
+
+    __slots__ = ("autgroup",)
+
+    def __init__(self, autgroup: AutomorphismGroup):
+        self.autgroup = autgroup
+
+    def __missing__(self, i: int) -> int:
+        autgroup = self.autgroup
+        table = autgroup[i].table
+        out = autgroup._rank(tuple(table.index(e) for e in autgroup._generators))
+        if len(self) < _COMPOSE_MEMO_CAP:
+            self[i] = out
+        return out
 
 
 def _extend(add, table: list[int], g: int, n: int) -> list[int]:

@@ -21,7 +21,6 @@ from .constructions import (
 from .errors import InternalError, LoopextError
 from .extension import build_extension
 from .fileio import (
-    dumps_cocycle,
     emit_cocycle_file,
     emit_loop_file,
     extension_comments,
@@ -107,9 +106,9 @@ def cmd_construct(args) -> int:
     autgroup = enumerate_automorphisms(group, size_cap=args.aut_cap)
     choice = ChoiceSource(args.seed)
     cocycle = _CONSTRUCTORS[args.mode](loop, group, choice, autgroup=autgroup)
-    emit_cocycle_file(cocycle, args.out)
+    text = emit_cocycle_file(cocycle, args.out)
     print(f"wrote: {args.out}")
-    print(f"cocycle-sha256: {text_sha256(dumps_cocycle(cocycle))}")
+    print(f"cocycle-sha256: {text_sha256(text)}")
     if args.report:
         decomposition = _ORBIT_MODES[{"lip": "phi", "rip": "psi", "ip": "gamma"}[args.mode]](loop)
         for i, orbit in enumerate(decomposition.orbits):

@@ -103,7 +103,7 @@ def construct_pq(loop: FiniteLoop, autgroup: AutomorphismGroup, choice: ChoiceSo
     l = loop.size
     naut = len(autgroup)
     ident = autgroup.identity_index
-    c, v = autgroup.compose_indices, autgroup.invert_index
+    products, inverses = autgroup.products, autgroup.inverses
 
     qmap = [ident] * l
     for x in range(1, l):
@@ -116,17 +116,18 @@ def construct_pq(loop: FiniteLoop, autgroup: AutomorphismGroup, choice: ChoiceSo
             continue
         if inv[x] == x:
             if free_fixed_points:
-                candidates = [
-                    i for i in range(naut)
-                    if c(c(v(i), qmap[x]), c(v(i), qmap[x])) == ident
-                ]
+                candidates = []
+                for i in range(naut):
+                    s = products[inverses[i]][qmap[x]]
+                    if products[s][s] == ident:
+                        candidates.append(i)
                 pmap[x] = candidates[choice.pick(len(candidates))]
             else:
                 pmap[x] = qmap[x]
         else:
             pmap[x] = choice.pick(naut)
             other = inv[x]
-            pmap[other] = c(qmap[other], c(v(pmap[x]), qmap[x]))
+            pmap[other] = products[qmap[other]][products[inverses[pmap[x]]][qmap[x]]]
 
     if not coincidence_condition_holds(autgroup, inv, pmap, qmap):
         raise InternalError("constructed p, q violate the coincidence condition")
@@ -202,23 +203,25 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
         autgroup = enumerate_automorphisms(group)
     l = loop.size
     naut = len(autgroup)
-    c, v = autgroup.compose_indices, autgroup.invert_index
+    products, inverses = autgroup.products, autgroup.inverses
 
     data = construct_pq(loop, autgroup, choice)
     pmap, qmap = data.pmap, data.qmap
     ptable, qtable = _pinned_tables(loop, autgroup, data)
     for x in range(1, l):
-        qtable[x][0] = v(qmap[x])
+        qtable[x][0] = inverses[qmap[x]]
     for y in range(1, l):
         ptable[0][y] = choice.pick(naut)
+    # q(x)^{-1} p(x) = Q(x^{-1},x)^{-1} P(x^{-1},x) per element
+    tails = [products[inverses[q]][p] for p, q in zip(pmap, qmap)]
 
     for orbit in phi_orbits(loop).orbits:
         x, y = orbit.representative
         ptable[x][y] = pr = choice.pick(naut)
         qtable[x][y] = qr = choice.pick(naut)
         ax, ay = orbit.members[1]
-        qtable[ax][ay] = v(qr)
-        ptable[ax][ay] = c(v(qr), c(pr, c(v(qmap[x]), pmap[x])))
+        qtable[ax][ay] = vq = inverses[qr]
+        ptable[ax][ay] = products[vq][products[pr][tails[x]]]
 
     return _gated(_finish(loop, group, autgroup, ptable, qtable), "lip", check_lip_conditions)
 
@@ -246,23 +249,24 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     inv = report.inverse_map
     l = loop.size
     naut = len(autgroup)
-    c, v = autgroup.compose_indices, autgroup.invert_index
+    products, inverses = autgroup.products, autgroup.inverses
 
     data = construct_pq(loop, autgroup, choice)
     ptable, qtable = _pinned_tables(loop, autgroup, data)
     for x in range(1, l):
         qtable[x][0] = choice.pick(naut)
     for y in range(1, l):
-        ptable[0][y] = v(data.pmap[inv[y]])
+        ptable[0][y] = inverses[data.pmap[inv[y]]]
+    # P(y,y^{-1})^{-1} Q(y,y^{-1}) per element
+    tails = [products[inverses[ptable[y][iy]]][qtable[y][iy]] for y, iy in enumerate(inv)]
 
     for orbit in psi_orbits(loop).orbits:
         x, y = orbit.representative
         ptable[x][y] = pr = choice.pick(naut)
         qtable[x][y] = qr = choice.pick(naut)
         ax, ay = orbit.members[1]
-        iy = inv[y]
-        ptable[ax][ay] = v(pr)
-        qtable[ax][ay] = c(v(pr), c(qr, c(v(ptable[y][iy]), qtable[y][iy])))
+        ptable[ax][ay] = vp = inverses[pr]
+        qtable[ax][ay] = products[vp][products[qr][tails[y]]]
 
     return _gated(_finish(loop, group, autgroup, ptable, qtable), "rip", check_rip_conditions)
 

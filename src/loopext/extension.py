@@ -19,6 +19,7 @@ this convention verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
@@ -75,15 +76,15 @@ def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable, *,
     naut = len(autgroup)
 
     def norm(table, name):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         if len(rows) != l or any(len(row) != l for row in rows):
             raise InputError(f"{name} table must be {l}x{l}")
         for row in rows:
-            for v in row:
-                if not 0 <= v < naut:
-                    raise InputError(
-                        f"{name} table entry {v} is not a valid automorphism index (0..{naut - 1})"
-                    )
+            if min(row) < 0 or max(row) >= naut:
+                v = next(v for v in row if not 0 <= v < naut)
+                raise InputError(
+                    f"{name} table entry {v} is not a valid automorphism index (0..{naut - 1})"
+                )
         return rows
 
     prows = norm(ptable, "P")
@@ -141,26 +142,28 @@ def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
 
 
 def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
-    """The multiplication table of the extension, row by row."""
-    loop = cocycle.loop
-    group = cocycle.group
+    """The multiplication table of the extension, row by row.
+
+    Row (x, a) is l segments of n = |A| entries.  Segment y is
+    (x*y)*n + (P(x,y)a + Q(x,y)b) for b in A: the block
+    ``shifted[x*y][P(x,y)a]``, whose entry d is (x*y)*n + (P(x,y)a + d),
+    read at the positions Q(x,y)b by one ``itemgetter`` call."""
     autgroup = cocycle.autgroup
-    auts = {i: autgroup[i].table for i in set().union(*cocycle.ptable, *cocycle.qtable)}
-    add = group.add_table
-    l = loop.size
-    n = group.size
+    ptable, qtable = cocycle.ptable, cocycle.qtable
+    used = set().union(*ptable, *qtable)
+    images = {i: autgroup[i].table for i in used}
+    readers = {i: itemgetter(*images[i]) for i in used}
+    n = cocycle.group.size
+    add = cocycle.group.add_table
+    shifted = [tuple(tuple(base + d for d in row) for row in add)
+               for base in range(0, cocycle.loop.size * n, n)]
     rows = []
-    for x in range(l):
-        lrow = loop.table[x]
-        prow = [auts[i] for i in cocycle.ptable[x]]
-        qrow = [auts[i] for i in cocycle.qtable[x]]
+    for lrow, prow, qrow in zip(cocycle.loop.table, ptable, qtable):
+        segments = [(shifted[z], images[p], readers[q]) for z, p, q in zip(lrow, prow, qrow)]
         for a in range(n):
             row = []
-            for y in range(l):
-                base = lrow[y] * n
-                pa = add[prow[y][a]]
-                qt = qrow[y]
-                row.extend(base + pa[qt[b]] for b in range(n))
+            for block, image, read in segments:
+                row += read(block[image[a]])
             rows.append(tuple(row))
     return rows
 
@@ -181,7 +184,7 @@ def extension_left_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
     group._check(a)
     li = loop.left_inverse(x)
     value = aut[cocycle.qtable[li][x]].table[a]
-    value = aut[aut.invert_index(cocycle.ptable[li][x])].table[value]
+    value = aut[aut.inverses[cocycle.ptable[li][x]]].table[value]
     return (li, group.neg_table[value])
 
 
@@ -192,7 +195,7 @@ def extension_right_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
     group._check(a)
     ri = loop.right_inverse(x)
     value = aut[cocycle.ptable[x][ri]].table[a]
-    value = aut[aut.invert_index(cocycle.qtable[x][ri])].table[value]
+    value = aut[aut.inverses[cocycle.qtable[x][ri]]].table[value]
     return (ri, group.neg_table[value])
 
 
@@ -225,9 +228,9 @@ class InverseCoincidenceData:
 def coincidence_condition_holds(autgroup: AutomorphismGroup, inverse_map: Sequence[int],
                                 pmap: Sequence[int], qmap: Sequence[int]) -> bool:
     """p(x^{-1}) = q(x^{-1}) p(x)^{-1} q(x) at every element."""
-    c, v = autgroup.compose_indices, autgroup.invert_index
+    products, inverses = autgroup.products, autgroup.inverses
     return all(
-        pmap[ix] == c(qmap[ix], c(v(pmap[x]), qmap[x]))
+        pmap[ix] == products[qmap[ix]][products[inverses[pmap[x]]][qmap[x]]]
         for x, ix in enumerate(inverse_map)
     )
 
@@ -273,13 +276,15 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
 
 
 def _lip_conditions_hold(table, inv, pt, qt, autgroup: AutomorphismGroup) -> bool:
-    c, v = autgroup.compose_indices, autgroup.invert_index
+    products, inverses = autgroup.products, autgroup.inverses
     for x, row in enumerate(table):
         ix = inv[x]
+        px, qx, pix, qix = pt[x], qt[x], pt[ix], qt[ix]
+        # Q(x^{-1},x)^{-1} P(x^{-1},x) does not depend on y
+        tail = products[inverses[qix[x]]][pix[x]]
         for y, xy in enumerate(row):
-            if qt[ix][xy] != v(qt[x][y]):
-                return False
-            if pt[ix][xy] != c(v(qt[x][y]), c(pt[x][y], c(v(qt[ix][x]), pt[ix][x]))):
+            vq = inverses[qx[y]]
+            if qix[xy] != vq or pix[xy] != products[vq][products[px[y]][tail]]:
                 return False
     return True
 
@@ -305,22 +310,17 @@ def check_ip_conditions(cocycle: LoopCocycle) -> bool:
     if not report.has_ip:
         raise PreconditionError("base loop does not have the inverse property")
     inv = report.inverse_map
-    t = cocycle.loop.table
     pt, qt = cocycle.ptable, cocycle.qtable
-    c, v = cocycle.autgroup.compose_indices, cocycle.autgroup.invert_index
-    for x in cocycle.loop.elements():
-        ix = inv[x]
-        for y in cocycle.loop.elements():
-            xy = t[x][y]
+    products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
+    for x, row in enumerate(cocycle.loop.table):
+        px, qx = pt[x], qt[x]
+        pix, qix = pt[inv[x]], qt[inv[x]]
+        for y, xy in enumerate(row):
             iy = inv[y]
-            pxy, qxy = pt[x][y], qt[x][y]
-            if pt[xy][iy] != v(pxy):
-                return False
-            if qt[xy][iy] != c(v(pxy), qxy):
-                return False
-            if qt[ix][xy] != v(qxy):
-                return False
-            if pt[ix][xy] != c(v(qxy), pxy):
+            pxy, qxy = px[y], qx[y]
+            vp, vq = inverses[pxy], inverses[qxy]
+            if (pt[xy][iy] != vp or qt[xy][iy] != products[vp][qxy]
+                    or qix[xy] != vq or pix[xy] != products[vq][pxy]):
                 return False
     return True
 

@@ -71,7 +71,8 @@ def loads_loop(text: str, *, source: str = "<string>") -> FiniteLoop:
 def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"loop {loop.size}")
-    lines.extend(" ".join(str(v) for v in row) for row in loop.table)
+    decimal = [str(v) for v in range(loop.size)].__getitem__  # entries are in range
+    lines.extend(" ".join(map(decimal, row)) for row in loop.table)
     return "\n".join(lines) + "\n"
 
 
@@ -147,8 +148,11 @@ def parse_cocycle_file(path, loop: FiniteLoop) -> LoopCocycle:
     return loads_cocycle(path.read_text(encoding="utf-8"), loop, source=str(path))
 
 
-def emit_cocycle_file(cocycle: LoopCocycle, path) -> None:
-    Path(path).write_text(dumps_cocycle(cocycle), encoding="utf-8")
+def emit_cocycle_file(cocycle: LoopCocycle, path) -> str:
+    """Write the canonical text of ``cocycle`` to ``path`` and return it."""
+    text = dumps_cocycle(cocycle)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def extension_comments(cocycle: LoopCocycle) -> list[str]:

@@ -63,8 +63,8 @@ def sigma_set(loop: FiniteLoop) -> SigmaSet:
     return SigmaSet(loop.size, frozenset(pairs))
 
 
-# Cell maps take (table, inverse_map, x, y); pair maps take the composition
-# and inversion operators of the canonical-index algebra plus the pair of
+# Cell maps take (table, inverse_map, x, y); pair maps take the ``products``
+# and ``inverses`` memos of the canonical-index algebra plus the pair of
 # automorphism indices.
 _CELL_MAPS: dict[str, Callable] = {
     "id": lambda t, inv, x, y: (x, y),
@@ -76,12 +76,12 @@ _CELL_MAPS: dict[str, Callable] = {
 }
 
 _PAIR_MAPS: dict[str, Callable] = {
-    "id": lambda c, v, p, q: (p, q),
-    "phi": lambda c, v, p, q: (c(v(q), p), v(q)),
-    "psi": lambda c, v, p, q: (v(p), c(v(p), q)),
-    "phi*psi*phi": lambda c, v, p, q: (q, p),
-    "phi*psi": lambda c, v, p, q: (v(q), c(v(q), p)),
-    "psi*phi": lambda c, v, p, q: (c(v(p), q), v(p)),
+    "id": lambda m, v, p, q: (p, q),
+    "phi": lambda m, v, p, q: (m[v[q]][p], v[q]),
+    "psi": lambda m, v, p, q: (v[p], m[v[p]][q]),
+    "phi*psi*phi": lambda m, v, p, q: (q, p),
+    "phi*psi": lambda m, v, p, q: (v[q], m[v[q]][p]),
+    "psi*phi": lambda m, v, p, q: (m[v[p]][q], v[p]),
 }
 
 
@@ -99,7 +99,7 @@ class PairSymmetry:
         return _CELL_MAPS[self.name](loop.table, inverse_map, *cell)
 
     def pair_indices(self, autgroup: AutomorphismGroup, p: int, q: int) -> tuple[int, int]:
-        return _PAIR_MAPS[self.name](autgroup.compose_indices, autgroup.invert_index, p, q)
+        return _PAIR_MAPS[self.name](autgroup.products, autgroup.inverses, p, q)
 
 
 # Ordered as the orbit of (x, y) is conventionally listed:

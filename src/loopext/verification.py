@@ -154,8 +154,9 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
         return report
     ext = built.loop
 
+    noncommuting = first_noncommuting_pair(ext)
     _agreement(report, "commutative", is_commutative_extension(cocycle),
-               ext.is_commutative(), first_noncommuting_pair(ext))
+               noncommuting is None, noncommuting)
 
     if base.two_sided_inverses_coincide:
         mismatch = first_inverse_mismatch(ext)

@@ -383,8 +383,16 @@ class TestComposeInvert:
         for i, f in enumerate(autgroup):
             for j, h in enumerate(autgroup):
                 assert autgroup.compose_indices(i, j) == autgroup.index_of(compose(f, h))
-        assert len(autgroup._compose) == 10
+        # all 36 products are answered, but only the first 10 are kept, and
+        # no row is kept once the cap is reached
+        assert sum(map(len, autgroup.products.values())) == 10
+        assert autgroup.products.stored == 10
+        assert len(autgroup.products) == 2
         assert len(autgroup._members) == 4
+        larger = AutomorphismGroup(make_group([3, 3]))
+        for i, f in enumerate(larger):
+            assert larger.invert_index(i) == larger.index_of(invert(f))
+        assert len(larger.inverses) == 10
 
     def test_index_algebra_matches_object_algebra(self, autgroups):
         autgroup = autgroups["z2xz2"]
@@ -392,6 +400,19 @@ class TestComposeInvert:
             assert autgroup.invert_index(i) == autgroup.index_of(invert(f))
             for j, h in enumerate(autgroup):
                 assert autgroup.compose_indices(i, j) == autgroup.index_of(compose(f, h))
+
+    @pytest.mark.parametrize("orders", [(2, 2, 2), (3, 3)])
+    def test_memos_match_object_algebra(self, orders):
+        # Aut(Z2^3) = GL(3, 2) has 168 members and Aut(Z3 x Z3) = GL(2, 3)
+        # 48: every pair, read straight from the memos
+        autgroup = AutomorphismGroup(make_group(orders))
+        members = list(autgroup)
+        for i, f in enumerate(members):
+            assert autgroup.inverses[i] == autgroup.index_of(invert(f))
+            row = autgroup.products[i]
+            for j, h in enumerate(members):
+                assert row[j] == autgroup.index_of(compose(f, h))
+        assert sum(map(len, autgroup.products.values())) == len(members) ** 2
 
 
 class TestAutomorphismValidation:

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps loopext functions
+and methods by name.  Building and installing it here makes a rename or
+removal of any of them fail the test suite instead of the traced bench run.
+The test only imports from ``perfbench/`` and writes nothing there."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import loopext.cli  # noqa: F401  (the tracer patches the CLI's names too)
+    from loopext import abelian, extension, loops
+
+    import tracing
+
+    init = loops.FiniteLoop.__init__
+    compose = abelian.AutomorphismGroup.compose_indices
+    build = extension.build_extension
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert loops.FiniteLoop.__init__ is not init
+        assert extension.build_extension is not build
+        autgroup = abelian.AutomorphismGroup(abelian.make_group([2, 2]))
+        assert autgroup.compose_indices(1, 2) == autgroup.products[1][2]
+        assert tracer.counts[None, "abelian.index_algebra_calls"] == 1
+    finally:
+        tracer.uninstall()
+    assert loops.FiniteLoop.__init__ is init
+    assert abelian.AutomorphismGroup.compose_indices is compose
+    assert extension.build_extension is build

@@ -1,5 +1,7 @@
 import pytest
 
+from loopext.abelian import make_group
+from loopext.catalog import abelian_group_loop, cyclic_loop, ip_loop8, klein_loop
 from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
@@ -20,9 +22,11 @@ from loopext.extension import (
     is_commutative_extension,
     is_strongly_linear,
     make_cocycle,
+    _extension_rows,
     opposite_cocycle,
 )
 from loopext.loops import (
+    FiniteLoop,
     analyze_properties,
     first_inverse_mismatch,
     first_lip_counterexample,
@@ -73,6 +77,19 @@ class TestMakeCocycle:
         with pytest.raises(InputError):
             make_cocycle(loops["z2"], groups["z3"], p, q)
 
+    def test_bad_index_names_first_bad_entry(self, loops, groups):
+        # Aut(Z3) has 2 members; rows are scanned in order, entries left to right
+        p, q = identity_tables(3)
+        p[2] = [0, 9, -1]
+        q[1] = [0, -4, 7]
+        with pytest.raises(InputError) as raised:
+            make_cocycle(loops["z3"], groups["z3"], p, q)
+        assert type(raised.value) is InputError
+        assert str(raised.value) == "P table entry 9 is not a valid automorphism index (0..1)"
+        p[2] = [0, 1, 1]
+        with pytest.raises(InputError, match=r"^Q table entry -4 is not a valid "):
+            make_cocycle(loops["z3"], groups["z3"], p, q)
+
     def test_bad_shape(self, loops, groups):
         with pytest.raises(InputError):
             make_cocycle(loops["z2"], groups["z3"], [[0, 0]], [[0, 0], [0, 0]])
@@ -122,6 +139,44 @@ class TestBuildExtension:
         built = build_extension(trivial_cocycle(loops["z4"], groups["z3"]))
         assert built.pair_index(2, 1) == 7
         assert built.pair_of(7) == (2, 1)
+
+
+def product_loop(left, right):
+    """The direct product loop on pairs (x, a) encoded as x * |right| + a."""
+    n = right.size
+    return FiniteLoop([
+        [left.table[x][y] * n + right.table[a][b] for y in range(left.size) for b in range(n)]
+        for x in range(left.size) for a in range(n)
+    ])
+
+
+EXTENSION_ROW_BASES = {
+    "klein": klein_loop,
+    "z5": lambda: cyclic_loop(5),
+    "ip8": ip_loop8,
+    "ip8x2": lambda: product_loop(ip_loop8(), abelian_group_loop([2])),
+}
+
+
+class TestExtensionRows:
+    @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (2, 2, 2), (5,)])
+    @pytest.mark.parametrize("base", sorted(EXTENSION_ROW_BASES))
+    def test_rows_match_cell_formula(self, base, orders):
+        loop = EXTENSION_ROW_BASES[base]()
+        group = make_group(orders)
+        n = group.size
+        add = group.add_table
+        for seed in (1, 2):
+            cocycle = random_cocycle(loop, group, ChoiceSource(seed))
+            aut = cocycle.autgroup
+            # (x, a)(y, b) = (x*y, P(x,y)a + Q(x,y)b), one cell at a time
+            reference = [
+                tuple(loop.table[x][y] * n
+                      + add[aut[cocycle.p(x, y)](a)][aut[cocycle.q(x, y)](b)]
+                      for y in loop.elements() for b in range(n))
+                for x in loop.elements() for a in range(n)
+            ]
+            assert _extension_rows(cocycle) == reference
 
 
 class TestCommutativity:

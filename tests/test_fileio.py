@@ -98,7 +98,8 @@ class TestCocycleFormat:
     def test_file_round_trip(self, sample, tmp_path):
         loop, cocycle = sample
         path = tmp_path / "c.coc"
-        emit_cocycle_file(cocycle, path)
+        text = emit_cocycle_file(cocycle, path)
+        assert text == path.read_text(encoding="utf-8") == dumps_cocycle(cocycle)
         assert parse_cocycle_file(path, loop) == cocycle
 
     def test_size_mismatch(self, sample, loops):

@@ -206,15 +206,15 @@ class TestPairAction:
         # holds in the six-element Aut(Z2 x Z2) would fail here
         autgroup = enumerate_automorphisms(make_group((3, 3)))
         assert len(autgroup) == 48
-        c, v = autgroup.compose_indices, autgroup.invert_index
+        m, v = autgroup.products, autgroup.inverses
         for name, pair_map in orbits._PAIR_MAPS.items():
             factors = name.split("*")
             for p in range(len(autgroup)):
                 for q in range(len(autgroup)):
                     folded = (p, q)
                     for factor in reversed(factors):  # "phi*psi" is phi after psi
-                        folded = orbits._PAIR_MAPS[factor](c, v, *folded)
-                    assert folded == pair_map(c, v, p, q)
+                        folded = orbits._PAIR_MAPS[factor](m, v, *folded)
+                    assert folded == pair_map(m, v, p, q)
 
     def test_words_reproduce_table_on_cells(self, loops):
         for name in ("klein", "z4", "z5", "ip8"):
