@@ -102,8 +102,8 @@ def cmd_orbits(args) -> int:
 
 def cmd_construct(args) -> int:
     loop = parse_loop_file(args.loop)
-    group = make_group(parse_group_spec(args.group), size_cap=args.aut_cap)
-    autgroup = enumerate_automorphisms(group, size_cap=args.aut_cap)
+    group = make_group(parse_group_spec(args.group))
+    autgroup = enumerate_automorphisms(group)
     choice = ChoiceSource(args.seed)
     cocycle = _CONSTRUCTORS[args.mode](loop, group, choice, autgroup=autgroup)
     text = emit_cocycle_file(cocycle, args.out)
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true", help="also print the orbit table")
-    p.add_argument("--aut-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("extend", help="build the extension loop of a cocycle file")

@@ -15,10 +15,12 @@ class InputError(LoopextError):
 
 
 class StructureError(InputError):
-    """A table that is not a Latin square; ``index`` is the row or column named."""
+    """A table that is not a Latin square; ``index`` is the row or column
+    named and ``axis`` (``"row"`` or ``"column"``) says which."""
 
-    def __init__(self, message: str, *, index: int | None = None):
+    def __init__(self, message: str, *, index: int | None = None, axis: str | None = None):
         self.index = index
+        self.axis = axis
         super().__init__(message)
 
 

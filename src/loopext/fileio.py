@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .abelian import make_group, parse_group_spec
-from .errors import InputError, LoopextError, ParseError
+from .errors import InputError, ParseError, StructureError
 from .extension import LoopCocycle, make_cocycle
 from .loops import FiniteLoop, make_loop
 
@@ -64,8 +64,9 @@ def loads_loop(text: str, *, source: str = "<string>") -> FiniteLoop:
     table = [_parse_row(line, num, l, "loop", source) for num, line in rows]
     try:
         return make_loop(table)
-    except LoopextError as exc:
-        raise ParseError(str(exc), line=rows[0][0], source=source) from exc
+    except StructureError as exc:
+        line = rows[exc.index][0] if exc.axis == "row" else rows[0][0]
+        raise ParseError(str(exc), line=line, source=source) from exc
 
 
 def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:

@@ -2,7 +2,8 @@
 
 A loop of size l is an l x l Latin square over ``0..l-1`` whose row 0 and
 column 0 are the identity permutation.  Elements are plain integers.  Loops
-are immutable after validation; every predicate here is a pure function.
+are immutable after validation, apart from the report that ``properties()``
+caches on first read; every predicate here is a pure function.
 """
 
 from __future__ import annotations
@@ -121,20 +122,26 @@ def validate_table(rows: Sequence[Sequence[int]]) -> None:
     full = set(range(l))
     for i, row in enumerate(rows):
         if len(row) != l:
-            raise StructureError(f"row {i} has {len(row)} entries, expected {l}", index=i)
+            raise StructureError(f"row {i} has {len(row)} entries, expected {l}",
+                                 index=i, axis="row")
         if set(row) != full:
             for v in row:
                 if not 0 <= v < l:
-                    raise StructureError(f"row {i} contains out-of-range entry {v}", index=i)
-            raise StructureError(f"row {i} is not a permutation of 0..{l - 1}", index=i)
+                    raise StructureError(f"row {i} contains out-of-range entry {v}", index=i,
+                                         axis="row")
+            raise StructureError(f"row {i} is not a permutation of 0..{l - 1}", index=i,
+                                 axis="row")
     for j, col in enumerate(zip(*rows)):
         if set(col) != full:
-            raise StructureError(f"column {j} is not a permutation of 0..{l - 1}", index=j)
+            raise StructureError(f"column {j} is not a permutation of 0..{l - 1}", index=j,
+                                 axis="column")
     identity = tuple(range(l))
     if tuple(rows[0]) != identity:
-        raise IdentityPositionError("row 0 is not the identity permutation", index=0)
+        raise IdentityPositionError("row 0 is not the identity permutation", index=0,
+                                     axis="row")
     if tuple(row[0] for row in rows) != identity:
-        raise IdentityPositionError("column 0 is not the identity permutation", index=0)
+        raise IdentityPositionError("column 0 is not the identity permutation", index=0,
+                                     axis="column")
 
 
 def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
@@ -181,8 +188,8 @@ class LoopPropertyReport:
 
 def first_inverse_mismatch(loop: FiniteLoop) -> Optional[int]:
     """First element whose left and right inverses differ, if any."""
-    for x in loop.elements():
-        if loop.left_inverse(x) != loop.right_inverse(x):
+    for x, (left, right) in enumerate(zip(loop._left_inverse, loop._right_inverse)):
+        if left != right:
             return x
     return None
 
@@ -191,7 +198,7 @@ def first_lip_counterexample(loop: FiniteLoop,
                              iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
     """First (x, y) with iota(x)*(x*y) != y, using the left-inverse map by default."""
     if iota is None:
-        iota = [loop.left_inverse(x) for x in loop.elements()]
+        iota = loop._left_inverse
     t = loop.table
     for x, row in enumerate(t):
         left = t[iota[x]]
@@ -211,7 +218,7 @@ def first_rip_counterexample(loop: FiniteLoop,
     before it, not a full transpose.
     """
     if iota is None:
-        iota = [loop.left_inverse(x) for x in loop.elements()]
+        iota = loop._left_inverse
     t = loop.table
     for x, column in enumerate(zip(*t)):
         ix = iota[x]
@@ -268,8 +275,8 @@ def analyze_properties(loop: FiniteLoop, *, exhaustive_iota: bool = False) -> Lo
     coincide = first_inverse_mismatch(loop) is None
     inverse_map = order3 = None
     if coincide:
-        inverse_map = tuple(loop.left_inverse(x) for x in loop.elements())
-        order3 = any(x != 0 and loop.table[x][x] == inverse_map[x] for x in loop.elements())
+        inverse_map = loop._left_inverse
+        order3 = any(row[x] == inverse_map[x] for x, row in enumerate(loop.table) if x)
     return LoopPropertyReport(has_lip=has_lip, has_rip=has_rip,
                               two_sided_inverses_coincide=coincide,
                               inverse_map=inverse_map, order3=order3)
@@ -292,48 +299,46 @@ def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:
                 raise InputError(f"set is not closed under multiplication at ({x}, {y})")
 
 
-def _normal_cosets(loop: FiniteLoop, members: frozenset[int]):
-    """Coset id per element and the left cosets of a normal subloop, else
-    (None, None); raises InputError when ``members`` is not a subloop."""
+def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[list[int]]]:
+    """Coset multiplication table of a normal subloop, else None; raises
+    InputError when ``members`` is not a subloop.
+
+    Left cosets are found by scanning x in ascending order and refusing any
+    overlap, so each new coset's least element is x and the labels are the
+    canonical ascending-least-element ones, with the identity coset at 0.
+    The table is read off the representatives and every row of the loop is
+    then checked against it, which proves coset multiplication well defined.
+    That also gives Nv = vN: take u = n in N, then n*v lies in the class of
+    e*v = v, so Nv is inside the class of v, and |Nv| = |N| = |vN|.
+    """
     _validate_subloop(loop, members)
     t = loop.table
     coset_of: list[Optional[int]] = [None] * loop.size
-    classes: list[frozenset[int]] = []
+    reps: list[int] = []
     for x in loop.elements():
         if coset_of[x] is not None:
             continue
-        coset = frozenset(t[x][n] for n in members)
-        for u in coset:
+        for u in map(t[x].__getitem__, members):
             if coset_of[u] is not None:
-                return None, None
-            coset_of[u] = len(classes)
-        classes.append(coset)
-    for x in loop.elements():
-        if frozenset(t[n][x] for n in members) != classes[coset_of[x]]:
-            return None, None
-    k = len(classes)
-    qt: list[list[Optional[int]]] = [[None] * k for _ in range(k)]
-    for u in loop.elements():
-        cu = coset_of[u]
-        qrow = qt[cu]
-        for v in loop.elements():
-            cv = coset_of[v]
-            cw = coset_of[t[u][v]]
-            if qrow[cv] is None:
-                qrow[cv] = cw
-            elif qrow[cv] != cw:
-                return None, None
-    return coset_of, classes
+                return None
+            coset_of[u] = len(reps)
+        reps.append(x)
+    table = [[coset_of[t[a][b]] for b in reps] for a in reps]
+    spread = [list(map(qrow.__getitem__, coset_of)) for qrow in table]
+    for row, cu in zip(t, coset_of):
+        if list(map(coset_of.__getitem__, row)) != spread[cu]:
+            return None
+    return table
 
 
 def is_normal_subloop(loop: FiniteLoop, members: Iterable[int]) -> bool:
     """Whether a subloop is the kernel of a homomorphism (brute force).
 
-    Checks that left cosets partition the loop, that xN = Nx for every x, and
-    that the induced multiplication of cosets is well defined.  Raises
-    InputError when ``members`` is not a subloop at all.
+    Checks that left cosets partition the loop and that the induced
+    multiplication of cosets is well defined, which implies xN = Nx for
+    every x.  Raises InputError when ``members`` is not a subloop at all.
     """
-    return _normal_cosets(loop, frozenset(members))[0] is not None
+    return _quotient_table(loop, frozenset(members)) is not None
 
 
 def quotient_loop(loop: FiniteLoop, members: Iterable[int]) -> FiniteLoop:
@@ -343,15 +348,7 @@ def quotient_loop(loop: FiniteLoop, members: Iterable[int]) -> FiniteLoop:
     identity coset is element 0.  Raises NotNormalError when the subloop is
     not normal, after the same single pass as :func:`is_normal_subloop`.
     """
-    coset_of, classes = _normal_cosets(loop, frozenset(members))
-    if coset_of is None:
+    table = _quotient_table(loop, frozenset(members))
+    if table is None:
         raise NotNormalError("cannot form quotient: subloop is not normal")
-    order = sorted(range(len(classes)), key=lambda c: min(classes[c]))
-    relabel = {c: i for i, c in enumerate(order)}
-    reps = [min(classes[c]) for c in order]
-    t = loop.table
-    table = [
-        [relabel[coset_of[t[a][b]]] for b in reps]
-        for a in reps
-    ]
     return make_loop(table)

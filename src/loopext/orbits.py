@@ -28,7 +28,7 @@ Cell = tuple[int, int]
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """The pinned cells of one loop, with a precomputed sorted complement."""
+    """The pinned cells of one loop; :meth:`complement` lists the others."""
 
     size: int
     pairs: frozenset[Cell]

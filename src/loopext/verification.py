@@ -90,12 +90,12 @@ def _identity_on_sigma(cocycle: LoopCocycle) -> bool:
 
 
 def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int, int]]:
-    loop = built.loop
-    for index in loop.elements():
+    lefts, rights = built.loop._left_inverse, built.loop._right_inverse
+    for index in built.loop.elements():
         pair = built.pair_of(index)
         left = built.pair_index(*extension_left_inverse(cocycle, pair))
         right = built.pair_index(*extension_right_inverse(cocycle, pair))
-        if left != loop.left_inverse(index) or right != loop.right_inverse(index):
+        if left != lefts[index] or right != rights[index]:
             return (index,)
     return None
 

@@ -33,3 +33,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert loops.FiniteLoop.__init__ is init
     assert abelian.AutomorphismGroup.compose_indices is compose
     assert extension.build_extension is build
+
+
+def test_tracer_records_normal_quotient_span(monkeypatch):
+    # verify's kernel-normal line must run inside a traced normality call,
+    # or the bench's loops.normal_quotient_s would silently read 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import loopext.cli  # noqa: F401
+    from loopext import abelian, catalog, constructions, verification
+
+    import tracing
+
+    cocycle = constructions.random_cocycle(catalog.klein_loop(), abelian.make_group([3]),
+                                           constructions.ChoiceSource(1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = verification.verify_cocycle(cocycle)
+    finally:
+        tracer.uninstall()
+    assert report.passed
+    names = [record[0] for record in tracer.spans]
+    assert "loops.normal_quotient" in names
+    assert tracer.job_metrics([None])[0]["loops.normal_quotient_s"] > 0

@@ -123,6 +123,20 @@ class TestAut:
         assert "exceeds cap 200000" in err
         assert not out_path.exists()
 
+    def test_construct_has_no_cap_override(self, capsys, loop_files, tmp_path):
+        # extend and verify refuse groups over the default cap, so construct
+        # takes no --aut-cap that would write files they cannot read
+        out_path = tmp_path / "c.coc"
+        argv = ["construct", "--loop", loop_files["klein"], "--group", "101",
+                "--mode", "ip", "--out", str(out_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--aut-cap", "128"])
+        assert exc.value.code == 2
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "group size 101 exceeds the size cap 64" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", ["extend", "verify"])
     def test_cocycle_file_refuses_large_aut(self, capsys, loop_files, tmp_path, command):
         coc_path = tmp_path / "c.coc"
@@ -274,13 +288,13 @@ class TestConstructVerifyExtend:
         run(capsys, "construct", "--loop", loop_files["ip8"], "--group", "2",
             "--mode", "ip", "--seed", "3", "--out", out_path)
         calls = []
-        original = loops._normal_cosets
+        original = loops._quotient_table
 
         def counting(loop, members):
             calls.append(members)
             return original(loop, members)
 
-        monkeypatch.setattr(loops, "_normal_cosets", counting)
+        monkeypatch.setattr(loops, "_quotient_table", counting)
         code, out, _ = run(capsys, "extend", "--loop", loop_files["ip8"], "--cocycle", out_path,
                            "--out", str(tmp_path / "f.loop"), "--no-timing")
         assert code == 0

@@ -73,6 +73,16 @@ class TestLoopFormat:
         with pytest.raises(ParseError):
             loads_loop("loop 3\n0 2 1\n1 0 2\n2 1 0\n")
 
+    def test_row_error_names_that_rows_line(self):
+        with pytest.raises(ParseError, match="row 2") as err:
+            loads_loop("loop 3\n0 1 2\n1 2 0\n2 0 0\n")
+        assert err.value.line == 4
+
+    def test_column_error_names_first_row_line(self):
+        with pytest.raises(ParseError, match="column 1") as err:
+            loads_loop("# header\nloop 3\n0 1 2\n1 2 0\n2 1 0\n")
+        assert err.value.line == 3
+
     def test_duplicate_row_entry_error_mentions_row(self):
         with pytest.raises(ParseError, match="row 1"):
             loads_loop("loop 3\n0 1 2\n1 1 0\n2 0 1\n")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -241,6 +242,52 @@ class TestRipScanDuality:
         assert witness == reference_rip_scan(built)
 
 
+def reference_normality(loop, members):
+    """Normality by its definition, cell by cell: ("normal", quotient rows)
+    or the first clause that fails ("overlap", "nx" or "product", None)."""
+    elements = loop.elements()
+    left = {x: frozenset(loop.mul(x, n) for n in members) for x in elements}
+    classes = sorted(set(left.values()), key=min)
+    if sum(map(len, classes)) != loop.size:
+        return "overlap", None
+    if any(frozenset(loop.mul(n, x) for n in members) != left[x] for x in elements):
+        return "nx", None
+    label = {x: classes.index(left[x]) for x in elements}
+    table = {}
+    for x in elements:
+        for y in elements:
+            cell = label[x], label[y]
+            if table.setdefault(cell, label[loop.mul(x, y)]) != label[loop.mul(x, y)]:
+                return "product", None
+    return "normal", [[table[a, b] for b in range(len(classes))] for a in range(len(classes))]
+
+
+def s3_loop():
+    """The symmetric group on three points, permutations in ascending order."""
+    perms = sorted(itertools.permutations(range(3)))
+    return make_loop([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms])
+
+
+def product_closed_subsets(loop):
+    """Every set of elements that holds 0 and is closed under products."""
+    for k in range(loop.size):
+        for rest in itertools.combinations(range(1, loop.size), k):
+            members = {0, *rest}
+            if all(loop.mul(x, y) in members for x in members for y in members):
+                yield members
+
+
+def assert_matches_reference(loop, members):
+    verdict, rows = reference_normality(loop, members)
+    assert is_normal_subloop(loop, members) == (verdict == "normal")
+    if rows is None:
+        with pytest.raises(NotNormalError):
+            quotient_loop(loop, members)
+    else:
+        assert quotient_loop(loop, members) == make_loop(rows)
+    return verdict
+
+
 class TestNormality:
     def test_trivial_subloops(self, loops):
         for name in ("z4", "klein", "ip7"):
@@ -277,25 +324,36 @@ class TestNormality:
 
     def test_product_closure_implies_division_closure(self, loops):
         # reference for _validate_subloop, which checks products only
-        corpus = {**bundled_corpus(), "lip_only": loops["lip_only"],
-                  "mismatch": loops["mismatch"]}
+        corpus = [*bundled_corpus().values(), loops["lip_only"], loops["mismatch"]]
         closed_sets = 0
-        for loop in corpus.values():
-            others = range(1, loop.size)
-            for k in range(loop.size):
-                for rest in itertools.combinations(others, k):
-                    members = {0, *rest}
-                    if any(loop.mul(x, y) not in members for x in members for y in members):
-                        continue
-                    closed_sets += 1
-                    for x in members:
-                        for y in members:
-                            assert loop.left_div(x, y) in members
-                            assert loop.right_div(x, y) in members
-                    is_normal_subloop(loop, members)  # accepted as a subloop
+        for loop in corpus:
+            for members in product_closed_subsets(loop):
+                closed_sets += 1
+                for x in members:
+                    for y in members:
+                        assert loop.left_div(x, y) in members
+                        assert loop.right_div(x, y) in members
+                is_normal_subloop(loop, members)  # accepted as a subloop
         assert closed_sets > len(corpus) * 2
 
     def test_klein_subgroup_quotient(self, loops):
         klein = loops["klein"]
         assert is_normal_subloop(klein, {0, 3})
         assert quotient_loop(klein, {0, 3}) == loops["z2"]
+
+    def test_every_closed_subset(self, loops):
+        corpus = [*bundled_corpus().values(), loops["lip_only"], loops["mismatch"], s3_loop()]
+        verdicts = collections.Counter(
+            assert_matches_reference(loop, members)
+            for loop in corpus for members in product_closed_subsets(loop))
+        assert verdicts == {"normal": 45, "overlap": 9, "nx": 6}
+
+    def test_well_definedness_alone_fails(self):
+        # the first table of catalog._complete_loop(8) whose subloop {0, 1}
+        # has disjoint left cosets and Nx = xN for every x, but products of
+        # cosets that are not well defined (no loop of order 6 has such a
+        # subloop)
+        rows = ("01234567", "10325476", "23016745", "32107654",
+                "45670123", "54761230", "67452301", "76543012")
+        loop = make_loop([[int(c) for c in row] for row in rows])
+        assert assert_matches_reference(loop, {0, 1}) == "product"
