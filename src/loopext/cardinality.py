@@ -8,16 +8,14 @@ everything here is exact integer arithmetic, no square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, InternalError, PreconditionError
 from .loops import FiniteLoop
 from .orbits import gamma_orbits
 
 
-@dataclass(frozen=True)
-class CardinalityCertificate:
+class CardinalityCertificate(NamedTuple):
     """Feasibility witness for one loop order.
 
     When feasible, 6k = l^2 - 3l + 2 and h is the positive root of

@@ -18,7 +18,6 @@ this convention verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -199,18 +198,19 @@ def extension_right_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
     return (ri, group.neg_table[value])
 
 
-@dataclass(frozen=True)
 class InverseCoincidenceData:
     """The diagonal maps p(x) = P(x^{-1}, x) and q(x) = Q(x^{-1}, x)."""
 
-    autgroup: AutomorphismGroup
-    pmap: tuple[int, ...]
-    qmap: tuple[int, ...]
+    __slots__ = ("autgroup", "pmap", "qmap")
 
-    def __post_init__(self):
-        ident = self.autgroup.identity_index
-        if self.pmap[0] != ident or self.qmap[0] != ident:
+    def __init__(self, autgroup: AutomorphismGroup, pmap: tuple[int, ...],
+                 qmap: tuple[int, ...]):
+        ident = autgroup.identity_index
+        if pmap[0] != ident or qmap[0] != ident:
             raise InputError("p and q must map the identity element to Id")
+        self.autgroup = autgroup
+        self.pmap = pmap
+        self.qmap = qmap
 
     @classmethod
     def from_cocycle(cls, cocycle: LoopCocycle) -> "InverseCoincidenceData":

@@ -8,6 +8,7 @@ caches on first read; every predicate here is a pure function.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -34,7 +35,7 @@ class FiniteLoop:
         if _checked:
             rows = tuple(map(tuple, table))
         else:
-            rows = tuple(tuple(int(v) for v in row) for row in table)
+            rows = tuple(tuple(map(int, row)) for row in table)
             validate_table(rows)
         self.size = len(rows)
         self.table = rows
@@ -196,15 +197,22 @@ def first_inverse_mismatch(loop: FiniteLoop) -> Optional[int]:
 
 def first_lip_counterexample(loop: FiniteLoop,
                              iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
-    """First (x, y) with iota(x)*(x*y) != y, using the left-inverse map by default."""
+    """First (x, y) with iota(x)*(x*y) != y, using the left-inverse map by default.
+
+    Each row is checked whole at C speed; only the first failing row is
+    scanned cell by cell for its witness.  At size 1 ``itemgetter`` returns a
+    scalar, so that row takes the cell scan, which finds nothing.
+    """
     if iota is None:
         iota = loop._left_inverse
     t = loop.table
+    identity = tuple(range(loop.size))
     for x, row in enumerate(t):
         left = t[iota[x]]
-        for y, xy in enumerate(row):
-            if left[xy] != y:
-                return (x, y)
+        if itemgetter(*row)(left) != identity:
+            for y, xy in enumerate(row):
+                if left[xy] != y:
+                    return (x, y)
     return None
 
 

@@ -16,7 +16,6 @@ fresh block of complement cells closed under its generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .abelian import AutomorphismGroup
@@ -26,12 +25,14 @@ from .loops import FiniteLoop
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class SigmaSet:
     """The pinned cells of one loop; :meth:`complement` lists the others."""
 
-    size: int
-    pairs: frozenset[Cell]
+    __slots__ = ("size", "pairs")
+
+    def __init__(self, size: int, pairs: frozenset[Cell]):
+        self.size = size
+        self.pairs = pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -85,7 +86,6 @@ _PAIR_MAPS: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
 class PairSymmetry:
     """One element of the six-element symmetry group.
 
@@ -93,7 +93,10 @@ class PairSymmetry:
     first; the direct formula tables above are used for application.
     """
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def cell_image(self, loop: FiniteLoop, inverse_map: Sequence[int], cell: Cell) -> Cell:
         return _CELL_MAPS[self.name](loop.table, inverse_map, *cell)
@@ -109,18 +112,23 @@ GAMMA: tuple[PairSymmetry, ...] = tuple(PairSymmetry(name) for name in _CELL_MAP
 GAMMA_BY_NAME = {g.name: g for g in GAMMA}
 
 
-@dataclass(frozen=True)
 class PairOrbit:
-    representative: Cell
-    members: tuple[Cell, ...]
-    symmetries: tuple[str, ...]
+    __slots__ = ("representative", "members", "symmetries")
+
+    def __init__(self, representative: Cell, members: tuple[Cell, ...],
+                 symmetries: tuple[str, ...]):
+        self.representative = representative
+        self.members = members
+        self.symmetries = symmetries
 
 
-@dataclass(frozen=True)
 class OrbitDecomposition:
-    mode: str
-    orbits: tuple[PairOrbit, ...]
-    sigma: SigmaSet
+    __slots__ = ("mode", "orbits", "sigma")
+
+    def __init__(self, mode: str, orbits: tuple[PairOrbit, ...], sigma: SigmaSet):
+        self.mode = mode
+        self.orbits = orbits
+        self.sigma = sigma
 
     def cells(self) -> int:
         return sum(len(orbit.members) for orbit in self.orbits)

@@ -11,7 +11,6 @@ timing line.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NotNormalError, PreconditionError
@@ -41,20 +40,25 @@ from .orbits import sigma_set
 VERIFY_MODES = ("all", "lip", "rip", "ip")
 
 
-@dataclass(frozen=True)
 class CheckOutcome:
-    name: str
-    passed: bool
-    counterexample: Optional[tuple[int, ...]] = None
-    note: str = ""
+    __slots__ = ("name", "passed", "counterexample", "note")
+
+    def __init__(self, name: str, passed: bool,
+                 counterexample: Optional[tuple[int, ...]], note: str):
+        self.name = name
+        self.passed = passed
+        self.counterexample = counterexample
+        self.note = note
 
 
-@dataclass
 class VerificationReport:
-    kind: str
-    fingerprints: dict[str, str] = field(default_factory=dict)
-    outcomes: list[CheckOutcome] = field(default_factory=list)
-    elapsed_ms: Optional[float] = None
+    __slots__ = ("kind", "fingerprints", "outcomes", "elapsed_ms")
+
+    def __init__(self, kind: str, fingerprints: Optional[dict[str, str]] = None):
+        self.kind = kind
+        self.fingerprints = dict(fingerprints or {})
+        self.outcomes: list[CheckOutcome] = []
+        self.elapsed_ms: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -147,7 +151,7 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
     if mode != "all" and not getattr(base, f"has_{mode}"):
         raise PreconditionError(f"cannot assert {mode}: base loop lacks the property")
     start = time.perf_counter()
-    report = VerificationReport("verify", dict(fingerprints or {}))
+    report = VerificationReport("verify", fingerprints)
     built = build_extension(cocycle)
     if not _add_consistency(report, built):
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -193,7 +197,7 @@ def extension_report(built: ExtensionLoop,
                      fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
     """Consistency report emitted alongside a built extension."""
     start = time.perf_counter()
-    report = VerificationReport("extend", dict(fingerprints or {}))
+    report = VerificationReport("extend", fingerprints)
     _add_consistency(report, built)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

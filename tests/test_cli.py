@@ -49,6 +49,19 @@ def test_module_entry_point():
     assert "l: 2" in proc.stdout
 
 
+def test_cli_import_skips_dataclasses():
+    # class generation by dataclasses costs every CLI process about 20 ms of
+    # import; the value classes are plain __slots__ classes instead
+    import subprocess
+    import sys
+
+    probe = "import sys, loopext.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestFeasible:
     def test_reference_table(self, capsys):
         code, out, _ = run(capsys, "feasible", "--max-l", "16")

@@ -269,6 +269,12 @@ class TestCip:
         assert data.pmap == (0, 1, 0, 0)  # p(1) = P(3, 1)
         assert data.qmap == (0, 0, 0, 1)  # q(3) = Q(1, 3)
 
+    @pytest.mark.parametrize("pmap,qmap", [((1, 0, 0, 0), (0, 0, 0, 0)),
+                                           ((0, 0, 0, 0), (1, 0, 0, 0))])
+    def test_identity_element_must_map_to_id(self, autgroups, pmap, qmap):
+        with pytest.raises(InputError, match="identity element"):
+            InverseCoincidenceData(autgroups["z3"], pmap, qmap)
+
 
 class TestLipRipConditions:
     def test_trivial_cocycle(self, loops, groups):

@@ -242,6 +242,53 @@ class TestRipScanDuality:
         assert witness == reference_rip_scan(built)
 
 
+def reference_lip_scan(loop, iota=None):
+    """Direct cell scan for the first (x, y) with iota(x)*(x*y) != y."""
+    t = loop.table
+    if iota is None:
+        iota = [loop.left_inverse(x) for x in loop.elements()]
+    for x in loop.elements():
+        for y in loop.elements():
+            if t[iota[x]][t[x][y]] != y:
+                return (x, y)
+    return None
+
+
+class TestLipRowScan:
+    """The LIP scan checks whole rows and scans cells only in the first
+    failing row; its witnesses must be those of a cell-by-cell scan."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_witnesses(self, loops, name):
+        loop = loops[name]
+        assert first_lip_counterexample(loop) == reference_lip_scan(loop)
+        right = [loop.right_inverse(x) for x in loop.elements()]
+        assert first_lip_counterexample(loop, right) == reference_lip_scan(loop, right)
+
+    @pytest.mark.parametrize("name,group", [
+        ("z4", "z3"), ("klein", "z3"), ("ip8", "z3"), ("lip_only", "z3"),
+        ("mismatch", "z2xz2"), ("z5", "z4"),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extension_witnesses(self, loops, groups, name, group, seed):
+        from loopext.constructions import ChoiceSource, random_cocycle
+        from loopext.extension import build_extension
+
+        cocycle = random_cocycle(loops[name], groups[group], ChoiceSource(seed))
+        built = build_extension(cocycle).loop
+        assert first_lip_counterexample(built) == reference_lip_scan(built)
+
+    def test_constructed_rip_extension_witness(self, loops, groups):
+        from loopext.constructions import ChoiceSource, construct_rip_cocycle
+        from loopext.extension import build_extension
+
+        built = build_extension(
+            construct_rip_cocycle(loops["klein"], groups["z3"], ChoiceSource(7))).loop
+        witness = first_lip_counterexample(built)
+        assert witness is not None
+        assert witness == reference_lip_scan(built)
+
+
 def reference_normality(loop, members):
     """Normality by its definition, cell by cell: ("normal", quotient rows)
     or the first clause that fails ("overlap", "nx" or "product", None)."""

@@ -3,7 +3,7 @@ import pytest
 from loopext.constructions import ChoiceSource, construct_ip_cocycle, random_cocycle
 from loopext.errors import PreconditionError
 from loopext.extension import build_extension, make_cocycle
-from loopext.verification import extension_report, verify_cocycle
+from loopext.verification import VerificationReport, extension_report, verify_cocycle
 
 
 def identity_cocycle(loop, group):
@@ -118,3 +118,18 @@ class TestExtensionReport:
             "extension-latin", "inverse-formulas", "kernel-normal",
             "quotient-reconstructs-base",
         ]
+
+
+class TestVerificationReport:
+    def test_instances_share_no_state(self):
+        first, second = VerificationReport("verify"), VerificationReport("verify")
+        first.add("kernel-normal", True)
+        first.fingerprints["cocycle"] = "00"
+        assert second.outcomes == []
+        assert second.fingerprints == {}
+
+    def test_fingerprints_are_copied(self):
+        given = {"cocycle": "00"}
+        report = VerificationReport("extend", given)
+        report.fingerprints["loop"] = "11"
+        assert given == {"cocycle": "00"}
