@@ -12,16 +12,12 @@ from .abelian import (
     Automorphism,
     AutomorphismGroup,
     DEFAULT_SIZE_CAP,
-    compose,
     enumerate_automorphisms,
-    identity_automorphism,
-    invert,
     make_group,
     parse_group_spec,
 )
 from .cardinality import (
     CardinalityCertificate,
-    cross_check_orbit_count,
     enumerate_feasible,
     feasible_cardinality,
 )
@@ -31,7 +27,6 @@ from .constructions import (
     construct_lip_cocycle,
     construct_pq,
     construct_rip_cocycle,
-    ip_cocycle_from_choices,
     random_cocycle,
 )
 from .extension import (
@@ -60,10 +55,10 @@ from .loops import (
     quotient_loop,
 )
 from .orbits import (
-    GAMMA,
+    CELL_MAPS,
+    PAIR_MAPS,
     OrbitDecomposition,
     PairOrbit,
-    PairSymmetry,
     SigmaSet,
     gamma_orbits,
     phi_orbits,

@@ -35,6 +35,7 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 
+# Largest |A| that a group may have.
 DEFAULT_SIZE_CAP = 64
 # Largest |Aut(A)| that enumerate_automorphisms admits.  Among groups of
 # order <= DEFAULT_SIZE_CAP it refuses exactly Z2^5, Z2^4 x Z4 and Z2^6 (in any
@@ -69,7 +70,7 @@ class AbelianGroup:
 
     __slots__ = ("orders", "size", "_strides", "add_table", "neg_table", "element_orders")
 
-    def __init__(self, orders: Sequence[int], *, size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, orders: Sequence[int]):
         orders = tuple(int(n) for n in orders)
         if not orders:
             raise InputError("group needs at least one cyclic factor")
@@ -77,8 +78,8 @@ class AbelianGroup:
             if n < 2:
                 raise InputError(f"cyclic factor order must be >= 2, got {n}")
         size = math.prod(orders)
-        if size > size_cap:
-            raise InputError(f"group size {size} exceeds the size cap {size_cap}")
+        if size > DEFAULT_SIZE_CAP:
+            raise InputError(f"group size {size} exceeds the size cap {DEFAULT_SIZE_CAP}")
         self.orders = orders
         self.size = size
         strides = []
@@ -102,10 +103,6 @@ class AbelianGroup:
             math.lcm(*(n // math.gcd(x, n) for x, n in zip(self.tuple_of(a), orders)))
             for a in range(size)
         )
-
-    @property
-    def zero(self) -> int:
-        return 0
 
     def elements(self) -> range:
         return range(self.size)
@@ -132,11 +129,6 @@ class AbelianGroup:
         self._check(a)
         return self.neg_table[a]
 
-    def element_order(self, a: int) -> int:
-        """Least m >= 1 with m*a = 0."""
-        self._check(a)
-        return self.element_orders[a]
-
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or not 0 <= a < self.size:
             raise InputError(f"element index {a!r} out of range for group of size {self.size}")
@@ -153,9 +145,9 @@ class AbelianGroup:
         return f"AbelianGroup({list(self.orders)})"
 
 
-def make_group(orders: Sequence[int], *, size_cap: int = DEFAULT_SIZE_CAP) -> AbelianGroup:
+def make_group(orders: Sequence[int]) -> AbelianGroup:
     """Build a validated group from a list of cyclic factor orders."""
-    return AbelianGroup(orders, size_cap=size_cap)
+    return AbelianGroup(orders)
 
 
 class Automorphism:
@@ -212,26 +204,6 @@ def _validate_automorphism(group: AbelianGroup, table: tuple[int, ...]) -> None:
         if [table[x] for x in shifted] != [image_row[x] for x in table]:
             a = next(a for a in range(n) if table[shifted[a]] != image_row[table[a]])
             raise InputError(f"map is not additive at ({a}, {e})")
-
-
-def identity_automorphism(group: AbelianGroup) -> Automorphism:
-    return Automorphism(group, range(group.size), _checked=True)
-
-
-def compose(f: Automorphism, h: Automorphism) -> Automorphism:
-    """Composition f after h: ``compose(f, h)(a) == f(h(a))``."""
-    if f.group != h.group:
-        raise InputError("cannot compose automorphisms of different groups")
-    ft = f.table
-    return Automorphism(f.group, tuple(ft[x] for x in h.table), _checked=True)
-
-
-def invert(f: Automorphism) -> Automorphism:
-    """Inverse permutation of an automorphism."""
-    out = [0] * len(f.table)
-    for i, x in enumerate(f.table):
-        out[x] = i
-    return Automorphism(f.group, out, _checked=True)
 
 
 class AutomorphismGroup:
@@ -507,21 +479,16 @@ def automorphism_count(group: AbelianGroup) -> int:
 
 
 @lru_cache(maxsize=16)
-def enumerate_automorphisms(
-    group: AbelianGroup, *, size_cap: int = DEFAULT_SIZE_CAP
-) -> AutomorphismGroup:
+def enumerate_automorphisms(group: AbelianGroup) -> AutomorphismGroup:
     """Aut(A) for a finite abelian group A, as a view in canonical order.
 
     Members are ranked and unranked on demand (see
     :class:`AutomorphismGroup`), and each one handed out is validated through
     :class:`Automorphism`; the per-step counts must multiply to
     :func:`automorphism_count`.  Raises ``ResourceError`` before any work
-    when |A| exceeds ``size_cap`` or |Aut(A)| exceeds ``AUT_ORDER_CAP``.
+    when |Aut(A)| exceeds ``AUT_ORDER_CAP``; |A| itself is bounded by
+    ``DEFAULT_SIZE_CAP`` when the group is made.
     """
-    if group.size > size_cap:
-        raise ResourceError(
-            f"automorphism enumeration refused: group size {group.size} exceeds cap {size_cap}"
-        )
     count = automorphism_count(group)
     if count > AUT_ORDER_CAP:
         raise ResourceError(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import InputError, InternalError, PreconditionError
-from .loops import FiniteLoop
-from .orbits import gamma_orbits
+from .errors import InputError, InternalError, ResourceError
+
+# Largest max order that enumerate_feasible admits; the work and the output
+# grow linearly with it (10^5 takes about 0.5 s and 36 MB).
+MAX_FEASIBLE_ORDER = 100_000
 
 
 class CardinalityCertificate(NamedTuple):
@@ -43,27 +45,11 @@ def feasible_cardinality(l: int) -> CardinalityCertificate:
 
 
 def enumerate_feasible(max_l: int) -> list[CardinalityCertificate]:
-    """Feasible orders 2..max_l in ascending order."""
+    """Feasible orders 2..max_l in ascending order; raises ``ResourceError``
+    before any work when max_l exceeds ``MAX_FEASIBLE_ORDER``."""
     if not isinstance(max_l, int) or max_l < 2:
         raise InputError(f"max order must be an integer >= 2, got {max_l!r}")
+    if max_l > MAX_FEASIBLE_ORDER:
+        raise ResourceError(f"max order {max_l} exceeds the cap {MAX_FEASIBLE_ORDER}")
     return [cert for l in range(2, max_l + 1)
             if (cert := feasible_cardinality(l)).feasible]
-
-
-def cross_check_orbit_count(loop: FiniteLoop) -> bool:
-    """Tie the arithmetic to the concrete orbit machinery for one loop.
-
-    True iff the complement of Sigma has exactly l^2 - 3l + 2 cells and the
-    six-orbit decomposition has exactly (l^2 - 3l + 2)/6 orbits.
-    """
-    report = loop.properties()
-    if not report.has_ip:
-        raise PreconditionError("orbit cross-check needs an inverse-property loop")
-    if report.has_order3_element:
-        raise PreconditionError(
-            "orbit cross-check needs a loop with no element x*x = x^{-1}"
-        )
-    l = loop.size
-    expected = l * l - 3 * l + 2
-    decomposition = gamma_orbits(loop)
-    return len(decomposition.sigma.complement()) == expected == len(decomposition.orbits) * 6

@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .abelian import DEFAULT_SIZE_CAP, enumerate_automorphisms, make_group, parse_group_spec
+from .abelian import enumerate_automorphisms, make_group, parse_group_spec
 from .cardinality import enumerate_feasible
 from .constructions import (
     ChoiceSource,
@@ -69,8 +69,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    group = make_group(parse_group_spec(args.group), size_cap=args.aut_cap)
-    autgroup = enumerate_automorphisms(group, size_cap=args.aut_cap)
+    group = make_group(parse_group_spec(args.group))
+    autgroup = enumerate_automorphisms(group)
     print(f"group: {','.join(str(n) for n in group.orders)}")
     print(f"size: {group.size}")
     print(f"automorphisms: {len(autgroup)}")
@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="list the automorphisms of a group canonically")
     p.add_argument("--group", required=True, help="comma-separated factor orders, e.g. 2,2")
-    p.add_argument("--aut-cap", type=int, default=DEFAULT_SIZE_CAP)
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("orbits", help="show Sigma and an orbit decomposition")

@@ -4,7 +4,10 @@ Each construction pins the Sigma cells, chooses values freely at orbit
 representatives (lexicographically smallest cell, row-major), and forces the
 remaining orbit members through the closed-form identities.  Free choices are
 drawn from a :class:`ChoiceSource`, consumed in a fixed documented order, so
-equal seeds reproduce byte-identical cocycles on any platform.
+equal seeds reproduce byte-identical cocycles on any platform.  The
+constructions call nothing but ``choice.pick(n)``, so any object with that
+method can script the choices instead; each construction has this one entry
+point.
 
 Choice consumption order:
 
@@ -41,8 +44,7 @@ from .extension import (
     make_cocycle,
 )
 from .loops import FiniteLoop, analyze_properties
-from .orbits import (GAMMA_BY_NAME, OrbitDecomposition, gamma_orbits, phi_orbits, psi_orbits,
-                     sigma_set)
+from .orbits import PAIR_MAPS, gamma_orbits, phi_orbits, psi_orbits, sigma_set
 
 _MASK64 = (1 << 64) - 1
 
@@ -271,61 +273,31 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     return _gated(_finish(loop, group, autgroup, ptable, qtable), "rip", check_rip_conditions)
 
 
-def _ip_cocycle(loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGroup,
-                decomposition: OrbitDecomposition, rep_choices: dict) -> LoopCocycle:
+def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
+                         *, autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
+    """Seeded strongly linear cocycle whose extension has the inverse property.
+
+    Requires an inverse-property loop with no element x*x = x^{-1}.  Sigma is
+    Id; each six-orbit representative draws a free automorphism pair (P, Q),
+    and every other orbit member receives the pair transformed by the
+    symmetry carrying the representative there.
+    """
+    if autgroup is None:
+        autgroup = enumerate_automorphisms(group)
     naut = len(autgroup)
+    products, inverses = autgroup.products, autgroup.inverses
+    decomposition = gamma_orbits(loop)
     ptable, qtable = _id_tables(loop.size, autgroup.identity_index, decomposition.sigma.pairs)
     for orbit in decomposition.orbits:
-        try:
-            pr, qr = rep_choices[orbit.representative]
-        except KeyError:
-            raise InputError(f"no choice given for orbit representative "
-                             f"{orbit.representative}") from None
-        if not (0 <= pr < naut and 0 <= qr < naut):
-            raise InputError(f"choice {(pr, qr)} at {orbit.representative} "
-                             f"is not a pair of automorphism indices")
+        pr, qr = choice.pick(naut), choice.pick(naut)
         for name, (x, y) in zip(orbit.symmetries, orbit.members):
-            ptable[x][y], qtable[x][y] = GAMMA_BY_NAME[name].pair_indices(autgroup, pr, qr)
+            ptable[x][y], qtable[x][y] = PAIR_MAPS[name](products, inverses, pr, qr)
 
     def equivariance(cocycle):  # on the orbits at hand, not a second walk
         return check_equivariance(cocycle, decomposition)
 
     return _gated(_finish(loop, group, autgroup, ptable, qtable), "ip",
                   is_strongly_linear, check_ip_conditions, equivariance)
-
-
-def ip_cocycle_from_choices(loop: FiniteLoop, group: AbelianGroup,
-                            rep_choices: dict, *,
-                            autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
-    """Strongly linear inverse-property cocycle from explicit orbit choices.
-
-    ``rep_choices`` maps each six-orbit representative cell to a pair of
-    automorphism indices (P, Q); every other orbit member receives the pair
-    transformed by the symmetry carrying the representative there.  Sigma is
-    Id throughout.
-    """
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
-    return _ip_cocycle(loop, group, autgroup, gamma_orbits(loop), rep_choices)
-
-
-def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
-                         *, autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
-    """Seeded strongly linear cocycle whose extension has the inverse property.
-
-    Requires an inverse-property loop with no element x*x = x^{-1}.  Sigma is
-    Id; each six-orbit representative draws a free automorphism pair and the
-    rest of its orbit is filled equivariantly.
-    """
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
-    naut = len(autgroup)
-    decomposition = gamma_orbits(loop)
-    rep_choices = {
-        orbit.representative: (choice.pick(naut), choice.pick(naut))
-        for orbit in decomposition.orbits
-    }
-    return _ip_cocycle(loop, group, autgroup, decomposition, rep_choices)
 
 
 def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import CocycleNormalizationError, InputError, PreconditionError, StructureError
 from .loops import FiniteLoop, validate_table
-from .orbits import GAMMA_BY_NAME, OrbitDecomposition, gamma_orbits
+from .orbits import PAIR_MAPS, OrbitDecomposition, gamma_orbits
 
 Pair = tuple[int, int]
 
@@ -300,29 +300,24 @@ def is_strongly_linear(cocycle: LoopCocycle) -> bool:
 def check_ip_conditions(cocycle: LoopCocycle) -> bool:
     """Closed-form test for the inverse property of a strongly linear extension.
 
-    For all x, y the four identities
+    The extension has IP exactly when it has LIP and RIP, so this is
+    :func:`check_lip_conditions` and :func:`check_rip_conditions` together.
+    On a strongly linear cocycle, P(e,x) = Q(x,e) = Id, their eight identities
+    are these four, for all x, y:
         P(x*y, y^{-1}) = P(x,y)^{-1},   Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y),
         Q(x^{-1}, x*y) = Q(x,y)^{-1},   P(x^{-1}, x*y) = Q(x,y)^{-1} P(x,y).
+    The LIP identity for Q at y = e reads Q(x^{-1}, x) = Q(x,e)^{-1} = Id, and
+    the RIP identity for P at x = e reads P(y, y^{-1}) = P(e,y)^{-1} = Id.  In
+    an IP loop inverses are two-sided, so P and Q are Id on the whole inverse
+    diagonal and the tails Q(x^{-1},x)^{-1} P(x^{-1},x) and
+    P(y,y^{-1})^{-1} Q(y,y^{-1}) are Id.  Conversely the four identities at
+    y = e give Q(x^{-1},x) = P(x^{-1},x) = Id, so the four imply the eight.
     """
     if not is_strongly_linear(cocycle):
         raise PreconditionError("inverse-property conditions need a strongly linear cocycle")
-    report = cocycle.loop.properties()
-    if not report.has_ip:
+    if not cocycle.loop.properties().has_ip:
         raise PreconditionError("base loop does not have the inverse property")
-    inv = report.inverse_map
-    pt, qt = cocycle.ptable, cocycle.qtable
-    products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
-    for x, row in enumerate(cocycle.loop.table):
-        px, qx = pt[x], qt[x]
-        pix, qix = pt[inv[x]], qt[inv[x]]
-        for y, xy in enumerate(row):
-            iy = inv[y]
-            pxy, qxy = px[y], qx[y]
-            vp, vq = inverses[pxy], inverses[qxy]
-            if (pt[xy][iy] != vp or qt[xy][iy] != products[vp][qxy]
-                    or qix[xy] != vq or pix[xy] != products[vq][pxy]):
-                return False
-    return True
+    return check_lip_conditions(cocycle) and check_rip_conditions(cocycle)
 
 
 def check_equivariance(cocycle: LoopCocycle,
@@ -350,13 +345,14 @@ def check_equivariance(cocycle: LoopCocycle,
             "equivariance test needs a loop with no element x*x = x^{-1}"
         )
     pt, qt = cocycle.ptable, cocycle.qtable
+    products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
     if decomposition is None:
         decomposition = gamma_orbits(cocycle.loop)
     for orbit in decomposition.orbits:
         rx, ry = orbit.representative
         p, q = pt[rx][ry], qt[rx][ry]
         for name, (x, y) in zip(orbit.symmetries, orbit.members):
-            if (pt[x][y], qt[x][y]) != GAMMA_BY_NAME[name].pair_indices(cocycle.autgroup, p, q):
+            if (pt[x][y], qt[x][y]) != PAIR_MAPS[name](products, inverses, p, q):
                 return False
     return True
 

@@ -3,7 +3,9 @@
 A loop of size l is an l x l Latin square over ``0..l-1`` whose row 0 and
 column 0 are the identity permutation.  Elements are plain integers.  Loops
 are immutable after validation, apart from the report that ``properties()``
-caches on first read; every predicate here is a pure function.
+caches on first read; every predicate here is a pure function.  Of the
+divisions only e/x and x\\e are kept, as the two inverse maps; no library
+path divides general elements.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ LoopElement = int
 class FiniteLoop:
     """Cayley-table loop: the validated table and its two inverse maps.
 
-    Nothing else of size l^2 is kept; ``left_div`` and ``right_div`` scan one
-    row or one column per call.
+    Nothing else of size l^2 is kept.
     """
 
     __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_report")
@@ -45,10 +46,6 @@ class FiniteLoop:
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
         self._report = None
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -56,18 +53,6 @@ class FiniteLoop:
         self._check(x)
         self._check(y)
         return self.table[x][y]
-
-    def left_div(self, x: int, y: int) -> int:
-        """Unique z with x*z = y (a scan of row x)."""
-        self._check(x)
-        self._check(y)
-        return self.table[x].index(y)
-
-    def right_div(self, x: int, y: int) -> int:
-        """Unique z with z*y = x (a scan of column y)."""
-        self._check(x)
-        self._check(y)
-        return [row[y] for row in self.table].index(x)
 
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""

@@ -5,7 +5,9 @@ identity row, the identity column and the inverse diagonal (x^{-1}, x).  Two
 involutions act on the complement, ``phi: (x, y) -> (x^{-1}, x*y)`` and
 ``psi: (x, y) -> (x*y, y^{-1})``; together they generate a six-element group
 (isomorphic to S3 when no element satisfies x*x = x^{-1}) that acts both on
-complement cells and on pairs of automorphisms.
+complement cells and on pairs of automorphisms.  Each element is a name
+such as ``"phi*psi"``, the key of its direct formula in ``CELL_MAPS`` (the
+action on cells) and in ``PAIR_MAPS`` (the action on automorphism pairs).
 
 The LIP, RIP and IP orbits are one walk of the complement under the
 subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .abelian import AutomorphismGroup
 from .errors import InternalError, Order3Error, PreconditionError
 from .loops import FiniteLoop
 
@@ -64,10 +65,13 @@ def sigma_set(loop: FiniteLoop) -> SigmaSet:
     return SigmaSet(loop.size, frozenset(pairs))
 
 
-# Cell maps take (table, inverse_map, x, y); pair maps take the ``products``
-# and ``inverses`` memos of the canonical-index algebra plus the pair of
+# The six elements of the group, each spelled in the generators with the
+# rightmost factor applied first, in the order an orbit of (x, y) is listed:
+# (x,y), phi, psi, phi*psi*phi, phi*psi, psi*phi images.  Cell maps take
+# (table, inverse_map, x, y); pair maps take the ``products`` and
+# ``inverses`` memos of the canonical-index algebra plus the pair of
 # automorphism indices.
-_CELL_MAPS: dict[str, Callable] = {
+CELL_MAPS: dict[str, Callable] = {
     "id": lambda t, inv, x, y: (x, y),
     "phi": lambda t, inv, x, y: (inv[x], t[x][y]),
     "psi": lambda t, inv, x, y: (t[x][y], inv[y]),
@@ -76,7 +80,7 @@ _CELL_MAPS: dict[str, Callable] = {
     "psi*phi": lambda t, inv, x, y: (y, inv[t[x][y]]),
 }
 
-_PAIR_MAPS: dict[str, Callable] = {
+PAIR_MAPS: dict[str, Callable] = {
     "id": lambda m, v, p, q: (p, q),
     "phi": lambda m, v, p, q: (m[v[q]][p], v[q]),
     "psi": lambda m, v, p, q: (v[p], m[v[p]][q]),
@@ -84,32 +88,6 @@ _PAIR_MAPS: dict[str, Callable] = {
     "phi*psi": lambda m, v, p, q: (v[q], m[v[q]][p]),
     "psi*phi": lambda m, v, p, q: (m[v[p]][q], v[p]),
 }
-
-
-class PairSymmetry:
-    """One element of the six-element symmetry group.
-
-    ``name`` spells the element in the generators, rightmost factor applied
-    first; the direct formula tables above are used for application.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def cell_image(self, loop: FiniteLoop, inverse_map: Sequence[int], cell: Cell) -> Cell:
-        return _CELL_MAPS[self.name](loop.table, inverse_map, *cell)
-
-    def pair_indices(self, autgroup: AutomorphismGroup, p: int, q: int) -> tuple[int, int]:
-        return _PAIR_MAPS[self.name](autgroup.products, autgroup.inverses, p, q)
-
-
-# Ordered as the orbit of (x, y) is conventionally listed:
-# (x,y), phi, psi, phi*psi*phi, phi*psi, psi*phi images.
-GAMMA: tuple[PairSymmetry, ...] = tuple(PairSymmetry(name) for name in _CELL_MAPS)
-
-GAMMA_BY_NAME = {g.name: g for g in GAMMA}
 
 
 class PairOrbit:
@@ -130,9 +108,6 @@ class OrbitDecomposition:
         self.orbits = orbits
         self.sigma = sigma
 
-    def cells(self) -> int:
-        return sum(len(orbit.members) for orbit in self.orbits)
-
 
 def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
             inverse_map: Sequence[int]) -> OrbitDecomposition:
@@ -145,8 +120,8 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     """
     sigma = sigma_set(loop)
     pinned, table = sigma.pairs, loop.table
-    maps = [_CELL_MAPS[name] for name in names]
-    generators = [(name, _CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
+    maps = [CELL_MAPS[name] for name in names]
+    generators = [(name, CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
     seen: set[Cell] = set()
     orbits = []
     for cell in sigma.complement():
@@ -194,4 +169,4 @@ def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
         raise Order3Error(
             "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
         )
-    return _orbits(loop, "gamma", tuple(_CELL_MAPS), report.inverse_map)
+    return _orbits(loop, "gamma", tuple(CELL_MAPS), report.inverse_map)

@@ -20,7 +20,6 @@ from .extension import (
     build_extension,
     check_cip,
     check_equivariance,
-    check_ip_conditions,
     check_lip_conditions,
     check_rip_conditions,
     extension_left_inverse,
@@ -170,13 +169,14 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
     rip_witness = first_rip_counterexample(ext)
     ip_witness = lip_witness or rip_witness
     if base.has_lip:
-        _agreement(report, "lip", check_lip_conditions(cocycle),
-                   lip_witness is None, lip_witness)
+        lip_condition = check_lip_conditions(cocycle)
+        _agreement(report, "lip", lip_condition, lip_witness is None, lip_witness)
     if base.has_rip:
-        _agreement(report, "rip", check_rip_conditions(cocycle),
-                   rip_witness is None, rip_witness)
+        rip_condition = check_rip_conditions(cocycle)
+        _agreement(report, "rip", rip_condition, rip_witness is None, rip_witness)
     if base.has_ip and is_strongly_linear(cocycle):
-        ip_condition = check_ip_conditions(cocycle)
+        # check_ip_conditions is exactly these two conditions together
+        ip_condition = lip_condition and rip_condition
         _agreement(report, "ip", ip_condition, ip_witness is None, ip_witness)
         # the equivariance test only sees cells outside Sigma, so it answers
         # the same question as the closed-form conditions exactly when the

@@ -23,7 +23,6 @@ from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
     construct_lip_cocycle,
-    ip_cocycle_from_choices,
     random_cocycle,
 )
 from loopext.errors import LoopextError
@@ -48,6 +47,7 @@ from loopext.loops import (
     quotient_loop,
 )
 from loopext.orbits import gamma_orbits, phi_orbits, sigma_set
+from reference import Replay, left_div, right_div
 
 SOUNDNESS_LOOPS = ["z2", "klein", "z4", "z5", "ip7"]
 SOUNDNESS_ORDERS = [(2,), (3,), (4,), (2, 2)]
@@ -81,7 +81,7 @@ def formulas_match_divisions(cocycle, built) -> bool:
         pair = built.pair_of(index)
         left = built.pair_index(*extension_left_inverse(cocycle, pair))
         right = built.pair_index(*extension_right_inverse(cocycle, pair))
-        if left != loop.right_div(0, index) or right != loop.left_div(index, 0):
+        if left != right_div(loop, 0, index) or right != left_div(loop, index, 0):
             return False
     return True
 
@@ -235,9 +235,8 @@ def test_criterion_03_construction_completeness_klein_z3(corpus):
             survivors.add(cocycle)
     assert total == 2 ** 12
 
-    representative = gamma_orbits(loop).orbits[0].representative
     constructed = {
-        ip_cocycle_from_choices(loop, group, {representative: (p, q)}, autgroup=autgroup)
+        construct_ip_cocycle(loop, group, Replay([p, q]), autgroup=autgroup)
         for p in range(naut) for q in range(naut)
     }
     elapsed = time.perf_counter() - start

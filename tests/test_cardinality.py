@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from loopext.cardinality import (
     CardinalityCertificate,
-    cross_check_orbit_count,
     enumerate_feasible,
     feasible_cardinality,
 )
@@ -12,6 +11,7 @@ from loopext.abelian import make_group
 from loopext.errors import InputError, PreconditionError
 from loopext.extension import build_extension
 from loopext.loops import analyze_properties
+from loopext.orbits import gamma_orbits
 
 REFERENCE_TRIPLES = [
     (0, 1, 2), (1, 5, 4), (2, 7, 5), (5, 11, 7), (7, 13, 8),
@@ -76,17 +76,24 @@ class TestEnumerateFeasible:
 
 
 class TestOrbitCrossCheck:
+    """The arithmetic against the concrete orbit walk: the complement of
+    Sigma has l^2 - 3l + 2 cells in k orbits of six."""
+
     @pytest.mark.parametrize("name", ["z2", "klein", "z4", "z5", "z7", "z8", "ip8"])
     def test_bundled_loops(self, loops, name):
-        assert cross_check_orbit_count(loops[name])
+        loop = loops[name]
+        l = loop.size
+        decomposition = gamma_orbits(loop)
+        assert len(decomposition.sigma.complement()) == l * l - 3 * l + 2
+        assert len(decomposition.orbits) == feasible_cardinality(l).k
 
     def test_requires_ip(self, loops):
         with pytest.raises(PreconditionError):
-            cross_check_orbit_count(loops["mismatch"])
+            gamma_orbits(loops["mismatch"])
 
     def test_requires_no_order3(self, loops):
         with pytest.raises(PreconditionError):
-            cross_check_orbit_count(loops["z3"])
+            gamma_orbits(loops["z3"])
 
 
 class TestConstructiveWitness:

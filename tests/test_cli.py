@@ -77,6 +77,19 @@ class TestFeasible:
         assert code == 2
         assert "error:" in err
 
+    def test_large_bound_refused_before_work(self, capsys, monkeypatch):
+        from loopext import cardinality
+
+        def refuse(l):
+            raise AssertionError("feasible_cardinality reached")
+
+        monkeypatch.setattr(cardinality, "feasible_cardinality", refuse)
+        cap = cardinality.MAX_FEASIBLE_ORDER
+        code, out, err = run(capsys, "feasible", "--max-l", str(cap + 1))
+        assert code == 2
+        assert out == ""
+        assert f"max order {cap + 1} exceeds the cap {cap}" in err
+
 
 class TestCheck:
     def test_corpus_reports(self, capsys, loop_files):
@@ -117,9 +130,14 @@ class TestAut:
         assert code == 2
 
     def test_cap_override(self, capsys):
-        code, out, _ = run(capsys, "aut", "--group", "128", "--aut-cap", "128")
-        assert code == 0
-        assert "automorphisms: 64" in out  # odd residues mod 128
+        # the size cap has no override: Z_n alone has an n x n addition table
+        with pytest.raises(SystemExit) as exc:
+            main(["aut", "--group", "128", "--aut-cap", "128"])
+        assert exc.value.code == 2
+        code, out, err = run(capsys, "aut", "--group", "128")
+        assert code == 2
+        assert out == ""
+        assert "group size 128 exceeds the size cap 64" in err
 
     @pytest.mark.parametrize("spec", ["2,2,2,2,2", "2,2,2,2,2,2"])
     def test_aut_order_cap(self, capsys, spec):
@@ -137,8 +155,7 @@ class TestAut:
         assert not out_path.exists()
 
     def test_construct_has_no_cap_override(self, capsys, loop_files, tmp_path):
-        # extend and verify refuse groups over the default cap, so construct
-        # takes no --aut-cap that would write files they cannot read
+        # no command takes an --aut-cap: every one refuses groups over the cap
         out_path = tmp_path / "c.coc"
         argv = ["construct", "--loop", loop_files["klein"], "--group", "101",
                 "--mode", "ip", "--out", str(out_path)]

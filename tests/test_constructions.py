@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from loopext.abelian import compose, invert, make_group
+from loopext.abelian import make_group
 from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
     construct_lip_cocycle,
     construct_pq,
     construct_rip_cocycle,
-    ip_cocycle_from_choices,
     random_cocycle,
 )
 from loopext.errors import InputError, Order3Error, PreconditionError
@@ -23,6 +22,7 @@ from loopext.extension import (
 )
 from loopext.fileio import dumps_cocycle
 from loopext.loops import analyze_properties
+from reference import Replay, compose, invert
 
 
 class TestChoiceSource:
@@ -252,8 +252,7 @@ class TestIpConstruction:
         results = set()
         for p in (0, 1):
             for q in (0, 1):
-                cocycle = ip_cocycle_from_choices(
-                    loops["klein"], groups["z3"], {(1, 2): (p, q)})
+                cocycle = construct_ip_cocycle(loops["klein"], groups["z3"], Replay([p, q]))
                 assert is_strongly_linear(cocycle)
                 assert check_ip_conditions(cocycle)
                 report = analyze_properties(build_extension(cocycle).loop)
@@ -286,10 +285,6 @@ class TestIpConstruction:
     def test_non_ip_rejected(self, loops, groups):
         with pytest.raises(PreconditionError):
             construct_ip_cocycle(loops["lip_only"], groups["z2"], ChoiceSource(0))
-
-    def test_missing_choice_rejected(self, loops, groups):
-        with pytest.raises(InputError):
-            ip_cocycle_from_choices(loops["klein"], groups["z3"], {})
 
     def test_orbit_count_matches_formula(self, loops, groups):
         from loopext.orbits import gamma_orbits

@@ -11,7 +11,11 @@ import pytest
 
 from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.catalog import cyclic_loop
-from loopext.constructions import ip_cocycle_from_choices
+from loopext.constructions import (
+    construct_ip_cocycle,
+    construct_lip_cocycle,
+    construct_rip_cocycle,
+)
 from loopext.extension import (
     build_extension,
     check_cip,
@@ -22,11 +26,13 @@ from loopext.extension import (
     make_cocycle,
 )
 from loopext.loops import (
+    analyze_properties,
     first_inverse_mismatch,
     first_lip_counterexample,
     first_rip_counterexample,
 )
-from loopext.orbits import gamma_orbits, sigma_set
+from loopext.orbits import sigma_set
+from reference import Replay, replay_all
 
 
 def all_cocycles(loop, group):
@@ -98,12 +104,34 @@ def test_strongly_linear_ip_completeness_z4_z3():
                 and first_rip_counterexample(ext) is None):
             survivors.add(cocycle)
 
-    representative = gamma_orbits(loop).orbits[0].representative
     constructed = {
-        ip_cocycle_from_choices(loop, group, {representative: (p, q)}, autgroup=autgroup)
+        construct_ip_cocycle(loop, group, Replay([p, q]), autgroup=autgroup)
         for p in range(2) for q in range(2)
     }
     assert len(constructed) == 4
     assert survivors == constructed
     for cocycle in survivors:
         assert check_ip_conditions(cocycle)
+
+
+@pytest.mark.parametrize("prop,construct", [("lip", construct_lip_cocycle),
+                                            ("rip", construct_rip_cocycle)])
+@pytest.mark.parametrize("orders,image,total", [((3,), 4, 8), ((2, 2), 36, 144)])
+def test_construction_image_over_order_two_loop(prop, construct, orders, image, total):
+    # the default LIP and RIP constructions take p(x) = q(x) at the
+    # self-inverse element, so they reach only part of the property set
+    loop = cyclic_loop(2)
+    group = make_group(list(orders))
+    autgroup = enumerate_automorphisms(group)
+    having = set()
+    for cocycle in all_cocycles(loop, group):
+        built = build_extension(cocycle)
+        if built.loop is not None and getattr(analyze_properties(built.loop), f"has_{prop}"):
+            having.add(cocycle)
+    results, vectors = replay_all(
+        lambda source: construct(loop, group, source, autgroup=autgroup))
+    reached = set(results)
+    assert vectors == image
+    assert len(having) == total
+    assert len(reached) == image
+    assert reached <= having

@@ -5,7 +5,6 @@ from loopext.catalog import abelian_group_loop, cyclic_loop, ip_loop8, klein_loo
 from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
-    ip_cocycle_from_choices,
     random_cocycle,
 )
 from loopext.errors import CocycleNormalizationError, InputError, PreconditionError
@@ -34,6 +33,7 @@ from loopext.loops import (
     quotient_loop,
 )
 from loopext.orbits import gamma_orbits
+from reference import Replay, ip_conditions_hold, left_div, right_div
 
 
 def identity_tables(l):
@@ -222,8 +222,8 @@ class TestInverseFormulas:
             pair = built.pair_of(index)
             left = built.pair_index(*extension_left_inverse(cocycle, pair))
             right = built.pair_index(*extension_right_inverse(cocycle, pair))
-            assert left == built.loop.right_div(0, index)
-            assert right == built.loop.left_div(index, 0)
+            assert left == right_div(built.loop, 0, index)
+            assert right == left_div(built.loop, index, 0)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("base", ["mismatch", "lip_only", "ip8"])
@@ -236,8 +236,8 @@ class TestInverseFormulas:
             pair = built.pair_of(index)
             left = built.pair_index(*extension_left_inverse(cocycle, pair))
             right = built.pair_index(*extension_right_inverse(cocycle, pair))
-            assert left == built.loop.right_div(0, index)
-            assert right == built.loop.left_div(index, 0)
+            assert left == right_div(built.loop, 0, index)
+            assert right == left_div(built.loop, index, 0)
 
 
 class TestCip:
@@ -377,6 +377,47 @@ class TestIpAndEquivariance:
         with pytest.raises(PreconditionError):
             check_ip_conditions(cocycle)
 
+    @pytest.mark.parametrize("base", ["z2", "z3", "z4", "klein", "z5", "z6", "ip7", "ip8"])
+    def test_agrees_with_four_identity_kernel(self, loops, groups, base):
+        # check_ip_conditions is LIP and RIP together; the separate
+        # four-identity kernel it replaced must give the same answer on
+        # seeded strongly linear cocycles: Id on Sigma, or Id only on the
+        # identity row and column, so the inverse diagonal is free
+        loop = loops[base]
+        answers = []
+        for name in ("z3", "z2xz2"):
+            group = groups[name]
+            for seed in range(30):
+                pinned = random_cocycle(loop, group, ChoiceSource(seed), strongly_linear=True)
+                free = random_cocycle(loop, group, ChoiceSource(seed))
+                ptable = [list(row) for row in free.ptable]
+                qtable = [list(row) for row in free.qtable]
+                for x in loop.elements():
+                    ptable[0][x] = qtable[x][0] = 0
+                diagonal = make_cocycle(loop, group, ptable, qtable)
+                for cocycle in (pinned, diagonal):
+                    assert is_strongly_linear(cocycle)
+                    answers.append(check_ip_conditions(cocycle))
+                    assert answers[-1] == ip_conditions_hold(cocycle)
+        assert False in answers or base == "z2"
+
+    @pytest.mark.parametrize("base", ["z2", "z4", "klein", "z5", "z7", "z8", "ip8"])
+    def test_constructed_agree_with_four_identity_kernel(self, loops, groups, base):
+        # constructed cocycles pass both; one changed entry off Sigma, where
+        # there is one, fails both
+        loop = loops[base]
+        for name in ("z3", "z2xz2"):
+            for seed in range(5):
+                cocycle = construct_ip_cocycle(loop, groups[name], ChoiceSource(seed))
+                assert check_ip_conditions(cocycle) and ip_conditions_hold(cocycle)
+                orbits = gamma_orbits(loop).orbits
+                for x, y in orbits[0].members if orbits else ():
+                    qtable = [list(row) for row in cocycle.qtable]
+                    qtable[x][y] = (qtable[x][y] + 1) % len(cocycle.autgroup)
+                    broken = make_cocycle(loop, cocycle.group, cocycle.ptable, qtable)
+                    assert not check_ip_conditions(broken)
+                    assert not ip_conditions_hold(broken)
+
     def test_equivariance_rejects_order3(self, loops, groups):
         cocycle = trivial_cocycle(loops["z3"], groups["z3"])
         with pytest.raises(PreconditionError):
@@ -408,8 +449,8 @@ class TestIpAndEquivariance:
         # change at any non-representative member must still be seen
         loop = loops["ip8"]
         decomposition = gamma_orbits(loop)
-        choices = {orbit.representative: (1, 0) for orbit in decomposition.orbits}
-        cocycle = ip_cocycle_from_choices(loop, groups["z3"], choices)
+        cocycle = construct_ip_cocycle(loop, groups["z3"],
+                                       Replay([1, 0] * len(decomposition.orbits)))
         assert check_equivariance(cocycle)
         x, y = decomposition.orbits[3].members[member]
         broken_q = [list(row) for row in cocycle.qtable]

@@ -4,8 +4,8 @@ from loopext import orbits
 from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.errors import InternalError, Order3Error, PreconditionError
 from loopext.orbits import (
-    GAMMA,
-    GAMMA_BY_NAME,
+    CELL_MAPS,
+    PAIR_MAPS,
     gamma_orbits,
     phi_orbits,
     psi_orbits,
@@ -104,7 +104,7 @@ class TestGammaOrbit:
         assert orbit.members == (
             (1, 1), (3, 2), (2, 3), (3, 3), (2, 1), (1, 2),
         )
-        assert orbit.symmetries == tuple(g.name for g in GAMMA)
+        assert orbit.symmetries == tuple(CELL_MAPS)
 
     def test_z3_order3_error(self, loops):
         with pytest.raises(Order3Error):
@@ -148,37 +148,47 @@ class TestWalkerChecks:
 
     @pytest.mark.parametrize("broken", ["order3", "fixes_image"])
     def test_non_involution_rejected(self, loops, monkeypatch, broken):
-        phi = orbits._CELL_MAPS["phi"]
+        phi = CELL_MAPS["phi"]
         maps = {
             # phi*psi has order three: {cell, image} is not closed under it
-            "order3": orbits._CELL_MAPS["phi*psi"],
+            "order3": CELL_MAPS["phi*psi"],
             # sends the representative to its partner but fixes the partner
             "fixes_image": lambda t, inv, x, y: max(phi(t, inv, x, y), (x, y)),
         }
-        monkeypatch.setitem(orbits._CELL_MAPS, "phi", maps[broken])
+        monkeypatch.setitem(CELL_MAPS, "phi", maps[broken])
         with pytest.raises(InternalError, match="not closed under phi"):
             phi_orbits(loops["z5"])
 
     def test_map_into_sigma_rejected(self, loops, monkeypatch):
         # (x, y) -> (y^{-1}, y) lands on the inverse diagonal
-        monkeypatch.setitem(orbits._CELL_MAPS, "phi", lambda t, inv, x, y: (inv[y], y))
+        monkeypatch.setitem(CELL_MAPS, "phi", lambda t, inv, x, y: (inv[y], y))
         with pytest.raises(InternalError, match="fresh complement cells"):
             phi_orbits(loops["z5"])
 
 
+def pair_image(autgroup, name, p, q):
+    return PAIR_MAPS[name](autgroup.products, autgroup.inverses, p, q)
+
+
+def cell_image(loop, inv, name, cell):
+    return CELL_MAPS[name](loop.table, inv, *cell)
+
+
 class TestPairAction:
+    def test_same_six_names(self):
+        assert tuple(PAIR_MAPS) == tuple(CELL_MAPS)
+
     def test_swap_row(self, autgroups):
         autgroup = autgroups["z2xz2"]
-        assert GAMMA_BY_NAME["phi*psi*phi"].pair_indices(autgroup, 1, 4) == (4, 1)
+        assert pair_image(autgroup, "phi*psi*phi", 1, 4) == (4, 1)
 
     def test_generators_involutive(self, autgroups):
         autgroup = autgroups["z2xz2"]
         for p in range(len(autgroup)):
             for q in range(len(autgroup)):
                 for name in ("phi", "psi"):
-                    tau = GAMMA_BY_NAME[name]
-                    once = tau.pair_indices(autgroup, p, q)
-                    assert tau.pair_indices(autgroup, *once) == (p, q)
+                    once = pair_image(autgroup, name, p, q)
+                    assert pair_image(autgroup, name, *once) == (p, q)
 
     def test_phi_psi_has_order_three(self, autgroups):
         autgroup = autgroups["z2xz2"]
@@ -186,20 +196,20 @@ class TestPairAction:
             for q in range(len(autgroup)):
                 pair = (p, q)
                 for _ in range(3):
-                    pair = GAMMA_BY_NAME["phi*psi"].pair_indices(autgroup, *pair)
+                    pair = pair_image(autgroup, "phi*psi", *pair)
                 assert pair == (p, q)
 
     def test_words_reproduce_table_on_pairs(self, autgroups):
         # composing the generator actions (rightmost first) must give exactly
         # the direct formulas of each table row
         for autgroup in (autgroups["z2xz2"], autgroups["z4"]):
-            for tau in GAMMA:
+            for tau in PAIR_MAPS:
                 for pi in range(len(autgroup)):
                     for qi in range(len(autgroup)):
                         folded = (pi, qi)
-                        for name in reversed(tau.name.split("*")):
-                            folded = GAMMA_BY_NAME[name].pair_indices(autgroup, *folded)
-                        assert folded == tau.pair_indices(autgroup, pi, qi)
+                        for name in reversed(tau.split("*")):
+                            folded = pair_image(autgroup, name, *folded)
+                        assert folded == pair_image(autgroup, tau, pi, qi)
 
     def test_words_reproduce_table_on_larger_aut(self):
         # Aut(Z3 x Z3) = GL(2, 3) has 48 members, so a formula that only
@@ -207,13 +217,13 @@ class TestPairAction:
         autgroup = enumerate_automorphisms(make_group((3, 3)))
         assert len(autgroup) == 48
         m, v = autgroup.products, autgroup.inverses
-        for name, pair_map in orbits._PAIR_MAPS.items():
+        for name, pair_map in PAIR_MAPS.items():
             factors = name.split("*")
             for p in range(len(autgroup)):
                 for q in range(len(autgroup)):
                     folded = (p, q)
                     for factor in reversed(factors):  # "phi*psi" is phi after psi
-                        folded = orbits._PAIR_MAPS[factor](m, v, *folded)
+                        folded = PAIR_MAPS[factor](m, v, *folded)
                     assert folded == pair_map(m, v, p, q)
 
     def test_words_reproduce_table_on_cells(self, loops):
@@ -221,8 +231,8 @@ class TestPairAction:
             loop = loops[name]
             inv = loop.properties().inverse_map
             for cell in sigma_set(loop).complement():
-                for tau in GAMMA:
+                for tau in CELL_MAPS:
                     folded = cell
-                    for gen in reversed(tau.name.split("*")):
-                        folded = GAMMA_BY_NAME[gen].cell_image(loop, inv, folded)
-                    assert folded == tau.cell_image(loop, inv, cell)
+                    for gen in reversed(tau.split("*")):
+                        folded = cell_image(loop, inv, gen, folded)
+                    assert folded == cell_image(loop, inv, tau, cell)
