@@ -159,13 +159,13 @@ def _pinned_tables(loop, autgroup, data):
     return ptable, qtable
 
 
-def _finish(loop, group, autgroup, ptable, qtable) -> LoopCocycle:
+def _finish(loop, group, ptable, qtable) -> LoopCocycle:
     for name, table in (("P", ptable), ("Q", qtable)):
         for x, row in enumerate(table):
             for y, value in enumerate(row):
                 if value is None:
                     raise InternalError(f"construction left {name}({x}, {y}) unassigned")
-    return make_cocycle(loop, group, ptable, qtable, autgroup=autgroup)
+    return make_cocycle(loop, group, ptable, qtable)
 
 
 def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
@@ -182,8 +182,8 @@ def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
     return cocycle
 
 
-def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
-                          *, autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
+def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
+                          choice: ChoiceSource) -> LoopCocycle:
     """Seeded cocycle whose extension has the left inverse property.
 
     On Sigma: P(x, e) = Q(e, x) = Id, P(e, x) free, Q(x^{-1}, x) = q(x) with
@@ -201,8 +201,7 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     report = loop.properties()
     if not report.has_lip:
         raise PreconditionError("construction needs a loop with the left inverse property")
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
+    autgroup = enumerate_automorphisms(group)
     l = loop.size
     naut = len(autgroup)
     products, inverses = autgroup.products, autgroup.inverses
@@ -225,11 +224,11 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
         qtable[ax][ay] = vq = inverses[qr]
         ptable[ax][ay] = products[vq][products[pr][tails[x]]]
 
-    return _gated(_finish(loop, group, autgroup, ptable, qtable), "lip", check_lip_conditions)
+    return _gated(_finish(loop, group, ptable, qtable), "lip", check_lip_conditions)
 
 
-def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
-                          *, autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
+def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
+                          choice: ChoiceSource) -> LoopCocycle:
     """Seeded cocycle whose extension has the right inverse property.
 
     Dual of :func:`construct_lip_cocycle` under psi-orbits.  On Sigma the
@@ -246,8 +245,7 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
     report = loop.properties()
     if not report.has_rip:
         raise PreconditionError("construction needs a loop with the right inverse property")
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
+    autgroup = enumerate_automorphisms(group)
     inv = report.inverse_map
     l = loop.size
     naut = len(autgroup)
@@ -270,11 +268,11 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceS
         ptable[ax][ay] = vp = inverses[pr]
         qtable[ax][ay] = products[vp][products[qr][tails[y]]]
 
-    return _gated(_finish(loop, group, autgroup, ptable, qtable), "rip", check_rip_conditions)
+    return _gated(_finish(loop, group, ptable, qtable), "rip", check_rip_conditions)
 
 
-def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
-                         *, autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
+def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
+                         choice: ChoiceSource) -> LoopCocycle:
     """Seeded strongly linear cocycle whose extension has the inverse property.
 
     Requires an inverse-property loop with no element x*x = x^{-1}.  Sigma is
@@ -282,8 +280,7 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSo
     and every other orbit member receives the pair transformed by the
     symmetry carrying the representative there.
     """
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
+    autgroup = enumerate_automorphisms(group)
     naut = len(autgroup)
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
@@ -296,13 +293,12 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSo
     def equivariance(cocycle):  # on the orbits at hand, not a second walk
         return check_equivariance(cocycle, decomposition)
 
-    return _gated(_finish(loop, group, autgroup, ptable, qtable), "ip",
+    return _gated(_finish(loop, group, ptable, qtable), "ip",
                   is_strongly_linear, check_ip_conditions, equivariance)
 
 
 def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
-                   *, strongly_linear: bool = False,
-                   autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
+                   *, strongly_linear: bool = False) -> LoopCocycle:
     """Seeded arbitrary cocycle, for fuzzing the condition checkers.
 
     The plain form pins only the cocycle boundary P(x, e) = Q(e, y) = Id.
@@ -310,8 +306,7 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
     convention under which the strongly linear checkers are exercised) and
     only complement cells are drawn.
     """
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
+    autgroup = enumerate_automorphisms(group)
     l = loop.size
     naut = len(autgroup)
     ident = autgroup.identity_index
@@ -328,4 +323,4 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
                 ptable[x][y] = choice.pick(naut)
             if qtable[x][y] is None:
                 qtable[x][y] = choice.pick(naut)
-    return make_cocycle(loop, group, ptable, qtable, autgroup=autgroup)
+    return make_cocycle(loop, group, ptable, qtable)

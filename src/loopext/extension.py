@@ -64,13 +64,9 @@ class LoopCocycle:
                 f"group={list(self.group.orders)}, aut={len(self.autgroup)})")
 
 
-def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable, *,
-                 autgroup: Optional[AutomorphismGroup] = None) -> LoopCocycle:
+def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopCocycle:
     """Validate index tables (shape, range, identity boundary) into a cocycle."""
-    if autgroup is None:
-        autgroup = enumerate_automorphisms(group)
-    elif autgroup.group != group:
-        raise InputError("autgroup does not enumerate the given group")
+    autgroup = enumerate_automorphisms(group)
     l = loop.size
     naut = len(autgroup)
 
@@ -298,12 +294,12 @@ def is_strongly_linear(cocycle: LoopCocycle) -> bool:
 
 
 def check_ip_conditions(cocycle: LoopCocycle) -> bool:
-    """Closed-form test for the inverse property of a strongly linear extension.
+    """Closed-form test for the inverse property of the extension.
 
-    The extension has IP exactly when it has LIP and RIP, so this is
-    :func:`check_lip_conditions` and :func:`check_rip_conditions` together.
-    On a strongly linear cocycle, P(e,x) = Q(x,e) = Id, their eight identities
-    are these four, for all x, y:
+    The extension has IP exactly when it has LIP and RIP, so on every linear
+    cocycle this is :func:`check_lip_conditions` and
+    :func:`check_rip_conditions` together.  On a strongly linear cocycle,
+    P(e,x) = Q(x,e) = Id, their eight identities are these four, for all x, y:
         P(x*y, y^{-1}) = P(x,y)^{-1},   Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y),
         Q(x^{-1}, x*y) = Q(x,y)^{-1},   P(x^{-1}, x*y) = Q(x,y)^{-1} P(x,y).
     The LIP identity for Q at y = e reads Q(x^{-1}, x) = Q(x,e)^{-1} = Id, and
@@ -313,8 +309,6 @@ def check_ip_conditions(cocycle: LoopCocycle) -> bool:
     P(y,y^{-1})^{-1} Q(y,y^{-1}) are Id.  Conversely the four identities at
     y = e give Q(x^{-1},x) = P(x^{-1},x) = Id, so the four imply the eight.
     """
-    if not is_strongly_linear(cocycle):
-        raise PreconditionError("inverse-property conditions need a strongly linear cocycle")
     if not cocycle.loop.properties().has_ip:
         raise PreconditionError("base loop does not have the inverse property")
     return check_lip_conditions(cocycle) and check_rip_conditions(cocycle)
@@ -364,5 +358,4 @@ def opposite_cocycle(cocycle: LoopCocycle) -> LoopCocycle:
     pt, qt = cocycle.ptable, cocycle.qtable
     new_p = tuple(tuple(qt[y][x] for y in range(l)) for x in range(l))
     new_q = tuple(tuple(pt[y][x] for y in range(l)) for x in range(l))
-    return make_cocycle(cocycle.loop.opposite(), cocycle.group, new_p, new_q,
-                        autgroup=cocycle.autgroup)
+    return make_cocycle(cocycle.loop.opposite(), cocycle.group, new_p, new_q)

@@ -205,10 +205,10 @@ def first_rip_counterexample(loop: FiniteLoop,
                              iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
     """First (x, y) with (y*x)*iota(x) != y, using the left-inverse map by default.
 
-    This is the LIP law of the opposite loop, scanned in the same (x, y)
-    order.  Column x of the table is row x of the opposite loop; the columns
-    are taken one at a time, so an early witness costs only the columns
-    before it, not a full transpose.
+    This is the LIP law of the opposite loop, but not its row scan: the
+    columns of the table (the rows of the opposite loop) are taken one at a
+    time and scanned cell by cell, in the same (x, y) order, so an early
+    witness costs only the columns before it, not a full transpose.
     """
     if iota is None:
         iota = loop._left_inverse
@@ -231,40 +231,14 @@ def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     return None
 
 
-def _exhaustive_iota(loop: FiniteLoop) -> Optional[tuple[int, ...]]:
-    """Search for any bijection iota witnessing LIP (RIP: pass ``loop.opposite()``).
-
-    For each x the witness value is forced pointwise by each y, so the search
-    reduces to checking that the forced value is constant in y and that the
-    resulting map is a bijection.  The audit builds its own right-division
-    table once, so it stays O(l^2) and shares nothing with the default route.
-    """
-    over = [[0] * loop.size for _ in loop.elements()]  # over[b][a] = a/b
-    for z, row in enumerate(loop.table):
-        for b, a in enumerate(row):
-            over[b][a] = z
-    iota = []
-    for row in loop.table:
-        forced = {over[xy][y] for y, xy in enumerate(row)}
-        if len(forced) != 1:
-            return None
-        iota.extend(forced)
-    return tuple(iota) if sorted(iota) == list(loop.elements()) else None
-
-
-def analyze_properties(loop: FiniteLoop, *, exhaustive_iota: bool = False) -> LoopPropertyReport:
+def analyze_properties(loop: FiniteLoop) -> LoopPropertyReport:
     """Compute the inverse-property report of a loop.
 
-    By default LIP/RIP are tested with iota = the left-inverse map, which is
-    the only possible witness; ``exhaustive_iota=True`` instead searches for
-    any witnessing bijection (an audit mode, it must agree with the default).
+    LIP and RIP are tested with iota = the left-inverse map, the only possible
+    witness: at y = e the LIP law forces e/x, the RIP law x\\e, equal under RIP.
     """
-    if exhaustive_iota:
-        has_lip = _exhaustive_iota(loop) is not None
-        has_rip = _exhaustive_iota(loop.opposite()) is not None
-    else:
-        has_lip = first_lip_counterexample(loop) is None
-        has_rip = first_rip_counterexample(loop) is None
+    has_lip = first_lip_counterexample(loop) is None
+    has_rip = first_rip_counterexample(loop) is None
     coincide = first_inverse_mismatch(loop) is None
     inverse_map = order3 = None
     if coincide:

@@ -20,6 +20,27 @@ def right_div(loop, x, y):
     return [row[y] for row in loop.table].index(x)
 
 
+def exhaustive_iota(loop):
+    """Any bijection iota witnessing LIP, else None (RIP: pass ``loop.opposite()``).
+
+    For each x the witness value is forced pointwise by each y, so the search
+    reduces to checking that the forced value is constant in y and that the
+    resulting map is a bijection.  It builds its own right-division table
+    once, so it stays O(l^2) and shares nothing with the library's scans.
+    """
+    over = [[0] * loop.size for _ in loop.table]  # over[b][a] = a/b
+    for z, row in enumerate(loop.table):
+        for b, a in enumerate(row):
+            over[b][a] = z
+    iota = []
+    for row in loop.table:
+        forced = {over[xy][y] for y, xy in enumerate(row)}
+        if len(forced) != 1:
+            return None
+        iota.extend(forced)
+    return tuple(iota) if sorted(iota) == list(range(loop.size)) else None
+
+
 def identity(group):
     """The identity automorphism of ``group``."""
     return Automorphism(group, range(group.size))

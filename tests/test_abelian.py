@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from loopext import abelian
 from loopext.abelian import (
-    AUT_ORDER_CAP,
     Automorphism,
     AutomorphismGroup,
     automorphism_count,
@@ -15,7 +14,8 @@ from loopext.abelian import (
     make_group,
     parse_group_spec,
 )
-from loopext.errors import InputError, InternalError, ResourceError
+from loopext.cli import AUT_ORDER_CAP, main
+from loopext.errors import InputError, InternalError
 from reference import compose, identity, invert
 
 
@@ -262,13 +262,17 @@ class TestAutomorphismCount:
         assert refused == {(2, 2, 2, 2, 2), (2, 2, 2, 2, 4), (2, 2, 2, 2, 2, 2)}
 
     @pytest.mark.parametrize("orders", [(2,) * 5, (2,) * 6, (4, 2, 2, 2, 2)])
-    def test_refused_before_search(self, monkeypatch, orders):
+    def test_refused_before_search(self, monkeypatch, capsys, orders):
+        # only the aut listing is capped, and it refuses before Aut(A) is set up
         def view(group):
             raise AssertionError("Aut(A) was set up for a refused group")
 
+        enumerate_automorphisms.cache_clear()
         monkeypatch.setattr(abelian, "AutomorphismGroup", view)
-        with pytest.raises(ResourceError, match="exceeds cap 200000"):
-            enumerate_automorphisms(make_group(orders))
+        assert main(["aut", "--group", ",".join(map(str, orders))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeds cap 200000" in err
 
 
 class TestRanking:
@@ -317,11 +321,13 @@ class TestRanking:
 
         monkeypatch.setattr(Automorphism, "__init__", counting)
         group = make_group([2, 2, 2, 2])
-        autgroup = AutomorphismGroup(group)
+        enumerate_automorphisms.cache_clear()  # a fresh view, none of its members made
+        autgroup = enumerate_automorphisms(group)
         assert built == []
         assert autgroup[5] is autgroup[5]
         assert len(built) == 1
-        cocycle = construct_ip_cocycle(loops["klein"], group, ChoiceSource(3), autgroup=autgroup)
+        cocycle = construct_ip_cocycle(loops["klein"], group, ChoiceSource(3))
+        assert cocycle.autgroup is autgroup
         assert verify_cocycle(cocycle, mode="ip").passed
         assert len(built) < 100  # of 20160 members
 

@@ -106,12 +106,10 @@ def soundness_runs(corpus):
         loop = corpus[loop_name]
         for orders in SOUNDNESS_ORDERS:
             group = make_group(list(orders))
-            autgroup = enumerate_automorphisms(group)
             for seed in range(SOUNDNESS_SEEDS):
                 record = {"loop": loop_name, "orders": orders, "seed": seed}
                 try:
-                    cocycle = construct_ip_cocycle(
-                        loop, group, ChoiceSource(seed), autgroup=autgroup)
+                    cocycle = construct_ip_cocycle(loop, group, ChoiceSource(seed))
                 except LoopextError as exc:
                     record["error"] = f"{type(exc).__name__}: {exc}"
                 else:
@@ -133,11 +131,10 @@ def fuzz_runs(corpus):
         loop = corpus[loop_name]
         base = loop.properties()
         group = make_group(list(orders))
-        autgroup = enumerate_automorphisms(group)
         for seed in range(FUZZ_SEEDS):
             record = {"loop": loop_name, "orders": orders, "seed": seed}
 
-            general = random_cocycle(loop, group, ChoiceSource(seed), autgroup=autgroup)
+            general = random_cocycle(loop, group, ChoiceSource(seed))
             built = build_extension(general)
             ext = built.loop
             record["agree_commutative"] = (
@@ -151,8 +148,7 @@ def fuzz_runs(corpus):
             record["formulas_ok"] = formulas_match_divisions(general, built)
             record["kernel_ok"] = kernel_checks_out(general, built)
 
-            strongly = random_cocycle(loop, group, ChoiceSource(seed), autgroup=autgroup,
-                                      strongly_linear=True)
+            strongly = random_cocycle(loop, group, ChoiceSource(seed), strongly_linear=True)
             sbuilt = build_extension(strongly)
             ip_condition = check_ip_conditions(strongly)
             record["agree_ip"] = (ip_condition == definition_level_ip(sbuilt.loop))
@@ -230,13 +226,13 @@ def test_criterion_03_construction_completeness_klein_z3(corpus):
         for (x, y), (p, q) in zip(complement, assignment):
             ptable[x][y] = p
             qtable[x][y] = q
-        cocycle = make_cocycle(loop, group, ptable, qtable, autgroup=autgroup)
+        cocycle = make_cocycle(loop, group, ptable, qtable)
         if definition_level_ip(build_extension(cocycle).loop):
             survivors.add(cocycle)
     assert total == 2 ** 12
 
     constructed = {
-        construct_ip_cocycle(loop, group, Replay([p, q]), autgroup=autgroup)
+        construct_ip_cocycle(loop, group, Replay([p, q]))
         for p in range(naut) for q in range(naut)
     }
     elapsed = time.perf_counter() - start

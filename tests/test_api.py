@@ -1,7 +1,9 @@
-"""The public API of ``loopext``, frozen: its package-level names and the
-public attributes of its public classes, one per line, so that any later
-addition or removal shows as a one-line diff of this file."""
+"""The public API of ``loopext``, frozen: its package-level names, the
+public attributes of its public classes, and the optional or keyword-only
+parameters of each public function, class and method, one per line, so that
+any later addition or removal shows as a one-line diff of this file."""
 
+import inspect
 import types
 
 import loopext
@@ -142,3 +144,40 @@ def public_api():
 
 def test_public_api_is_frozen():
     assert public_api() == PUBLIC_API
+
+
+# ``name(parameter)`` for each parameter with a default or passed by keyword
+# only; a knob added to or removed from the API is one line here
+KEYWORD_PARAMETERS = [
+    "CardinalityCertificate(k)",
+    "CardinalityCertificate(h)",
+    "ChoiceSource(seed)",
+    "ExtensionLoop(defect)",
+    "LoopPropertyReport(has_lip)",
+    "LoopPropertyReport(has_rip)",
+    "LoopPropertyReport(two_sided_inverses_coincide)",
+    "LoopPropertyReport(inverse_map)",
+    "LoopPropertyReport(order3)",
+    "check_equivariance(decomposition)",
+    "construct_pq(free_fixed_points)",
+    "random_cocycle(strongly_linear)",
+]
+
+
+def keyword_parameters():
+    lines = []
+    for name in public_api():
+        value = loopext
+        for part in name.split("."):
+            value = getattr(value, part)
+        if not callable(value):
+            continue
+        for param in inspect.signature(value).parameters.values():
+            if not param.name.startswith("_") and (
+                    param.kind is param.KEYWORD_ONLY or param.default is not param.empty):
+                lines.append(f"{name}({param.name})")
+    return lines
+
+
+def test_keyword_parameters_are_frozen():
+    assert keyword_parameters() == KEYWORD_PARAMETERS

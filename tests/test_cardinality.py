@@ -8,10 +8,12 @@ from loopext.cardinality import (
 )
 from loopext.constructions import ChoiceSource, construct_ip_cocycle
 from loopext.abelian import make_group
-from loopext.errors import InputError, PreconditionError
+from loopext.catalog import cyclic_loop
+from loopext.errors import InputError, Order3Error, PreconditionError
 from loopext.extension import build_extension
 from loopext.loops import analyze_properties
 from loopext.orbits import gamma_orbits
+from loopext.verification import verify_cocycle
 
 REFERENCE_TRIPLES = [
     (0, 1, 2), (1, 5, 4), (2, 7, 5), (5, 11, 7), (7, 13, 8),
@@ -94,18 +96,32 @@ class TestOrbitCrossCheck:
     def test_requires_no_order3(self, loops):
         with pytest.raises(PreconditionError):
             gamma_orbits(loops["z3"])
+        # every order up to 16 that 3 divides is infeasible, and the orbit
+        # walk refuses the cyclic loop of that order for its element of order 3
+        for l in range(3, 17, 3):
+            assert not feasible_cardinality(l).feasible
+            with pytest.raises(Order3Error):
+                gamma_orbits(cyclic_loop(l))
 
 
 class TestConstructiveWitness:
     @pytest.mark.parametrize("name,l", [("z2", 2), ("z4", 4), ("klein", 4),
-                                        ("z5", 5), ("z7", 7), ("z8", 8), ("ip8", 8)])
+                                        ("z5", 5), ("z7", 7), ("z8", 8), ("ip8", 8),
+                                        ("z10", 10), ("z11", 11), ("z13", 13), ("z14", 14),
+                                        ("z16", 16)])
     def test_extension_exists_for_feasible_orders(self, loops, name, l):
-        # every feasible order up to 8 is witnessed by an actual extension
-        loop = loops[name]
+        # every feasible order up to 16 is witnessed by an actual extension,
+        # non-associative and dually verified from l = 4 on (at l = 2 the
+        # complement of Sigma is empty, so the extension is the direct product)
+        loop = loops[name] if name in loops else cyclic_loop(l)
         assert loop.size == l
         assert feasible_cardinality(l).feasible
         cocycle = construct_ip_cocycle(loop, make_group([3]), ChoiceSource(1))
-        assert analyze_properties(build_extension(cocycle).loop).has_ip
+        built = build_extension(cocycle).loop
+        assert analyze_properties(built).has_ip
+        if l >= 4:
+            assert not built.is_associative()
+            assert verify_cocycle(cocycle, mode="ip").passed
 
     def test_no_order3_implies_feasible(self, loops):
         # an order-3-free inverse-property loop always has feasible order,

@@ -50,36 +50,51 @@ def all_cocycles(loop, group):
                                        [True] * len(p_cells) + [False] * len(q_cells)):
             x, y = cell
             (ptable if is_p else qtable)[x][y] = value
-        yield make_cocycle(loop, group, ptable, qtable, autgroup=autgroup)
+        yield make_cocycle(loop, group, ptable, qtable)
 
 
-@pytest.mark.parametrize("orders,count", [((3,), 16), ((2, 2), 1296)])
+# IP cocycles among all cocycles: most have P(e, x) or Q(x, e) != Id, so
+# check_ip_conditions is checked without the strongly linear precondition
+IP_COUNTS = {(3,): 4, (2, 2): 24, (4,): 4}
+
+
+@pytest.mark.parametrize("orders,count", [((3,), 16), ((2, 2), 1296), ((4,), 16)])
 def test_all_cocycles_over_order_two_loop(orders, count):
     loop = cyclic_loop(2)
     group = make_group(list(orders))
-    seen = 0
+    seen = having_ip = 0
     for cocycle in all_cocycles(loop, group):
         seen += 1
         ext = build_extension(cocycle).loop
-        assert check_lip_conditions(cocycle) == (first_lip_counterexample(ext) is None)
-        assert check_rip_conditions(cocycle) == (first_rip_counterexample(ext) is None)
+        lip = first_lip_counterexample(ext) is None
+        rip = first_rip_counterexample(ext) is None
+        assert check_lip_conditions(cocycle) == lip
+        assert check_rip_conditions(cocycle) == rip
+        assert check_ip_conditions(cocycle) == (lip and rip)
         assert check_cip(cocycle) == (first_inverse_mismatch(ext) is None)
         assert is_commutative_extension(cocycle) == ext.is_commutative()
+        having_ip += lip and rip
     assert seen == count
+    assert having_ip == IP_COUNTS[orders]
 
 
 def test_all_cocycles_over_order_three_loop():
     loop = cyclic_loop(3)
     group = make_group([3])
-    seen = 0
+    seen = having_ip = 0
     for cocycle in all_cocycles(loop, group):
         seen += 1
         ext = build_extension(cocycle).loop
-        assert check_lip_conditions(cocycle) == (first_lip_counterexample(ext) is None)
-        assert check_rip_conditions(cocycle) == (first_rip_counterexample(ext) is None)
+        lip = first_lip_counterexample(ext) is None
+        rip = first_rip_counterexample(ext) is None
+        assert check_lip_conditions(cocycle) == lip
+        assert check_rip_conditions(cocycle) == rip
+        assert check_ip_conditions(cocycle) == (lip and rip)
         assert check_cip(cocycle) == (first_inverse_mismatch(ext) is None)
         assert is_commutative_extension(cocycle) == ext.is_commutative()
+        having_ip += lip and rip
     assert seen == 2 ** 12
+    assert having_ip == 8
 
 
 def test_strongly_linear_ip_completeness_z4_z3():
@@ -87,7 +102,6 @@ def test_strongly_linear_ip_completeness_z4_z3():
     # instance in the acceptance suite, on the cyclic loop of order 4
     loop = cyclic_loop(4)
     group = make_group([3])
-    autgroup = enumerate_automorphisms(group)
     complement = sigma_set(loop).complement()
     assert len(complement) == 6
 
@@ -98,14 +112,14 @@ def test_strongly_linear_ip_completeness_z4_z3():
         for (x, y), p, q in zip(complement, values[:6], values[6:]):
             ptable[x][y] = p
             qtable[x][y] = q
-        cocycle = make_cocycle(loop, group, ptable, qtable, autgroup=autgroup)
+        cocycle = make_cocycle(loop, group, ptable, qtable)
         ext = build_extension(cocycle).loop
         if (first_lip_counterexample(ext) is None
                 and first_rip_counterexample(ext) is None):
             survivors.add(cocycle)
 
     constructed = {
-        construct_ip_cocycle(loop, group, Replay([p, q]), autgroup=autgroup)
+        construct_ip_cocycle(loop, group, Replay([p, q]))
         for p in range(2) for q in range(2)
     }
     assert len(constructed) == 4
@@ -122,14 +136,13 @@ def test_construction_image_over_order_two_loop(prop, construct, orders, image, 
     # self-inverse element, so they reach only part of the property set
     loop = cyclic_loop(2)
     group = make_group(list(orders))
-    autgroup = enumerate_automorphisms(group)
     having = set()
     for cocycle in all_cocycles(loop, group):
         built = build_extension(cocycle)
         if built.loop is not None and getattr(analyze_properties(built.loop), f"has_{prop}"):
             having.add(cocycle)
     results, vectors = replay_all(
-        lambda source: construct(loop, group, source, autgroup=autgroup))
+        lambda source: construct(loop, group, source))
     reached = set(results)
     assert vectors == image
     assert len(having) == total
