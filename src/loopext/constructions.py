@@ -43,7 +43,7 @@ from .extension import (
     is_strongly_linear,
     make_cocycle,
 )
-from .loops import FiniteLoop, analyze_properties
+from .loops import FiniteLoop
 from .orbits import PAIR_MAPS, gamma_orbits, phi_orbits, psi_orbits, sigma_set
 
 _MASK64 = (1 << 64) - 1
@@ -177,7 +177,7 @@ def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
     built = build_extension(cocycle)
     if built.loop is None:
         raise InternalError(f"built extension is not a loop: {built.defect}")
-    if not getattr(analyze_properties(built.loop), f"has_{prop}"):
+    if not getattr(built.loop.properties(), f"has_{prop}"):
         raise InternalError(f"built extension fails the definition-level {prop} check")
     return cocycle
 
@@ -289,12 +289,8 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
         pr, qr = choice.pick(naut), choice.pick(naut)
         for name, (x, y) in zip(orbit.symmetries, orbit.members):
             ptable[x][y], qtable[x][y] = PAIR_MAPS[name](products, inverses, pr, qr)
-
-    def equivariance(cocycle):  # on the orbits at hand, not a second walk
-        return check_equivariance(cocycle, decomposition)
-
     return _gated(_finish(loop, group, ptable, qtable), "ip",
-                  is_strongly_linear, check_ip_conditions, equivariance)
+                  is_strongly_linear, check_ip_conditions, check_equivariance)
 
 
 def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,

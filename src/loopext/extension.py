@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import CocycleNormalizationError, InputError, PreconditionError, StructureError
 from .loops import FiniteLoop, validate_table
-from .orbits import PAIR_MAPS, OrbitDecomposition, gamma_orbits
+from .orbits import PAIR_MAPS, gamma_orbits
 
 Pair = tuple[int, int]
 
@@ -32,7 +32,7 @@ Pair = tuple[int, int]
 class LoopCocycle:
     """Validated pair of automorphism-index tables over a loop and a group."""
 
-    __slots__ = ("loop", "group", "autgroup", "ptable", "qtable")
+    __slots__ = ("loop", "group", "autgroup", "ptable", "qtable", "_built")
 
     def __init__(self, loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGroup,
                  ptable, qtable):
@@ -41,6 +41,7 @@ class LoopCocycle:
         self.autgroup = autgroup
         self.ptable = ptable
         self.qtable = qtable
+        self._built = None  # build_extension's (loop, defect): an ExtensionLoop is a cycle
 
     def p(self, x: int, y: int) -> int:
         return self.ptable[x][y]
@@ -126,14 +127,17 @@ class ExtensionLoop:
 
 def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
     """Multiply out the cocycle into a table of size l * |A| and run the Latin
-    check on it once; a table that fails is kept out of :class:`FiniteLoop`
-    and its defect is returned instead."""
-    rows = _extension_rows(cocycle)
-    try:
-        validate_table(rows)
-    except StructureError as defect:
-        return ExtensionLoop(cocycle, None, defect)
-    return ExtensionLoop(cocycle, FiniteLoop(rows, _checked=True))
+    check on it once per cocycle; a table that fails is kept out of
+    :class:`FiniteLoop` and its defect is returned instead."""
+    if cocycle._built is None:
+        rows = _extension_rows(cocycle)
+        try:
+            validate_table(rows)
+        except StructureError as defect:  # its traceback would hold the cocycle
+            cocycle._built = (None, defect.with_traceback(None))
+        else:
+            cocycle._built = (FiniteLoop(rows, _checked=True), None)
+    return ExtensionLoop(cocycle, *cocycle._built)
 
 
 def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
@@ -314,8 +318,7 @@ def check_ip_conditions(cocycle: LoopCocycle) -> bool:
     return check_lip_conditions(cocycle) and check_rip_conditions(cocycle)
 
 
-def check_equivariance(cocycle: LoopCocycle,
-                       decomposition: Optional[OrbitDecomposition] = None) -> bool:
+def check_equivariance(cocycle: LoopCocycle) -> bool:
     """Whether (P, Q) commutes with the pair symmetries on every complement cell.
 
     Requires a strongly linear cocycle over an inverse-property loop with no
@@ -325,9 +328,7 @@ def check_equivariance(cocycle: LoopCocycle,
     Each orbit member is compared with its symmetry's pair map of the
     representative's (P, Q) only.  That suffices: the cell maps and the pair
     maps are actions of the same six-element group, and the orbit walker
-    proves that each orbit has six distinct members.  A caller that holds the
-    ``gamma_orbits`` decomposition of the cocycle's loop passes it as
-    ``decomposition``, so the orbits are not walked again.
+    proves that each orbit has six distinct members.
     """
     if not is_strongly_linear(cocycle):
         raise PreconditionError("equivariance test needs a strongly linear cocycle")
@@ -340,9 +341,7 @@ def check_equivariance(cocycle: LoopCocycle,
         )
     pt, qt = cocycle.ptable, cocycle.qtable
     products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
-    if decomposition is None:
-        decomposition = gamma_orbits(cocycle.loop)
-    for orbit in decomposition.orbits:
+    for orbit in gamma_orbits(cocycle.loop).orbits:
         rx, ry = orbit.representative
         p, q = pt[rx][ry], qt[rx][ry]
         for name, (x, y) in zip(orbit.symmetries, orbit.members):

@@ -2,10 +2,11 @@
 
 A loop of size l is an l x l Latin square over ``0..l-1`` whose row 0 and
 column 0 are the identity permutation.  Elements are plain integers.  Loops
-are immutable after validation, apart from the report that ``properties()``
-caches on first read; every predicate here is a pure function.  Of the
-divisions only e/x and x\\e are kept, as the two inverse maps; no library
-path divides general elements.
+are immutable after validation, apart from what is computed once and kept:
+the report that ``properties()`` caches with its LIP and RIP witnesses, and
+the orbit decompositions of ``loopext.orbits``.  Every predicate here is a
+pure function.  Of the divisions only e/x and x\\e are kept, as the two
+inverse maps; no library path divides general elements.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class FiniteLoop:
     Nothing else of size l^2 is kept.
     """
 
-    __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_report")
+    __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_report", "_orbits")
 
     def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
         if _checked:
@@ -45,6 +46,7 @@ class FiniteLoop:
         right = self._right_inverse = tuple(row.index(0) for row in rows)
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
         self._report = None
+        self._orbits = {}  # mode -> OrbitDecomposition, filled by loopext.orbits
 
     def elements(self) -> range:
         return range(self.size)
@@ -136,23 +138,28 @@ def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
 
 
 class LoopPropertyReport:
-    """Inverse-property flags of a loop.
+    """Inverse-property flags of a loop, with the scan witnesses behind them.
 
-    ``inverse_map`` is the two-sided inverse table when left and right
-    inverses coincide, else None.  ``has_order3_element`` (x != e with
-    x*x = x^{-1}) is only defined in the coinciding case and raises
-    :class:`UndefinedPropertyError` otherwise.
+    ``lip_witness`` and ``rip_witness`` are the first (x, y) of
+    :func:`first_lip_counterexample` and :func:`first_rip_counterexample`, or
+    None when the property holds.  ``inverse_map`` is the two-sided inverse
+    table when left and right inverses coincide, else None.
+    ``has_order3_element`` (x != e with x*x = x^{-1}) is only defined in the
+    coinciding case and raises :class:`UndefinedPropertyError` otherwise.
     """
 
-    __slots__ = ("has_lip", "has_rip", "has_ip", "two_sided_inverses_coincide",
-                 "inverse_map", "_order3")
+    __slots__ = ("lip_witness", "rip_witness", "has_lip", "has_rip", "has_ip",
+                 "two_sided_inverses_coincide", "inverse_map", "_order3")
 
-    def __init__(self, *, has_lip: bool, has_rip: bool,
+    def __init__(self, *, lip_witness: Optional[tuple[int, int]],
+                 rip_witness: Optional[tuple[int, int]],
                  two_sided_inverses_coincide: bool,
                  inverse_map: Optional[tuple[int, ...]], order3: Optional[bool]):
-        self.has_lip = has_lip
-        self.has_rip = has_rip
-        self.has_ip = has_lip and has_rip
+        self.lip_witness = lip_witness
+        self.rip_witness = rip_witness
+        self.has_lip = lip_witness is None
+        self.has_rip = rip_witness is None
+        self.has_ip = self.has_lip and self.has_rip
         self.two_sided_inverses_coincide = two_sided_inverses_coincide
         self.inverse_map = inverse_map
         self._order3 = order3
@@ -237,14 +244,14 @@ def analyze_properties(loop: FiniteLoop) -> LoopPropertyReport:
     LIP and RIP are tested with iota = the left-inverse map, the only possible
     witness: at y = e the LIP law forces e/x, the RIP law x\\e, equal under RIP.
     """
-    has_lip = first_lip_counterexample(loop) is None
-    has_rip = first_rip_counterexample(loop) is None
+    lip_witness = first_lip_counterexample(loop)
+    rip_witness = first_rip_counterexample(loop)
     coincide = first_inverse_mismatch(loop) is None
     inverse_map = order3 = None
     if coincide:
         inverse_map = loop._left_inverse
         order3 = any(row[x] == inverse_map[x] for x, row in enumerate(loop.table) if x)
-    return LoopPropertyReport(has_lip=has_lip, has_rip=has_rip,
+    return LoopPropertyReport(lip_witness=lip_witness, rip_witness=rip_witness,
                               two_sided_inverses_coincide=coincide,
                               inverse_map=inverse_map, order3=order3)
 

@@ -11,9 +11,10 @@ action on cells) and in ``PAIR_MAPS`` (the action on automorphism pairs).
 
 The LIP, RIP and IP orbits are one walk of the complement under the
 subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
-``psi_orbits`` and ``gamma_orbits`` each check their precondition and call
-the same walker, which builds Sigma once and refuses any orbit that is not a
-fresh block of complement cells closed under its generators.
+``psi_orbits`` and ``gamma_orbits`` each check their precondition on every
+call and walk a loop once: the walker builds Sigma once, refuses any orbit
+that is not a fresh block of complement cells closed under its generators,
+and keeps the decomposition on the loop, where later calls find it.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     Each cell not met before is a representative, and its members are its
     images under ``names`` in that order.  The members must be fresh
     complement cells permuted by every generator (phi, psi) among ``names``;
-    otherwise the maps do not partition the complement.
+    otherwise the maps do not partition the complement.  The decomposition is
+    kept as ``loop._orbits[mode]``.
     """
     sigma = sigma_set(loop)
     pinned, table = sigma.pairs, loop.table
@@ -137,7 +139,8 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
                 raise InternalError(f"{mode} orbit of {cell} is not closed under {name}")
         seen |= block
         orbits.append(PairOrbit(cell, members, names))
-    return OrbitDecomposition(mode, tuple(orbits), sigma)
+    loop._orbits[mode] = decomposition = OrbitDecomposition(mode, tuple(orbits), sigma)
+    return decomposition
 
 
 def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -145,7 +148,7 @@ def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     report = loop.properties()
     if not report.has_lip:
         raise PreconditionError("phi orbits need a loop with the left inverse property")
-    return _orbits(loop, "phi", ("id", "phi"), report.inverse_map)
+    return loop._orbits.get("phi") or _orbits(loop, "phi", ("id", "phi"), report.inverse_map)
 
 
 def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -153,7 +156,7 @@ def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     report = loop.properties()
     if not report.has_rip:
         raise PreconditionError("psi orbits need a loop with the right inverse property")
-    return _orbits(loop, "psi", ("id", "psi"), report.inverse_map)
+    return loop._orbits.get("psi") or _orbits(loop, "psi", ("id", "psi"), report.inverse_map)
 
 
 def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -169,4 +172,5 @@ def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
         raise Order3Error(
             "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
         )
-    return _orbits(loop, "gamma", tuple(CELL_MAPS), report.inverse_map)
+    return loop._orbits.get("gamma") or _orbits(loop, "gamma", tuple(CELL_MAPS),
+                                                report.inverse_map)

@@ -27,13 +27,7 @@ from .extension import (
     is_commutative_extension,
     is_strongly_linear,
 )
-from .loops import (
-    first_inverse_mismatch,
-    first_lip_counterexample,
-    first_noncommuting_pair,
-    first_rip_counterexample,
-    quotient_loop,
-)
+from .loops import first_inverse_mismatch, first_noncommuting_pair, quotient_loop
 from .orbits import sigma_set
 
 VERIFY_MODES = ("all", "lip", "rip", "ip")
@@ -165,8 +159,8 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
         mismatch = first_inverse_mismatch(ext)
         _agreement(report, "inverse-coincidence", check_cip(cocycle),
                    mismatch is None, None if mismatch is None else (mismatch,))
-    lip_witness = first_lip_counterexample(ext)
-    rip_witness = first_rip_counterexample(ext)
+    scanned = ext.properties()  # the scans of a construction's gate, when it ran one
+    lip_witness, rip_witness = scanned.lip_witness, scanned.rip_witness
     ip_witness = lip_witness or rip_witness
     if base.has_lip:
         lip_condition = check_lip_conditions(cocycle)

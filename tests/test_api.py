@@ -83,6 +83,8 @@ PUBLIC_API = [
     "LoopPropertyReport.has_order3_element",
     "LoopPropertyReport.has_rip",
     "LoopPropertyReport.inverse_map",
+    "LoopPropertyReport.lip_witness",
+    "LoopPropertyReport.rip_witness",
     "LoopPropertyReport.two_sided_inverses_coincide",
     "OrbitDecomposition",
     "OrbitDecomposition.mode",
@@ -153,12 +155,11 @@ KEYWORD_PARAMETERS = [
     "CardinalityCertificate(h)",
     "ChoiceSource(seed)",
     "ExtensionLoop(defect)",
-    "LoopPropertyReport(has_lip)",
-    "LoopPropertyReport(has_rip)",
+    "LoopPropertyReport(lip_witness)",
+    "LoopPropertyReport(rip_witness)",
     "LoopPropertyReport(two_sided_inverses_coincide)",
     "LoopPropertyReport(inverse_map)",
     "LoopPropertyReport(order3)",
-    "check_equivariance(decomposition)",
     "construct_pq(free_fixed_points)",
     "random_cocycle(strongly_linear)",
 ]

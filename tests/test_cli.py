@@ -148,7 +148,7 @@ class TestAut:
         assert out == ""
         assert "exceeds cap 200000" in err
 
-    def test_construct_refuses_large_aut(self, capsys, loop_files, tmp_path):
+    def test_construct_admits_large_aut(self, capsys, loop_files, tmp_path):
         # the Aut cap bounds the aut listing only; construct admits Z2^5
         out_path = tmp_path / "c.coc"
         code, out, err = run(capsys, "construct", "--loop", loop_files["klein"],
@@ -171,7 +171,7 @@ class TestAut:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["extend", "verify"])
-    def test_cocycle_file_refuses_large_aut(self, capsys, loop_files, tmp_path, command):
+    def test_cocycle_file_admits_large_aut(self, capsys, loop_files, tmp_path, command):
         # the Aut cap bounds the aut listing only; a cocycle over Z2^5 is admitted
         coc_path = tmp_path / "c.coc"
         coc_path.write_text("cocycle l=2 group=2,2,2,2,2\nP\n0 0\n0 0\nQ\n0 0\n0 0\n")

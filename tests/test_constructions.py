@@ -21,7 +21,7 @@ from loopext.extension import (
     opposite_cocycle,
 )
 from loopext.fileio import dumps_cocycle
-from loopext.loops import analyze_properties
+from loopext.loops import analyze_properties, make_loop
 from reference import Replay, compose, invert
 
 
@@ -326,7 +326,8 @@ class TestIpConstruction:
             return original(loop, mode, *args)
 
         monkeypatch.setattr(orbits, "_orbits", counting)
-        construct_ip_cocycle(loops["ip8"], groups["z3"], ChoiceSource(5))
+        loop = make_loop(loops["ip8"].table)  # not walked before
+        construct_ip_cocycle(loop, groups["z3"], ChoiceSource(5))
         assert walks == ["gamma"]
 
 

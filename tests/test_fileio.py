@@ -143,7 +143,7 @@ class TestCocycleFormat:
         with pytest.raises(ParseError):  # Q(e, 1) must be Id
             loads_cocycle(bad_q, loops["z2"])
 
-    def test_oversized_aut_is_resource_error(self, loops):
+    def test_large_aut_cocycle_parses(self, loops):
         # only the aut listing caps |Aut(A)|: a cocycle over Z2^5 parses
         text = "cocycle l=2 group=2,2,2,2,2\nP\n0 0\n0 0\nQ\n0 0\n0 0\n"
         cocycle = loads_cocycle(text, loops["z2"])

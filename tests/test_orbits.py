@@ -3,6 +3,7 @@ import pytest
 from loopext import orbits
 from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.errors import InternalError, Order3Error, PreconditionError
+from loopext.loops import make_loop
 from loopext.orbits import (
     CELL_MAPS,
     PAIR_MAPS,
@@ -138,9 +139,37 @@ class TestGammaOrbit:
             return original(loop)
 
         monkeypatch.setattr(orbits, "sigma_set", counting)
-        decomposition = gamma_orbits(loops["ip8"])
+        decomposition = gamma_orbits(make_loop(loops["ip8"].table))  # not walked before
         assert len(calls) == 1
         assert len(decomposition.orbits) == 7
+
+
+class TestKeptDecompositions:
+    """A loop is walked once per mode; later calls return the kept decomposition."""
+
+    @pytest.mark.parametrize("walk,name", [
+        (phi_orbits, "z5"), (psi_orbits, "z5"), (gamma_orbits, "ip8"),
+    ])
+    def test_second_call_walks_nothing(self, loops, monkeypatch, walk, name):
+        loop = make_loop(loops[name].table)
+        first = walk(loop)
+
+        def no_walk(*args):
+            raise AssertionError("orbits walked again")
+
+        for key in CELL_MAPS:
+            monkeypatch.setitem(CELL_MAPS, key, no_walk)
+        monkeypatch.setattr(orbits, "sigma_set", no_walk)
+        assert walk(loop) is first
+
+    def test_preconditions_checked_on_every_call(self, loops):
+        loop = make_loop(loops["lip_only"].table)
+        assert phi_orbits(loop) is phi_orbits(loop)
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                psi_orbits(loop)
+            with pytest.raises(PreconditionError):
+                gamma_orbits(loop)
 
 
 class TestWalkerChecks:
@@ -157,13 +186,13 @@ class TestWalkerChecks:
         }
         monkeypatch.setitem(CELL_MAPS, "phi", maps[broken])
         with pytest.raises(InternalError, match="not closed under phi"):
-            phi_orbits(loops["z5"])
+            phi_orbits(make_loop(loops["z5"].table))  # not walked before
 
     def test_map_into_sigma_rejected(self, loops, monkeypatch):
         # (x, y) -> (y^{-1}, y) lands on the inverse diagonal
         monkeypatch.setitem(CELL_MAPS, "phi", lambda t, inv, x, y: (inv[y], y))
         with pytest.raises(InternalError, match="fresh complement cells"):
-            phi_orbits(loops["z5"])
+            phi_orbits(make_loop(loops["z5"].table))  # not walked before
 
 
 def pair_image(autgroup, name, p, q):

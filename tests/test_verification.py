@@ -1,8 +1,21 @@
+import gc
+import hashlib
+
 import pytest
 
-from loopext.constructions import ChoiceSource, construct_ip_cocycle, random_cocycle
+from loopext.abelian import make_group
+from loopext.catalog import abelian_group_loop, cyclic_loop, ip_loop8, klein_loop
+from loopext.constructions import (
+    ChoiceSource,
+    construct_ip_cocycle,
+    construct_lip_cocycle,
+    construct_rip_cocycle,
+    random_cocycle,
+)
 from loopext.errors import PreconditionError
 from loopext.extension import build_extension, make_cocycle
+from loopext.fileio import dumps_cocycle
+from loopext.loops import make_loop
 from loopext.verification import VerificationReport, extension_report, verify_cocycle
 
 
@@ -71,26 +84,49 @@ class TestVerifyCocycle:
         assert "elapsed-ms" in timed
 
 
+def count_calls(monkeypatch, module, names):
+    """Replace ``module.<name>`` for each name by a wrapper that logs the name."""
+    calls = []
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+SCANS = ("first_lip_counterexample", "first_rip_counterexample")
+
+
 class TestSinglePass:
     def test_ip_mode_runs_each_scan_once(self, loops, groups, monkeypatch):
+        # a cocycle remade from its tables has no extension built yet
         import loopext.loops as loops_module
-        from loopext import verification
 
-        cocycle = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
+        made = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
+        cocycle = make_cocycle(made.loop, made.group, made.ptable, made.qtable)
         cocycle.loop.properties()  # the cached base analysis is not part of the count
-        calls = []
-        for name in ("first_lip_counterexample", "first_rip_counterexample"):
-            original = getattr(loops_module, name)
-
-            def counting(loop, *args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(loop, *args)
-
-            monkeypatch.setattr(loops_module, name, counting)
-            monkeypatch.setattr(verification, name, counting)
+        calls = count_calls(monkeypatch, loops_module, SCANS)
         report = verify_cocycle(cocycle, mode="ip")
         assert report.passed
-        assert sorted(calls) == ["first_lip_counterexample", "first_rip_counterexample"]
+        assert sorted(calls) == list(SCANS)
+
+    def test_construct_then_verify_builds_and_scans_once(self, loops, groups, monkeypatch):
+        # verify reuses the extension and the scans of the construction's gate
+        import loopext.extension as extension_module
+        import loopext.loops as loops_module
+
+        loops["z5"].properties()
+        calls = count_calls(monkeypatch, loops_module, SCANS)
+        builds = count_calls(monkeypatch, extension_module, ["_extension_rows"])
+        cocycle = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
+        report = verify_cocycle(cocycle, mode="ip")
+        assert report.passed
+        assert sorted(calls) == list(SCANS)
+        assert builds == ["_extension_rows"]
 
     @pytest.mark.parametrize("name,mode", [
         ("mismatch", "lip"), ("mismatch", "rip"), ("mismatch", "ip"),
@@ -108,6 +144,50 @@ class TestSinglePass:
         with pytest.raises(PreconditionError,
                            match=f"^cannot assert {mode}: base loop lacks the property$"):
             verify_cocycle(cocycle, mode=mode)
+
+
+class TestBuiltOnce:
+    def test_latin_failure_is_kept(self, loops, groups, monkeypatch):
+        # swap two entries of row 1: rows stay permutations, columns 2 and 3 do not
+        from loopext import extension
+
+        original = extension._extension_rows
+        builds = []
+
+        def swapped(cocycle):
+            builds.append(cocycle)
+            rows = original(cocycle)
+            row = list(rows[1])
+            row[2], row[3] = row[3], row[2]
+            rows[1] = tuple(row)
+            return rows
+
+        monkeypatch.setattr(extension, "_extension_rows", swapped)
+        cocycle = identity_cocycle(loops["klein"], groups["z3"])
+        first, second = (verify_cocycle(cocycle).to_text(include_timing=False)
+                         for _ in range(2))
+        assert first == second == (
+            "report: verify\n"
+            "check extension-latin: fail (column 2 is not a permutation of 0..11)\n"
+            "counterexample extension-latin: 2\n"
+            "result: fail\n"
+        )
+        assert len(builds) == 1
+        assert build_extension(cocycle).defect.__traceback__ is None
+
+    def test_no_reference_cycle(self, loops, groups):
+        # the cocycle keeps its extension's table, not the ExtensionLoop that
+        # points back at it, so dropping the cocycle frees it without the collector
+        loop = make_loop(loops["z5"].table)
+        gc.collect()
+        gc.disable()
+        try:
+            cocycle = construct_ip_cocycle(loop, groups["z2xz2"], ChoiceSource(1))
+            assert verify_cocycle(cocycle, mode="ip").passed
+            del cocycle
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExtensionReport:
@@ -133,3 +213,48 @@ class TestVerificationReport:
         report = VerificationReport("extend", given)
         report.fingerprints["loop"] = "11"
         assert given == {"cocycle": "00"}
+
+
+# sha256 over cocycle text, draw count and untimed verify text of every job
+# of the fuzz grid below, in order; recorded before verify_cocycle reused the
+# construction's extension and scans, and equal on the constructed cocycle
+# (warm caches) and on a copy remade from its tables (cold caches)
+FUZZ_GRID_DIGEST = "4c0bb57f9a729ef5a24973514b61fa922e2fef92f4584f8e6f5a34e4ac8e4004"
+
+CONSTRUCT = {"lip": construct_lip_cocycle, "rip": construct_rip_cocycle,
+             "ip": construct_ip_cocycle}
+
+
+def direct_product(left, right):
+    """Product loop on pairs (x, a) encoded as x * |right| + a."""
+    n = right.size
+    lt, rt = left.table, right.table
+    return make_loop([
+        [lt[x][y] * n + rt[a][b] for y in range(left.size) for b in range(n)]
+        for x in range(left.size) for a in range(n)
+    ])
+
+
+def test_frozen_fuzz_grid_text():
+    bases = [klein_loop(), cyclic_loop(5), cyclic_loop(7), ip_loop8(),
+             direct_product(ip_loop8(), abelian_group_loop([2]))]
+    groups = [make_group(orders) for orders in ((2,), (3,), (2, 2), (4,), (2, 2, 2), (5,))]
+    warm, cold = hashlib.sha256(), hashlib.sha256()
+    for loop in bases:
+        for group in groups:
+            for mode in ("random", "lip", "rip", "ip"):
+                for seed in (0, 1):
+                    choice = ChoiceSource(seed)
+                    if mode == "random":
+                        cocycle = random_cocycle(loop, group, choice, strongly_linear=True)
+                    else:
+                        cocycle = CONSTRUCT[mode](loop, group, choice)
+                    remade = make_cocycle(make_loop(loop.table), group,
+                                          cocycle.ptable, cocycle.qtable)
+                    for digest, job in ((warm, cocycle), (cold, remade)):
+                        report = verify_cocycle(job, mode="all" if mode == "random" else mode)
+                        assert report.passed
+                        digest.update(f"{dumps_cocycle(job)}draws: {choice.count}\n"
+                                      f"{report.to_text(include_timing=False)}".encode())
+    assert warm.hexdigest() == FUZZ_GRID_DIGEST
+    assert cold.hexdigest() == FUZZ_GRID_DIGEST
