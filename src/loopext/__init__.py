@@ -31,7 +31,6 @@ from .constructions import (
 )
 from .extension import (
     ExtensionLoop,
-    InverseCoincidenceData,
     LoopCocycle,
     build_extension,
     check_cip,

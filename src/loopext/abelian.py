@@ -150,10 +150,9 @@ class Automorphism:
 
     __slots__ = ("group", "table")
 
-    def __init__(self, group: AbelianGroup, table: Sequence[int], *, _checked: bool = False):
+    def __init__(self, group: AbelianGroup, table: Sequence[int]):
         table = tuple(table)
-        if not _checked:
-            _validate_automorphism(group, table)
+        _validate_automorphism(group, table)
         self.group = group
         self.table = table
 

@@ -62,7 +62,7 @@ def _complete_loop(
     lip: bool = False,
     rip: bool = False,
     forbid_order3: bool = False,
-    predicate: Optional[Callable[[FiniteLoop], bool]] = None,
+    predicate: Callable[[FiniteLoop], bool],
 ) -> Optional[FiniteLoop]:
     """First loop table (row-major, ascending values) meeting the constraints.
 
@@ -118,9 +118,7 @@ def _complete_loop(
             k += 1
         if k == len(cells):
             loop = make_loop([list(row) for row in table])
-            if predicate is None or predicate(loop):
-                return loop
-            return None
+            return loop if predicate(loop) else None
         r, c = cells[k]
         for v in range(l):
             trail: list[tuple[int, int]] = []
@@ -134,15 +132,15 @@ def _complete_loop(
     return solve(0)
 
 
-def search_ip_loop(l: int, *, nonassociative: bool = True,
-                   forbid_order3: bool = True) -> Optional[FiniteLoop]:
-    """Search for an inverse-property loop of order l, smallest table first."""
+def search_ip_loop(l: int, *, forbid_order3: bool = True) -> Optional[FiniteLoop]:
+    """Search for a non-associative inverse-property loop of order l,
+    smallest table first."""
     points = tuple(range(1, l))
     for inv_rest in _involutions(points):
         inv = {0: 0, **inv_rest}
         found = _complete_loop(
             l, inv, lip=True, rip=True, forbid_order3=forbid_order3,
-            predicate=(lambda L: not L.is_associative()) if nonassociative else None,
+            predicate=lambda L: not L.is_associative(),
         )
         if found is not None:
             return found

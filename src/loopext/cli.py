@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds; 1 a verified property or check fails
-(the report carries a replayable counterexample); 2 input or precondition error.
+(the report carries a replayable counterexample); 2 input or precondition error,
+including a file that cannot be read, written or decoded as UTF-8.
 """
 
 from __future__ import annotations
@@ -212,10 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except InternalError:
         raise
-    except LoopextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LoopextError, OSError) as exc:  # an OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

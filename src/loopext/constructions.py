@@ -32,7 +32,6 @@ from typing import Optional
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import InputError, InternalError, PreconditionError
 from .extension import (
-    InverseCoincidenceData,
     LoopCocycle,
     build_extension,
     check_equivariance,
@@ -86,9 +85,9 @@ class ChoiceSource:
 
 
 def construct_pq(loop: FiniteLoop, autgroup: AutomorphismGroup, choice: ChoiceSource,
-                 *, free_fixed_points: bool = False) -> InverseCoincidenceData:
-    """Build diagonal maps p, q with q arbitrary and p forced to satisfy
-    p(x^{-1}) = q(x^{-1}) p(x)^{-1} q(x).
+                 *, free_fixed_points: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Build diagonal maps p, q, as the index tuples ``(pmap, qmap)``, with q
+    arbitrary and p forced to satisfy p(x^{-1}) = q(x^{-1}) p(x)^{-1} q(x).
 
     q is drawn freely (q(e) = Id).  The inversion map pairs elements into
     orbits {x, x^{-1}}: p is drawn freely at the smaller element and forced
@@ -133,7 +132,7 @@ def construct_pq(loop: FiniteLoop, autgroup: AutomorphismGroup, choice: ChoiceSo
 
     if not coincidence_condition_holds(autgroup, inv, pmap, qmap):
         raise InternalError("constructed p, q violate the coincidence condition")
-    return InverseCoincidenceData(autgroup, tuple(pmap), tuple(qmap))
+    return tuple(pmap), tuple(qmap)
 
 
 def _empty_tables(l: int):
@@ -148,14 +147,14 @@ def _id_tables(l: int, ident: int, cells):
     return ptable, qtable
 
 
-def _pinned_tables(loop, autgroup, data):
+def _pinned_tables(loop, autgroup, pmap, qmap):
     """P and Q tables holding Id on the cocycle boundary and p, q on the
     inverse diagonal, unassigned elsewhere."""
     inv = loop.properties().inverse_map
     ptable, qtable = _empty_tables(loop.size)
     for x in loop.elements():
         ptable[x][0] = qtable[0][x] = autgroup.identity_index
-        ptable[inv[x]][x], qtable[inv[x]][x] = data.pmap[x], data.qmap[x]
+        ptable[inv[x]][x], qtable[inv[x]][x] = pmap[x], qmap[x]
     return ptable, qtable
 
 
@@ -206,9 +205,8 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     naut = len(autgroup)
     products, inverses = autgroup.products, autgroup.inverses
 
-    data = construct_pq(loop, autgroup, choice)
-    pmap, qmap = data.pmap, data.qmap
-    ptable, qtable = _pinned_tables(loop, autgroup, data)
+    pmap, qmap = construct_pq(loop, autgroup, choice)
+    ptable, qtable = _pinned_tables(loop, autgroup, pmap, qmap)
     for x in range(1, l):
         qtable[x][0] = inverses[qmap[x]]
     for y in range(1, l):
@@ -251,12 +249,12 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     naut = len(autgroup)
     products, inverses = autgroup.products, autgroup.inverses
 
-    data = construct_pq(loop, autgroup, choice)
-    ptable, qtable = _pinned_tables(loop, autgroup, data)
+    pmap, qmap = construct_pq(loop, autgroup, choice)
+    ptable, qtable = _pinned_tables(loop, autgroup, pmap, qmap)
     for x in range(1, l):
         qtable[x][0] = choice.pick(naut)
     for y in range(1, l):
-        ptable[0][y] = inverses[data.pmap[inv[y]]]
+        ptable[0][y] = inverses[pmap[inv[y]]]
     # P(y,y^{-1})^{-1} Q(y,y^{-1}) per element
     tails = [products[inverses[ptable[y][iy]]][qtable[y][iy]] for y, iy in enumerate(inv)]
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all loopext modules.
 
-The CLI maps every ``LoopextError`` except ``InternalError`` to exit code 2;
+The CLI maps every ``LoopextError`` except ``InternalError``, and every
+``OSError`` of reading or writing a file, to exit code 2;
 ``InternalError`` signals a broken invariant inside the library itself and is
 allowed to propagate as a crash.
 """

@@ -198,33 +198,6 @@ def extension_right_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
     return (ri, group.neg_table[value])
 
 
-class InverseCoincidenceData:
-    """The diagonal maps p(x) = P(x^{-1}, x) and q(x) = Q(x^{-1}, x)."""
-
-    __slots__ = ("autgroup", "pmap", "qmap")
-
-    def __init__(self, autgroup: AutomorphismGroup, pmap: tuple[int, ...],
-                 qmap: tuple[int, ...]):
-        ident = autgroup.identity_index
-        if pmap[0] != ident or qmap[0] != ident:
-            raise InputError("p and q must map the identity element to Id")
-        self.autgroup = autgroup
-        self.pmap = pmap
-        self.qmap = qmap
-
-    @classmethod
-    def from_cocycle(cls, cocycle: LoopCocycle) -> "InverseCoincidenceData":
-        report = cocycle.loop.properties()
-        if not report.two_sided_inverses_coincide:
-            raise PreconditionError(
-                "p and q are undefined: loop inverses do not coincide"
-            )
-        inv = report.inverse_map
-        pmap = tuple(cocycle.ptable[inv[x]][x] for x in cocycle.loop.elements())
-        qmap = tuple(cocycle.qtable[inv[x]][x] for x in cocycle.loop.elements())
-        return cls(cocycle.autgroup, pmap, qmap)
-
-
 def coincidence_condition_holds(autgroup: AutomorphismGroup, inverse_map: Sequence[int],
                                 pmap: Sequence[int], qmap: Sequence[int]) -> bool:
     """p(x^{-1}) = q(x^{-1}) p(x)^{-1} q(x) at every element."""
@@ -237,10 +210,16 @@ def coincidence_condition_holds(autgroup: AutomorphismGroup, inverse_map: Sequen
 
 def check_cip(cocycle: LoopCocycle) -> bool:
     """Whether every element of the extension has coinciding left and right
-    inverses; requires that the base loop already has this property."""
-    data = InverseCoincidenceData.from_cocycle(cocycle)
+    inverses; requires that the base loop already has this property.
+
+    The condition is on the diagonal maps p(x) = P(x^{-1}, x) and
+    q(x) = Q(x^{-1}, x), read off the base loop's two-sided inverse map."""
     inv = cocycle.loop.properties().inverse_map
-    return coincidence_condition_holds(cocycle.autgroup, inv, data.pmap, data.qmap)
+    if inv is None:
+        raise PreconditionError("p and q are undefined: loop inverses do not coincide")
+    pmap = [cocycle.ptable[ix][x] for x, ix in enumerate(inv)]
+    qmap = [cocycle.qtable[ix][x] for x, ix in enumerate(inv)]
+    return coincidence_condition_holds(cocycle.autgroup, inv, pmap, qmap)
 
 
 def check_lip_conditions(cocycle: LoopCocycle) -> bool:

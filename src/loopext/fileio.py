@@ -77,9 +77,19 @@ def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of a file; undecodable bytes are a ParseError at their line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", source=str(path),
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def parse_loop_file(path) -> FiniteLoop:
     path = Path(path)
-    return loads_loop(path.read_text(encoding="utf-8"), source=str(path))
+    return loads_loop(_read_text(path), source=str(path))
 
 
 def emit_loop_file(loop: FiniteLoop, path, comments: Iterable[str] = ()) -> None:
@@ -146,7 +156,7 @@ def dumps_cocycle(cocycle: LoopCocycle) -> str:
 
 def parse_cocycle_file(path, loop: FiniteLoop) -> LoopCocycle:
     path = Path(path)
-    return loads_cocycle(path.read_text(encoding="utf-8"), loop, source=str(path))
+    return loads_cocycle(_read_text(path), loop, source=str(path))
 
 
 def emit_cocycle_file(cocycle: LoopCocycle, path) -> str:

@@ -3,10 +3,11 @@
 A loop of size l is an l x l Latin square over ``0..l-1`` whose row 0 and
 column 0 are the identity permutation.  Elements are plain integers.  Loops
 are immutable after validation, apart from what is computed once and kept:
-the report that ``properties()`` caches with its LIP and RIP witnesses, and
-the orbit decompositions of ``loopext.orbits``.  Every predicate here is a
-pure function.  Of the divisions only e/x and x\\e are kept, as the two
-inverse maps; no library path divides general elements.
+the report that ``properties()`` caches, the one home of the loop's inverse
+facts (the LIP and RIP witnesses, the first inverse mismatch and the
+two-sided inverse map), and the orbit decompositions of ``loopext.orbits``.
+Every predicate here is a pure function.  Of the divisions only e/x and x\\e
+are kept, as the two inverse maps; no library path divides general elements.
 """
 
 from __future__ import annotations
@@ -140,27 +141,30 @@ def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
 class LoopPropertyReport:
     """Inverse-property flags of a loop, with the scan witnesses behind them.
 
-    ``lip_witness`` and ``rip_witness`` are the first (x, y) of
-    :func:`first_lip_counterexample` and :func:`first_rip_counterexample`, or
+    ``lip_witness``, ``rip_witness`` and ``inverse_mismatch`` are the first
+    finds of :func:`first_lip_counterexample`,
+    :func:`first_rip_counterexample` and :func:`first_inverse_mismatch`, or
     None when the property holds.  ``inverse_map`` is the two-sided inverse
-    table when left and right inverses coincide, else None.
-    ``has_order3_element`` (x != e with x*x = x^{-1}) is only defined in the
-    coinciding case and raises :class:`UndefinedPropertyError` otherwise.
+    table when left and right inverses coincide, else None; the diagonal
+    maps p(x) = P(x^{-1}, x) and q(x) = Q(x^{-1}, x) of a cocycle are read
+    off it.  ``has_order3_element`` (x != e with x*x = x^{-1}) is only
+    defined in the coinciding case and raises
+    :class:`UndefinedPropertyError` otherwise.
     """
 
-    __slots__ = ("lip_witness", "rip_witness", "has_lip", "has_rip", "has_ip",
-                 "two_sided_inverses_coincide", "inverse_map", "_order3")
+    __slots__ = ("lip_witness", "rip_witness", "inverse_mismatch", "has_lip", "has_rip",
+                 "has_ip", "two_sided_inverses_coincide", "inverse_map", "_order3")
 
     def __init__(self, *, lip_witness: Optional[tuple[int, int]],
-                 rip_witness: Optional[tuple[int, int]],
-                 two_sided_inverses_coincide: bool,
+                 rip_witness: Optional[tuple[int, int]], inverse_mismatch: Optional[int],
                  inverse_map: Optional[tuple[int, ...]], order3: Optional[bool]):
         self.lip_witness = lip_witness
         self.rip_witness = rip_witness
+        self.inverse_mismatch = inverse_mismatch
         self.has_lip = lip_witness is None
         self.has_rip = rip_witness is None
         self.has_ip = self.has_lip and self.has_rip
-        self.two_sided_inverses_coincide = two_sided_inverses_coincide
+        self.two_sided_inverses_coincide = inverse_mismatch is None
         self.inverse_map = inverse_map
         self._order3 = order3
 
@@ -187,20 +191,17 @@ def first_inverse_mismatch(loop: FiniteLoop) -> Optional[int]:
     return None
 
 
-def first_lip_counterexample(loop: FiniteLoop,
-                             iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
-    """First (x, y) with iota(x)*(x*y) != y, using the left-inverse map by default.
+def first_lip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
+    """First (x, y) with (e/x)*(x*y) != y.
 
     Each row is checked whole at C speed; only the first failing row is
     scanned cell by cell for its witness.  At size 1 ``itemgetter`` returns a
     scalar, so that row takes the cell scan, which finds nothing.
     """
-    if iota is None:
-        iota = loop._left_inverse
     t = loop.table
     identity = tuple(range(loop.size))
-    for x, row in enumerate(t):
-        left = t[iota[x]]
+    for x, (row, ix) in enumerate(zip(t, loop._left_inverse)):
+        left = t[ix]
         if itemgetter(*row)(left) != identity:
             for y, xy in enumerate(row):
                 if left[xy] != y:
@@ -208,20 +209,16 @@ def first_lip_counterexample(loop: FiniteLoop,
     return None
 
 
-def first_rip_counterexample(loop: FiniteLoop,
-                             iota: Optional[Sequence[int]] = None) -> Optional[tuple[int, int]]:
-    """First (x, y) with (y*x)*iota(x) != y, using the left-inverse map by default.
+def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
+    """First (x, y) with (y*x)*(e/x) != y.
 
     This is the LIP law of the opposite loop, but not its row scan: the
     columns of the table (the rows of the opposite loop) are taken one at a
     time and scanned cell by cell, in the same (x, y) order, so an early
     witness costs only the columns before it, not a full transpose.
     """
-    if iota is None:
-        iota = loop._left_inverse
     t = loop.table
-    for x, column in enumerate(zip(*t)):
-        ix = iota[x]
+    for x, (column, ix) in enumerate(zip(zip(*t), loop._left_inverse)):
         for y, yx in enumerate(column):
             if t[yx][ix] != y:
                 return (x, y)
@@ -241,19 +238,19 @@ def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
 def analyze_properties(loop: FiniteLoop) -> LoopPropertyReport:
     """Compute the inverse-property report of a loop.
 
-    LIP and RIP are tested with iota = the left-inverse map, the only possible
+    LIP and RIP are tested with the left-inverse map, the only possible
     witness: at y = e the LIP law forces e/x, the RIP law x\\e, equal under RIP.
     """
     lip_witness = first_lip_counterexample(loop)
     rip_witness = first_rip_counterexample(loop)
-    coincide = first_inverse_mismatch(loop) is None
+    mismatch = first_inverse_mismatch(loop)
     inverse_map = order3 = None
-    if coincide:
+    if mismatch is None:
         inverse_map = loop._left_inverse
         order3 = any(row[x] == inverse_map[x] for x, row in enumerate(loop.table) if x)
     return LoopPropertyReport(lip_witness=lip_witness, rip_witness=rip_witness,
-                              two_sided_inverses_coincide=coincide,
-                              inverse_map=inverse_map, order3=order3)
+                              inverse_mismatch=mismatch, inverse_map=inverse_map,
+                              order3=order3)
 
 
 def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:

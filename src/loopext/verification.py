@@ -27,7 +27,7 @@ from .extension import (
     is_commutative_extension,
     is_strongly_linear,
 )
-from .loops import first_inverse_mismatch, first_noncommuting_pair, quotient_loop
+from .loops import first_noncommuting_pair, quotient_loop
 from .orbits import sigma_set
 
 VERIFY_MODES = ("all", "lip", "rip", "ip")
@@ -155,11 +155,11 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
     _agreement(report, "commutative", is_commutative_extension(cocycle),
                noncommuting is None, noncommuting)
 
+    scanned = ext.properties()  # the scans of a construction's gate, when it ran one
     if base.two_sided_inverses_coincide:
-        mismatch = first_inverse_mismatch(ext)
+        mismatch = scanned.inverse_mismatch
         _agreement(report, "inverse-coincidence", check_cip(cocycle),
                    mismatch is None, None if mismatch is None else (mismatch,))
-    scanned = ext.properties()  # the scans of a construction's gate, when it ran one
     lip_witness, rip_witness = scanned.lip_witness, scanned.rip_witness
     ip_witness = lip_witness or rip_witness
     if base.has_lip:

@@ -64,11 +64,6 @@ PUBLIC_API = [
     "FiniteLoop.right_inverse",
     "FiniteLoop.size",
     "FiniteLoop.table",
-    "InverseCoincidenceData",
-    "InverseCoincidenceData.autgroup",
-    "InverseCoincidenceData.from_cocycle",
-    "InverseCoincidenceData.pmap",
-    "InverseCoincidenceData.qmap",
     "LoopCocycle",
     "LoopCocycle.autgroup",
     "LoopCocycle.group",
@@ -83,6 +78,7 @@ PUBLIC_API = [
     "LoopPropertyReport.has_order3_element",
     "LoopPropertyReport.has_rip",
     "LoopPropertyReport.inverse_map",
+    "LoopPropertyReport.inverse_mismatch",
     "LoopPropertyReport.lip_witness",
     "LoopPropertyReport.rip_witness",
     "LoopPropertyReport.two_sided_inverses_coincide",
@@ -157,7 +153,7 @@ KEYWORD_PARAMETERS = [
     "ExtensionLoop(defect)",
     "LoopPropertyReport(lip_witness)",
     "LoopPropertyReport(rip_witness)",
-    "LoopPropertyReport(two_sided_inverses_coincide)",
+    "LoopPropertyReport(inverse_mismatch)",
     "LoopPropertyReport(inverse_map)",
     "LoopPropertyReport(order3)",
     "construct_pq(free_fixed_points)",

@@ -119,6 +119,38 @@ class TestCheck:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("check", "directory"), ("check", "not-utf8"), ("construct", "directory"),
+    ("extend", "directory"), ("verify", "not-utf8"),
+])
+def test_unreadable_file_exits_2(capsys, loop_files, tmp_path, command, bad):
+    # exit 1 means a verified property fails, so a file that cannot be read,
+    # written or decoded is an input error that names the file
+    if bad == "directory":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"loop 1\n# caf\xe9\n0\n")
+    cocycle = tmp_path / "c.coc"
+    run(capsys, "construct", "--loop", loop_files["klein"], "--group", "3", "--mode", "ip",
+        "--out", str(cocycle))
+    argv = {
+        "check": ["check", "--loop", str(path)],
+        "construct": ["construct", "--loop", loop_files["klein"], "--group", "3",
+                      "--mode", "ip", "--out", str(path)],
+        "extend": ["extend", "--loop", loop_files["klein"], "--cocycle", str(path),
+                   "--out", str(tmp_path / "f.loop")],
+        "verify": ["verify", "--loop", loop_files["klein"], "--cocycle", str(path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in out + err
+    if bad == "not-utf8":
+        assert f"{path}:2: not UTF-8 text" in err
+
+
 class TestAut:
     def test_klein_group(self, capsys):
         code, out, _ = run(capsys, "aut", "--group", "2,2")

@@ -62,9 +62,9 @@ class TestChoiceSource:
 
 class TestConstructPq:
     def test_single_automorphism_group(self, loops, autgroups):
-        data = construct_pq(loops["z4"], autgroups["z2"], ChoiceSource(0))
-        assert data.pmap == (0, 0, 0, 0)
-        assert data.qmap == (0, 0, 0, 0)
+        pmap, qmap = construct_pq(loops["z4"], autgroups["z2"], ChoiceSource(0))
+        assert pmap == (0, 0, 0, 0)
+        assert qmap == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("loop_name,aut_name", [
@@ -73,18 +73,18 @@ class TestConstructPq:
     def test_condition_holds(self, loops, autgroups, loop_name, aut_name, seed):
         loop = loops[loop_name]
         autgroup = autgroups[aut_name]
-        data = construct_pq(loop, autgroup, ChoiceSource(seed))
+        pmap, qmap = construct_pq(loop, autgroup, ChoiceSource(seed))
         inv = loop.properties().inverse_map
-        assert coincidence_condition_holds(autgroup, inv, data.pmap, data.qmap)
+        assert coincidence_condition_holds(autgroup, inv, pmap, qmap)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_fixed_point_condition(self, loops, autgroups, seed):
         loop = loops["klein"]  # all elements self-inverse
         autgroup = autgroups["z2xz2"]
         for free in (False, True):
-            data = construct_pq(loop, autgroup, ChoiceSource(seed), free_fixed_points=free)
+            pmap, qmap = construct_pq(loop, autgroup, ChoiceSource(seed), free_fixed_points=free)
             for x in loop.elements():
-                s = autgroup.compose_indices(autgroup.invert_index(data.pmap[x]), data.qmap[x])
+                s = autgroup.compose_indices(autgroup.invert_index(pmap[x]), qmap[x])
                 assert autgroup.compose_indices(s, s) == autgroup.identity_index
 
     @pytest.mark.parametrize("seed", range(20))
@@ -92,14 +92,14 @@ class TestConstructPq:
         # recomputing the free value from the forced one returns the original
         loop = loops["z4"]
         autgroup = autgroups["z2xz2"]
-        data = construct_pq(loop, autgroup, ChoiceSource(seed))
+        pmap, qmap = construct_pq(loop, autgroup, ChoiceSource(seed))
         inv = loop.properties().inverse_map
         members = autgroup
         for x in loop.elements():
             ix = inv[x]
-            recomputed = compose(members[data.qmap[x]],
-                                 compose(invert(members[data.pmap[ix]]), members[data.qmap[ix]]))
-            assert recomputed == members[data.pmap[x]]
+            recomputed = compose(members[qmap[x]],
+                                 compose(invert(members[pmap[ix]]), members[qmap[ix]]))
+            assert recomputed == members[pmap[x]]
 
     def test_both_fixed_point_candidates_valid(self, autgroups, loops):
         # at a self-inverse element with q = negation, both Id and negation
@@ -116,7 +116,7 @@ class TestConstructPq:
                          free_fixed_points=True)
         b = construct_pq(loops["klein"], autgroups["z2xz2"], ChoiceSource(9),
                          free_fixed_points=True)
-        assert (a.pmap, a.qmap) == (b.pmap, b.qmap)
+        assert a == b
 
     def test_requires_coinciding_inverses(self, loops, autgroups):
         with pytest.raises(PreconditionError):

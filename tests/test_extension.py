@@ -5,11 +5,11 @@ from loopext.catalog import abelian_group_loop, cyclic_loop, ip_loop8, klein_loo
 from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
+    construct_pq,
     random_cocycle,
 )
 from loopext.errors import CocycleNormalizationError, InputError, PreconditionError
 from loopext.extension import (
-    InverseCoincidenceData,
     build_extension,
     check_cip,
     check_equivariance,
@@ -258,18 +258,17 @@ class TestCip:
         with pytest.raises(PreconditionError):
             check_cip(trivial_cocycle(loops["mismatch"], groups["z2"]))
 
-    def test_data_extraction(self, loops, groups):
-        cocycle = cocycle_with(loops["z4"], groups["z3"],
-                               p_cells=[((3, 1), 1)], q_cells=[((1, 3), 1)])
-        data = InverseCoincidenceData.from_cocycle(cocycle)
-        assert data.pmap == (0, 1, 0, 0)  # p(1) = P(3, 1)
-        assert data.qmap == (0, 0, 0, 1)  # q(3) = Q(1, 3)
-
-    @pytest.mark.parametrize("pmap,qmap", [((1, 0, 0, 0), (0, 0, 0, 0)),
-                                           ((0, 0, 0, 0), (1, 0, 0, 0))])
-    def test_identity_element_must_map_to_id(self, autgroups, pmap, qmap):
-        with pytest.raises(InputError, match="identity element"):
-            InverseCoincidenceData(autgroups["z3"], pmap, qmap)
+    def test_data_extraction(self, loops, groups, autgroups):
+        # check_cip reads p(x) at P(x^{-1}, x) and q(x) at Q(x^{-1}, x): the
+        # maps of construct_pq pinned there pass, and a changed p(1) fails
+        loop, group = loops["z4"], groups["z3"]
+        inv = loop.properties().inverse_map
+        cells = [(inv[x], x) for x in loop.elements()]
+        for seed in range(8):
+            pmap, qmap = construct_pq(loop, autgroups["z3"], ChoiceSource(seed))
+            assert check_cip(cocycle_with(loop, group, zip(cells, pmap), zip(cells, qmap)))
+            broken = (pmap[0], 1 - pmap[1]) + pmap[2:]
+            assert not check_cip(cocycle_with(loop, group, zip(cells, broken), zip(cells, qmap)))
 
 
 class TestLipRipConditions:

@@ -203,8 +203,6 @@ class TestRipScanDuality:
     def test_corpus_witnesses(self, loops, name):
         loop = loops[name]
         assert first_rip_counterexample(loop) == reference_rip_scan(loop)
-        right = [loop.right_inverse(x) for x in loop.elements()]
-        assert first_rip_counterexample(loop, right) == reference_rip_scan(loop, right)
 
     @pytest.mark.parametrize("name,group", [
         ("z4", "z3"), ("klein", "z3"), ("ip8", "z3"), ("lip_only", "z3"),
@@ -245,14 +243,13 @@ class TestRipScanDuality:
         assert witness == reference_rip_scan(built)
 
 
-def reference_lip_scan(loop, iota=None):
-    """Direct cell scan for the first (x, y) with iota(x)*(x*y) != y."""
+def reference_lip_scan(loop):
+    """Direct cell scan for the first (x, y) with (e/x)*(x*y) != y."""
     t = loop.table
-    if iota is None:
-        iota = [loop.left_inverse(x) for x in loop.elements()]
     for x in loop.elements():
+        ix = loop.left_inverse(x)
         for y in loop.elements():
-            if t[iota[x]][t[x][y]] != y:
+            if t[ix][t[x][y]] != y:
                 return (x, y)
     return None
 
@@ -265,8 +262,6 @@ class TestLipRowScan:
     def test_corpus_witnesses(self, loops, name):
         loop = loops[name]
         assert first_lip_counterexample(loop) == reference_lip_scan(loop)
-        right = [loop.right_inverse(x) for x in loop.elements()]
-        assert first_lip_counterexample(loop, right) == reference_lip_scan(loop, right)
 
     @pytest.mark.parametrize("name,group", [
         ("z4", "z3"), ("klein", "z3"), ("ip8", "z3"), ("lip_only", "z3"),

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import sys
 
 import pytest
 
@@ -84,9 +85,10 @@ class TestVerifyCocycle:
         assert "elapsed-ms" in timed
 
 
-def count_calls(monkeypatch, module, names):
-    """Replace ``module.<name>`` for each name by a wrapper that logs the name."""
-    calls = []
+def count_calls(monkeypatch, module, names, calls=None):
+    """Replace ``module.<name>`` for each name by a wrapper that logs the name
+    to ``calls`` (a new list by default), and return that list."""
+    calls = [] if calls is None else calls
     for name in names:
         original = getattr(module, name)
 
@@ -98,29 +100,37 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
-SCANS = ("first_lip_counterexample", "first_rip_counterexample")
+SCANS = ("first_inverse_mismatch", "first_lip_counterexample", "first_rip_counterexample")
+
+
+def count_scans(monkeypatch):
+    """Count the scans in every loopext module that binds their names, so a
+    scan called through another module's import is counted too."""
+    calls = []
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("loopext."):
+            count_calls(monkeypatch, module, [s for s in SCANS if hasattr(module, s)], calls)
+    return calls
 
 
 class TestSinglePass:
     def test_ip_mode_runs_each_scan_once(self, loops, groups, monkeypatch):
         # a cocycle remade from its tables has no extension built yet
-        import loopext.loops as loops_module
-
         made = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
         cocycle = make_cocycle(made.loop, made.group, made.ptable, made.qtable)
         cocycle.loop.properties()  # the cached base analysis is not part of the count
-        calls = count_calls(monkeypatch, loops_module, SCANS)
+        calls = count_scans(monkeypatch)
         report = verify_cocycle(cocycle, mode="ip")
         assert report.passed
         assert sorted(calls) == list(SCANS)
 
     def test_construct_then_verify_builds_and_scans_once(self, loops, groups, monkeypatch):
-        # verify reuses the extension and the scans of the construction's gate
+        # verify reuses the extension and the scans of the construction's
+        # gate, the inverse-mismatch scan included
         import loopext.extension as extension_module
-        import loopext.loops as loops_module
 
         loops["z5"].properties()
-        calls = count_calls(monkeypatch, loops_module, SCANS)
+        calls = count_scans(monkeypatch)
         builds = count_calls(monkeypatch, extension_module, ["_extension_rows"])
         cocycle = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
         report = verify_cocycle(cocycle, mode="ip")
