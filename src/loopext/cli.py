@@ -44,11 +44,7 @@ _CONSTRUCTORS = {
     "ip": construct_ip_cocycle,
 }
 
-_ORBIT_MODES = {
-    "phi": phi_orbits,
-    "psi": psi_orbits,
-    "gamma": gamma_orbits,
-}
+_ORBIT_MODES = {"phi": phi_orbits, "psi": psi_orbits, "gamma": gamma_orbits}
 
 
 def _yes(flag: bool) -> str:
@@ -100,9 +96,9 @@ def cmd_orbits(args) -> int:
     print(f"loop-sha256: {file_sha256(args.loop)}")
     print(f"mode: {args.mode}")
     print(f"sigma-size: {len(sigma)}")
-    print(f"complement-size: {len(sigma.complement())}")
-    print(f"orbits: {len(decomposition.orbits)}")
-    for i, orbit in enumerate(decomposition.orbits):
+    print(f"complement-size: {loop.size * loop.size - len(sigma)}")
+    print(f"orbits: {len(decomposition)}")
+    for i, orbit in enumerate(decomposition):
         print(_orbit_line(i, orbit))
     return 0
 
@@ -116,7 +112,7 @@ def cmd_construct(args) -> int:
     print(f"cocycle-sha256: {text_sha256(text)}")
     if args.report:
         decomposition = _ORBIT_MODES[{"lip": "phi", "rip": "psi", "ip": "gamma"}[args.mode]](loop)
-        for i, orbit in enumerate(decomposition.orbits):
+        for i, orbit in enumerate(decomposition):
             rx, ry = orbit.representative
             print(f"{_orbit_line(i, orbit)} P={cocycle.p(rx, ry)} Q={cocycle.q(rx, ry)}")
     return 0

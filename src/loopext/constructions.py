@@ -136,35 +136,41 @@ def construct_pq(loop: FiniteLoop, autgroup: AutomorphismGroup, choice: ChoiceSo
 
 
 def _empty_tables(l: int):
-    return ([[None] * l for _ in range(l)], [[None] * l for _ in range(l)])
+    """Unassigned P and Q tables, flat: cell (x, y) at its orbit code x*l + y."""
+    return [None] * (l * l), [None] * (l * l)
 
 
 def _id_tables(l: int, ident: int, cells):
     """P and Q tables holding Id on ``cells`` and unassigned elsewhere."""
     ptable, qtable = _empty_tables(l)
     for x, y in cells:
-        ptable[x][y] = qtable[x][y] = ident
+        ptable[x * l + y] = qtable[x * l + y] = ident
     return ptable, qtable
 
 
 def _pinned_tables(loop, autgroup, pmap, qmap):
     """P and Q tables holding Id on the cocycle boundary and p, q on the
     inverse diagonal, unassigned elsewhere."""
-    inv = loop.properties().inverse_map
-    ptable, qtable = _empty_tables(loop.size)
+    inv, l = loop.properties().inverse_map, loop.size
+    ptable, qtable = _empty_tables(l)
     for x in loop.elements():
-        ptable[x][0] = qtable[0][x] = autgroup.identity_index
-        ptable[inv[x]][x], qtable[inv[x]][x] = pmap[x], qmap[x]
+        ptable[x * l] = qtable[x] = autgroup.identity_index
+        ptable[inv[x] * l + x], qtable[inv[x] * l + x] = pmap[x], qmap[x]
     return ptable, qtable
+
+
+def _cocycle(loop, group, ptable, qtable) -> LoopCocycle:
+    rows = range(0, loop.size * loop.size, loop.size)
+    return make_cocycle(loop, group, [ptable[i:i + loop.size] for i in rows],
+                        [qtable[i:i + loop.size] for i in rows])
 
 
 def _finish(loop, group, ptable, qtable) -> LoopCocycle:
     for name, table in (("P", ptable), ("Q", qtable)):
-        for x, row in enumerate(table):
-            for y, value in enumerate(row):
-                if value is None:
-                    raise InternalError(f"construction left {name}({x}, {y}) unassigned")
-    return make_cocycle(loop, group, ptable, qtable)
+        if None in table:
+            x, y = divmod(table.index(None), loop.size)
+            raise InternalError(f"construction left {name}({x}, {y}) unassigned")
+    return _cocycle(loop, group, ptable, qtable)
 
 
 def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
@@ -208,19 +214,18 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     pmap, qmap = construct_pq(loop, autgroup, choice)
     ptable, qtable = _pinned_tables(loop, autgroup, pmap, qmap)
     for x in range(1, l):
-        qtable[x][0] = inverses[qmap[x]]
+        qtable[x * l] = inverses[qmap[x]]
     for y in range(1, l):
-        ptable[0][y] = choice.pick(naut)
+        ptable[y] = choice.pick(naut)
     # q(x)^{-1} p(x) = Q(x^{-1},x)^{-1} P(x^{-1},x) per element
     tails = [products[inverses[q]][p] for p, q in zip(pmap, qmap)]
 
-    for orbit in phi_orbits(loop).orbits:
-        x, y = orbit.representative
-        ptable[x][y] = pr = choice.pick(naut)
-        qtable[x][y] = qr = choice.pick(naut)
-        ax, ay = orbit.members[1]
-        qtable[ax][ay] = vq = inverses[qr]
-        ptable[ax][ay] = products[vq][products[pr][tails[x]]]
+    codes = iter(phi_orbits(loop)._codes)
+    for cell, partner in zip(codes, codes):
+        ptable[cell] = pr = choice.pick(naut)
+        qtable[cell] = qr = choice.pick(naut)
+        qtable[partner] = vq = inverses[qr]
+        ptable[partner] = products[vq][products[pr][tails[cell // l]]]
 
     return _gated(_finish(loop, group, ptable, qtable), "lip", check_lip_conditions)
 
@@ -252,19 +257,19 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     pmap, qmap = construct_pq(loop, autgroup, choice)
     ptable, qtable = _pinned_tables(loop, autgroup, pmap, qmap)
     for x in range(1, l):
-        qtable[x][0] = choice.pick(naut)
+        qtable[x * l] = choice.pick(naut)
     for y in range(1, l):
-        ptable[0][y] = inverses[pmap[inv[y]]]
+        ptable[y] = inverses[pmap[inv[y]]]
     # P(y,y^{-1})^{-1} Q(y,y^{-1}) per element
-    tails = [products[inverses[ptable[y][iy]]][qtable[y][iy]] for y, iy in enumerate(inv)]
+    tails = [products[inverses[ptable[y * l + iy]]][qtable[y * l + iy]]
+             for y, iy in enumerate(inv)]
 
-    for orbit in psi_orbits(loop).orbits:
-        x, y = orbit.representative
-        ptable[x][y] = pr = choice.pick(naut)
-        qtable[x][y] = qr = choice.pick(naut)
-        ax, ay = orbit.members[1]
-        ptable[ax][ay] = vp = inverses[pr]
-        qtable[ax][ay] = products[vp][products[qr][tails[y]]]
+    codes = iter(psi_orbits(loop)._codes)
+    for cell, partner in zip(codes, codes):
+        ptable[cell] = pr = choice.pick(naut)
+        qtable[cell] = qr = choice.pick(naut)
+        ptable[partner] = vp = inverses[pr]
+        qtable[partner] = products[vp][products[qr][tails[cell % l]]]
 
     return _gated(_finish(loop, group, ptable, qtable), "rip", check_rip_conditions)
 
@@ -283,10 +288,11 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
     ptable, qtable = _id_tables(loop.size, autgroup.identity_index, decomposition.sigma.pairs)
-    for orbit in decomposition.orbits:
+    codes = iter(decomposition._codes)
+    for orbit in zip(*[codes] * 6):
         pr, qr = choice.pick(naut), choice.pick(naut)
-        for name, (x, y) in zip(orbit.symmetries, orbit.members):
-            ptable[x][y], qtable[x][y] = PAIR_MAPS[name](products, inverses, pr, qr)
+        for pair_map, code in zip(PAIR_MAPS.values(), orbit):
+            ptable[code], qtable[code] = pair_map(products, inverses, pr, qr)
     return _gated(_finish(loop, group, ptable, qtable), "ip",
                   is_strongly_linear, check_ip_conditions, check_equivariance)
 
@@ -309,12 +315,11 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
     else:
         ptable, qtable = _empty_tables(l)
         for x in range(l):
-            ptable[x][0] = ident
-            qtable[0][x] = ident
-    for x in range(l):
-        for y in range(l):
-            if ptable[x][y] is None:
-                ptable[x][y] = choice.pick(naut)
-            if qtable[x][y] is None:
-                qtable[x][y] = choice.pick(naut)
-    return make_cocycle(loop, group, ptable, qtable)
+            ptable[x * l] = ident
+            qtable[x] = ident
+    for cell in range(l * l):
+        if ptable[cell] is None:
+            ptable[cell] = choice.pick(naut)
+        if qtable[cell] is None:
+            qtable[cell] = choice.pick(naut)
+    return _cocycle(loop, group, ptable, qtable)

@@ -18,6 +18,7 @@ this convention verbatim.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -318,13 +319,14 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
         raise PreconditionError(
             "equivariance test needs a loop with no element x*x = x^{-1}"
         )
-    pt, qt = cocycle.ptable, cocycle.qtable
+    pt, qt = list(chain.from_iterable(cocycle.ptable)), list(chain.from_iterable(cocycle.qtable))
     products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
-    for orbit in gamma_orbits(cocycle.loop).orbits:
-        rx, ry = orbit.representative
-        p, q = pt[rx][ry], qt[rx][ry]
-        for name, (x, y) in zip(orbit.symmetries, orbit.members):
-            if (pt[x][y], qt[x][y]) != PAIR_MAPS[name](products, inverses, p, q):
+    moves = list(PAIR_MAPS.values())[1:]  # member 0 is the representative, under "id"
+    codes = iter(gamma_orbits(cocycle.loop)._codes)
+    for rep, *members in zip(*[codes] * 6):
+        p, q = pt[rep], qt[rep]
+        for pair_map, code in zip(moves, members):
+            if (pt[code], qt[code]) != pair_map(products, inverses, p, q):
                 return False
     return True
 

@@ -69,12 +69,16 @@ def loads_loop(text: str, *, source: str = "<string>") -> FiniteLoop:
         raise ParseError(str(exc), line=line, source=source) from exc
 
 
-def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"loop {loop.size}")
+def _loop_lines(loop: FiniteLoop, comments: Iterable[str]):
+    """The lines of a loop file, each ending in a newline, one row at a time."""
+    yield from (f"# {c}\n" for c in comments)
+    yield f"loop {loop.size}\n"
     decimal = [str(v) for v in range(loop.size)].__getitem__  # entries are in range
-    lines.extend(" ".join(map(decimal, row)) for row in loop.table)
-    return "\n".join(lines) + "\n"
+    yield from (" ".join(map(decimal, row)) + "\n" for row in loop.table)
+
+
+def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:
+    return "".join(_loop_lines(loop, comments))
 
 
 def _read_text(path: Path) -> str:
@@ -93,7 +97,9 @@ def parse_loop_file(path) -> FiniteLoop:
 
 
 def emit_loop_file(loop: FiniteLoop, path, comments: Iterable[str] = ()) -> None:
-    Path(path).write_text(dumps_loop(loop, comments), encoding="utf-8")
+    """Write the text of :func:`dumps_loop` to ``path`` row by row."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_loop_lines(loop, comments))
 
 
 def loads_cocycle(text: str, loop: FiniteLoop, *, source: str = "<string>") -> LoopCocycle:

@@ -14,12 +14,14 @@ subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
 ``psi_orbits`` and ``gamma_orbits`` each check their precondition on every
 call and walk a loop once: the walker builds Sigma once, refuses any orbit
 that is not a fresh block of complement cells closed under its generators,
-and keeps the decomposition on the loop, where later calls find it.
+and keeps the decomposition on the loop, packed as the cell codes x*l + y
+of its members, where later calls find it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from array import array
+from typing import Callable, Iterator, Sequence
 
 from .errors import InternalError, Order3Error, PreconditionError
 from .loops import FiniteLoop
@@ -41,12 +43,8 @@ class SigmaSet:
 
     def complement(self) -> tuple[Cell, ...]:
         """Cells outside Sigma in row-major order."""
-        return tuple(
-            (x, y)
-            for x in range(self.size)
-            for y in range(self.size)
-            if (x, y) not in self.pairs
-        )
+        cells = ((x, y) for x in range(self.size) for y in range(self.size))
+        return tuple(cell for cell in cells if cell not in self.pairs)
 
 
 def sigma_set(loop: FiniteLoop) -> SigmaSet:
@@ -57,13 +55,9 @@ def sigma_set(loop: FiniteLoop) -> SigmaSet:
         raise PreconditionError(
             "Sigma is undefined: left and right inverses of the loop do not coincide"
         )
-    inv = report.inverse_map
-    pairs = set()
-    for x in loop.elements():
-        pairs.add((x, 0))
-        pairs.add((0, x))
-        pairs.add((inv[x], x))
-    return SigmaSet(loop.size, frozenset(pairs))
+    elements, e = loop.elements(), [0] * loop.size
+    pairs = frozenset([*zip(elements, e), *zip(e, elements), *zip(report.inverse_map, elements)])
+    return SigmaSet(loop.size, pairs)
 
 
 # The six elements of the group, each spelled in the generators with the
@@ -96,18 +90,28 @@ class PairOrbit:
 
     def __init__(self, representative: Cell, members: tuple[Cell, ...],
                  symmetries: tuple[str, ...]):
-        self.representative = representative
-        self.members = members
-        self.symmetries = symmetries
+        self.representative, self.members, self.symmetries = representative, members, symmetries
 
 
 class OrbitDecomposition:
-    __slots__ = ("mode", "orbits", "sigma")
+    """Member codes x*l + y, len(``_names``) per orbit, representative first."""
 
-    def __init__(self, mode: str, orbits: tuple[PairOrbit, ...], sigma: SigmaSet):
-        self.mode = mode
-        self.orbits = orbits
-        self.sigma = sigma
+    __slots__ = ("mode", "sigma", "_names", "_codes")
+
+    def __init__(self, mode: str, names: tuple[str, ...], codes: array, sigma: SigmaSet):
+        self.mode, self.sigma, self._names, self._codes = mode, sigma, names, codes
+
+    def __len__(self) -> int:
+        return len(self._codes) // len(self._names)
+
+    def __iter__(self) -> Iterator[PairOrbit]:
+        cells = (divmod(code, self.sigma.size) for code in self._codes)
+        for members in zip(*[cells] * len(self._names)):
+            yield PairOrbit(members[0], members, self._names)
+
+    @property
+    def orbits(self) -> tuple[PairOrbit, ...]:
+        return tuple(self)
 
 
 def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
@@ -117,30 +121,39 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     Each cell not met before is a representative, and its members are its
     images under ``names`` in that order.  The members must be fresh
     complement cells permuted by every generator (phi, psi) among ``names``;
-    otherwise the maps do not partition the complement.  The decomposition is
-    kept as ``loop._orbits[mode]``.
+    otherwise the maps do not partition the complement.  One flag per cell
+    marks Sigma and the cells met; the result is kept as ``loop._orbits[mode]``.
     """
     sigma = sigma_set(loop)
-    pinned, table = sigma.pairs, loop.table
+    table, l = loop.table, loop.size
     maps = [CELL_MAPS[name] for name in names]
     generators = [(name, CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
-    seen: set[Cell] = set()
-    orbits = []
-    for cell in sigma.complement():
-        if cell in seen:
-            continue
-        x, y = cell
-        members = tuple([m(table, inverse_map, x, y) for m in maps])
-        block = set(members)
-        if len(block) != len(members) or not block.isdisjoint(seen) or not block.isdisjoint(pinned):
-            raise InternalError(f"{mode} orbit of {cell} is not a set of fresh complement cells")
+    met = bytearray(l * l)
+    for x, y in sigma.pairs:
+        met[x * l + y] = 1
+    codes = array("q")
+    cell = met.find(0)
+    while cell >= 0:
+        x, y = divmod(cell, l)
+        members = [m(table, inverse_map, x, y) for m in maps]
+        block = [u * l + v for u, v in members]
+        if len(set(block)) != len(block) or any(map(met.__getitem__, block)):
+            raise InternalError(f"{mode} orbit of {(x, y)} is not a set of fresh complement cells")
         for name, g in generators:
-            if {g(table, inverse_map, u, v) for u, v in members} != block:
-                raise InternalError(f"{mode} orbit of {cell} is not closed under {name}")
-        seen |= block
-        orbits.append(PairOrbit(cell, members, names))
-    loop._orbits[mode] = decomposition = OrbitDecomposition(mode, tuple(orbits), sigma)
+            images = [g(table, inverse_map, u, v) for u, v in members]
+            if {u * l + v for u, v in images} != set(block):
+                raise InternalError(f"{mode} orbit of {(x, y)} is not closed under {name}")
+        for code in block:
+            met[code] = 1
+        codes.extend(block)
+        cell = met.find(0, cell + 1)
+    loop._orbits[mode] = decomposition = OrbitDecomposition(mode, names, codes, sigma)
     return decomposition
+
+
+def _kept(loop: FiniteLoop, mode: str, names: tuple[str, ...], inverse_map: Sequence[int]):
+    kept = loop._orbits.get(mode)  # an empty decomposition is falsy
+    return _orbits(loop, mode, names, inverse_map) if kept is None else kept
 
 
 def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -148,7 +161,7 @@ def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     report = loop.properties()
     if not report.has_lip:
         raise PreconditionError("phi orbits need a loop with the left inverse property")
-    return loop._orbits.get("phi") or _orbits(loop, "phi", ("id", "phi"), report.inverse_map)
+    return _kept(loop, "phi", ("id", "phi"), report.inverse_map)
 
 
 def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -156,7 +169,7 @@ def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     report = loop.properties()
     if not report.has_rip:
         raise PreconditionError("psi orbits need a loop with the right inverse property")
-    return loop._orbits.get("psi") or _orbits(loop, "psi", ("id", "psi"), report.inverse_map)
+    return _kept(loop, "psi", ("id", "psi"), report.inverse_map)
 
 
 def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -172,5 +185,4 @@ def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
         raise Order3Error(
             "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
         )
-    return loop._orbits.get("gamma") or _orbits(loop, "gamma", tuple(CELL_MAPS),
-                                                report.inverse_map)
+    return _kept(loop, "gamma", tuple(CELL_MAPS), report.inverse_map)

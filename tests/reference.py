@@ -8,6 +8,7 @@ helpers work on image tables, not on canonical indices.
 """
 
 from loopext.abelian import Automorphism
+from loopext.orbits import CELL_MAPS
 
 
 def left_div(loop, x, y):
@@ -80,6 +81,35 @@ def ip_conditions_hold(cocycle):
                     or qix[xy] != vq or pix[xy] != products[vq][pxy]):
                 return False
     return True
+
+
+def walked_orbits(loop, names):
+    """The orbits of the cell maps ``names`` on Sigma's complement, as
+    ``(representative, members, symmetries)`` triples.
+
+    This is the walk the library made before it packed its decompositions:
+    it lists the complement row-major, takes each cell not seen before as a
+    representative and its images under ``names``, in that order, as the
+    members, and keeps a set of cell tuples seen.  Sigma and the inverse map
+    come from the raw table; only the cell maps are the library's.
+    """
+    table = loop.table
+    inv = [row.index(0) for row in table]
+    pinned = {cell for x in range(loop.size) for cell in ((x, 0), (0, x), (inv[x], x))}
+    complement = [(x, y) for x in range(loop.size) for y in range(loop.size)
+                  if (x, y) not in pinned]
+    maps = [CELL_MAPS[name] for name in names]
+    seen = set()
+    orbits = []
+    for cell in complement:
+        if cell in seen:
+            continue
+        members = tuple(m(table, inv, *cell) for m in maps)
+        assert len(set(members)) == len(members) and not seen & set(members)
+        seen |= set(members)
+        orbits.append((cell, members, tuple(names)))
+    assert seen == set(complement)
+    return orbits
 
 
 class Replay:

@@ -4,9 +4,10 @@ import sys
 import pytest
 
 from loopext.abelian import make_group
-from loopext.catalog import bundled_corpus, cyclic_loop
+from loopext.catalog import abelian_group_loop, bundled_corpus, cyclic_loop
 from loopext.cli import main
 from loopext.constructions import ChoiceSource, random_cocycle
+from loopext.extension import build_extension
 from loopext.fileio import emit_cocycle_file, emit_loop_file, parse_cocycle_file, parse_loop_file
 from loopext.loops import analyze_properties
 
@@ -251,6 +252,43 @@ def test_largest_admitted_group_chain_memory(loop_files, tmp_path):
         assert "result: pass" in proc.stdout.splitlines()
 
 
+def test_chain_step_memory_within_table(capsys, tmp_path):
+    # N = 512: each step holds the extension table (about 2.2 MB) and little
+    # else; the emitted text, the orbit decompositions and the walks stay
+    # far below it
+    import tracemalloc
+
+    base, ext = str(tmp_path / "z2^6.loop"), str(tmp_path / "ext.loop")
+    loop, group = abelian_group_loop([2] * 6), make_group((2, 2, 2))
+    emit_loop_file(loop, base)
+    tracemalloc.start()
+    try:
+        held = build_extension(random_cocycle(loop, group, ChoiceSource(0)))
+        table = tracemalloc.get_traced_memory()[0]
+        del held
+    finally:
+        tracemalloc.stop()
+    assert table > 2e6
+    for mode in ("lip", "rip", "ip"):
+        coc = str(tmp_path / f"{mode}.coc")
+        steps = [
+            ["construct", "--loop", base, "--group", "2,2,2", "--mode", mode, "--seed", "4",
+             "--out", coc],
+            ["extend", "--loop", base, "--cocycle", coc, "--out", ext],
+            ["verify", "--loop", base, "--cocycle", coc, "--mode", mode],
+        ]
+        for argv in steps:
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, capsys.readouterr()
+            assert peak < table + 1e6, (argv[0], mode, peak, table)
+    capsys.readouterr()
+
+
 # sha256 of ``aut --group X`` stdout, recorded before Aut(A) was enumerated by
 # backtracking; cocycle files index into this order, so it is a frozen output
 FROZEN_AUT_DIGESTS = {
@@ -291,6 +329,22 @@ class TestOrbits:
     def test_gamma_rejects_order3(self, capsys, loop_files):
         code, _, err = run(capsys, "orbits", "--loop", loop_files["z3"], "--mode", "gamma")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["phi", "psi", "gamma"])
+    def test_no_cell_tuple_built(self, capsys, loop_files, monkeypatch, mode):
+        # the sizes come from Sigma and the packed codes, and the orbit lines
+        # are printed as the decomposition is iterated
+        from loopext.orbits import OrbitDecomposition, SigmaSet
+
+        def refuse(*args):
+            raise AssertionError("l^2-cell tuple built")
+
+        monkeypatch.setattr(SigmaSet, "complement", refuse)
+        monkeypatch.setattr(OrbitDecomposition, "orbits", property(refuse))
+        code, out, _ = run(capsys, "orbits", "--loop", loop_files["ip8"], "--mode", mode)
+        assert code == 0
+        assert "complement-size: 42" in out.splitlines()
+        assert f"orbits: {42 // (6 if mode == 'gamma' else 2)}" in out.splitlines()
 
 
 class TestConstructVerifyExtend:

@@ -330,6 +330,19 @@ class TestIpConstruction:
         construct_ip_cocycle(loop, groups["z3"], ChoiceSource(5))
         assert walks == ["gamma"]
 
+    def test_no_orbit_objects(self, loops, groups, monkeypatch):
+        # constructions and the gate's equivariance check read the packed
+        # cell codes, so a warm process builds no PairOrbit per call
+        from loopext import orbits
+
+        def refuse(*args):
+            raise AssertionError("PairOrbit built")
+
+        monkeypatch.setattr(orbits, "PairOrbit", refuse)
+        loop = make_loop(loops["ip8"].table)
+        for construct in (construct_lip_cocycle, construct_rip_cocycle, construct_ip_cocycle):
+            construct(loop, groups["z3"], ChoiceSource(5))
+
 
 class TestRandomCocycle:
     @pytest.mark.parametrize("seed", range(10))

@@ -1,6 +1,15 @@
+import tracemalloc
+
 import pytest
 
-from loopext.constructions import ChoiceSource, construct_ip_cocycle, construct_lip_cocycle
+from loopext.abelian import make_group
+from loopext.catalog import abelian_group_loop
+from loopext.constructions import (
+    ChoiceSource,
+    construct_ip_cocycle,
+    construct_lip_cocycle,
+    random_cocycle,
+)
 from loopext.errors import ParseError
 from loopext.fileio import (
     dumps_cocycle,
@@ -15,6 +24,7 @@ from loopext.fileio import (
     parse_loop_file,
     text_sha256,
 )
+from loopext.extension import build_extension
 
 Z2_TEXT = "loop 2\n0 1\n1 0\n"
 
@@ -167,3 +177,31 @@ class TestHashesAndComments:
         path.write_text(Z2_TEXT)
         assert file_sha256(path) == text_sha256(Z2_TEXT)
         assert len(file_sha256(path)) == 64
+
+
+class TestStreamedLoopFile:
+    """``emit_loop_file`` writes row by row exactly the text of ``dumps_loop``."""
+
+    @pytest.mark.parametrize("comments", [(), ("first comment", "second comment")])
+    def test_trivial_loop(self, loops, tmp_path, comments):
+        path = tmp_path / "e.loop"
+        emit_loop_file(loops["trivial"], path, comments=comments)
+        assert path.read_bytes() == dumps_loop(loops["trivial"], comments).encode()
+
+    def test_extension_of_order_512(self, tmp_path):
+        loop, group = abelian_group_loop([2] * 6), make_group((2, 2, 2))
+        cocycle = random_cocycle(loop, group, ChoiceSource(3))
+        ext = build_extension(cocycle).loop
+        assert ext.size == 512
+        comments = extension_comments(cocycle)
+        for given in ((), comments):
+            path = tmp_path / "e.loop"
+            tracemalloc.start()
+            try:
+                emit_loop_file(ext, path, comments=given)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one row at a time: the whole text (about 1 MB) is never held
+            assert peak < 0.25e6, peak
+            assert path.read_bytes() == dumps_loop(ext, given).encode()

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import pytest
+from reference import walked_orbits
 
 from loopext import orbits
 from loopext.abelian import enumerate_automorphisms, make_group
+from loopext.catalog import abelian_group_loop, bundled_corpus, cyclic_loop, ip_loop8
 from loopext.errors import InternalError, Order3Error, PreconditionError
 from loopext.loops import make_loop
 from loopext.orbits import (
@@ -170,6 +174,68 @@ class TestKeptDecompositions:
                 psi_orbits(loop)
             with pytest.raises(PreconditionError):
                 gamma_orbits(loop)
+
+
+def ip8_times_z2(k):
+    """The IP loop ip8 x Z2^k, of order 8 * 2^k, on pairs (x, a) -> x * 2^k + a."""
+    left, right = ip_loop8().table, abelian_group_loop([2] * k).table
+    n = len(right)
+    return make_loop([[left[x][y] * n + right[a][b] for y in range(8) for b in range(n)]
+                      for x in range(8) for a in range(n)])
+
+
+WALKS = {"phi": (phi_orbits, ("id", "phi")), "psi": (psi_orbits, ("id", "psi")),
+         "gamma": (gamma_orbits, tuple(CELL_MAPS))}
+
+
+class TestPackedWalk:
+    """The packed decomposition lists the orbits of the plain walk that the
+    library kept as objects before, in the same order."""
+
+    @staticmethod
+    def assert_same_walk(loop):
+        report = loop.properties()
+        applies = {"phi": report.has_lip, "psi": report.has_rip,
+                   "gamma": report.has_ip and not report.has_order3_element}
+        for mode, (walk, names) in WALKS.items():
+            if not applies[mode]:
+                continue
+            decomposition = walk(loop)
+            expected = walked_orbits(loop, names)
+            assert len(decomposition) == len(expected)
+            assert [(orbit.representative, orbit.members, orbit.symmetries)
+                    for orbit in decomposition.orbits] == expected
+
+    @pytest.mark.parametrize("name", sorted(bundled_corpus()))
+    def test_corpus(self, name):
+        self.assert_same_walk(make_loop(bundled_corpus()[name].table))
+
+    @pytest.mark.parametrize("l", range(1, 17))
+    def test_cyclic(self, l):
+        self.assert_same_walk(cyclic_loop(l))
+
+    def test_ip_loop_of_order_64(self):
+        self.assert_same_walk(ip8_times_z2(3))
+
+    def test_phi_decomposition_of_order_128_is_packed(self):
+        # 16002 complement cells at 8 bytes each; as PairOrbit objects with
+        # their cell tuples the same decomposition took 2.34 MB
+        loop = ip8_times_z2(4)
+        loop.properties()
+        tracemalloc.start()
+        try:
+            decomposition = phi_orbits(loop)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(decomposition) == (128 * 128 - 3 * 128 + 2) // 2
+        assert kept <= peak < 0.3e6, (kept, peak)
+
+    def test_orbits_built_on_demand(self, loops):
+        decomposition = gamma_orbits(loops["ip8"])
+        first = decomposition.orbits
+        assert first is not decomposition.orbits
+        assert [o.members for o in first] == [o.members for o in decomposition.orbits]
 
 
 class TestWalkerChecks:
