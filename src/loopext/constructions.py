@@ -27,6 +27,7 @@ built extension, so a successful return is a proof of the property.
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
@@ -46,41 +47,87 @@ from .loops import FiniteLoop
 from .orbits import PAIR_MAPS, gamma_orbits, phi_orbits, psi_orbits, sigma_set
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_FIRST_BLOCK, _LAST_BLOCK = 8, 256
+
+
+def _block_constants(width: int):
+    """(ones, mask, steps, unpack) of a block of ``width`` 128-bit lanes, lane
+    k at bits 128k..128k+127 of one int: ``ones`` holds 1 in every lane,
+    ``mask`` holds 2^64 - 1, ``steps`` holds (k + 1)*golden mod 2^64, and
+    ``unpack`` reads the low 64 bits of every lane from the block's
+    little-endian bytes."""
+    lanes = struct.Struct("<" + "Q8x" * width)
+    ones = int.from_bytes(lanes.pack(*[1] * width), "little")
+    steps = lanes.pack(*[(k + 1) * _GOLDEN & _MASK64 for k in range(width)])
+    return ones, ones * _MASK64, int.from_bytes(steps, "little"), lanes.unpack
+
+
+_BLOCKS = {width: _block_constants(width) for width in (8, 16, 32, 64, 128, 256)}
 
 
 class ChoiceSource:
     """Deterministic stream of free choices, seeded by a 64-bit integer.
 
-    The state advances by adding 0x9E3779B97F4A7C15 modulo 2^64 and each
-    output mixes the state with two xor-shift-multiply rounds (multipliers
-    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) and a final shift.  These
-    constants are frozen forever; bounded picks use rejection sampling, so
-    results are exactly uniform and platform independent.
+    Output k (k = 1, 2, ...) is the state seed + k*0x9E3779B97F4A7C15 modulo
+    2^64, mixed by two xor-shift-multiply rounds (multipliers
+    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) and a final xor-shift.  These
+    constants, the stream and ``count`` (raw outputs consumed) are frozen
+    forever; bounded picks use rejection sampling, so results are exactly
+    uniform and platform independent.
+
+    Outputs are computed a block at a time, 8 in the first block and twice as
+    many in each next one up to 256, each output in its own 128-bit lane of
+    one Python int, so every block step is one C-level big-int operation.
+    Lanes cannot interfere: a lane holds less than 2^64 before each multiply
+    by a 64-bit constant, so the product stays below 2^128, inside the lane,
+    and every right shift, which moves the next lane's low bits into this
+    lane's high half, is masked back to 64 bits per lane.  The block is read
+    out through its little-endian bytes, a fixed byte order, whatever the
+    platform's.
     """
 
-    __slots__ = ("seed", "_state", "count")
+    __slots__ = ("seed", "_block", "_next", "_drawn")
 
     def __init__(self, seed: int = 0):
         self.seed = seed & _MASK64
-        self._state = self.seed
-        self.count = 0
+        self._block = ()  # outputs computed ahead
+        self._next = 0  # index in _block of the next output
+        self._drawn = 0  # outputs before _block
+
+    @property
+    def count(self) -> int:
+        """Raw outputs consumed so far."""
+        return self._drawn + self._next
+
+    def _refill(self) -> None:
+        self._drawn += len(self._block)
+        width = min(2 * len(self._block), _LAST_BLOCK) or _FIRST_BLOCK
+        ones, mask, steps, unpack = _BLOCKS[width]
+        z = (((self.seed + self._drawn * _GOLDEN) & _MASK64) * ones + steps) & mask
+        for shift, multiplier in zip((30, 27), _MIX):
+            z = (((z ^ (z >> shift)) & mask) * multiplier) & mask
+        self._block = unpack(((z ^ (z >> 31)) & mask).to_bytes(16 * width, "little"))
+        self._next = 0
 
     def next_raw(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        self.count += 1
-        return z ^ (z >> 31)
+        return self.pick(1 << 64)  # no raw value is rejected, none reduced
 
     def pick(self, n: int) -> int:
         """Uniform index in 0..n-1."""
         if n <= 0:
             raise InputError(f"cannot pick from {n} alternatives")
-        limit = ((1 << 64) // n) * n
+        limit = (1 << 64) - (1 << 64) % n  # the largest multiple of n up to 2^64
+        block, i = self._block, self._next
         while True:
-            value = self.next_raw()
+            if i == len(block):
+                self._refill()
+                block, i = self._block, 0
+            value = block[i]
+            i += 1
             if value < limit:
+                self._next = i
                 return value % n
 
 

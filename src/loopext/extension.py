@@ -33,7 +33,7 @@ Pair = tuple[int, int]
 class LoopCocycle:
     """Validated pair of automorphism-index tables over a loop and a group."""
 
-    __slots__ = ("loop", "group", "autgroup", "ptable", "qtable", "_built")
+    __slots__ = ("loop", "group", "autgroup", "ptable", "qtable", "_built", "_verdicts")
 
     def __init__(self, loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGroup,
                  ptable, qtable):
@@ -43,6 +43,7 @@ class LoopCocycle:
         self.ptable = ptable
         self.qtable = qtable
         self._built = None  # build_extension's (loop, defect): an ExtensionLoop is a cycle
+        self._verdicts = {}  # "lip", "rip", "equivariance" -> closed-form verdict, see _kept
 
     def p(self, x: int, y: int) -> int:
         return self.ptable[x][y]
@@ -233,8 +234,9 @@ def check_lip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_lip:
         raise PreconditionError("base loop does not have the left inverse property")
-    return _lip_conditions_hold(cocycle.loop.table, report.inverse_map,
-                                cocycle.ptable, cocycle.qtable, cocycle.autgroup)
+    return _kept(cocycle, "lip", lambda: _lip_conditions_hold(
+        cocycle.loop.table, report.inverse_map, cocycle.ptable, cocycle.qtable,
+        cocycle.autgroup))
 
 
 def check_rip_conditions(cocycle: LoopCocycle) -> bool:
@@ -250,9 +252,19 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_rip:
         raise PreconditionError("base loop does not have the right inverse property")
-    return _lip_conditions_hold(tuple(zip(*cocycle.loop.table)), report.inverse_map,
-                                tuple(zip(*cocycle.qtable)), tuple(zip(*cocycle.ptable)),
-                                cocycle.autgroup)
+    return _kept(cocycle, "rip", lambda: _lip_conditions_hold(
+        tuple(zip(*cocycle.loop.table)), report.inverse_map, tuple(zip(*cocycle.qtable)),
+        tuple(zip(*cocycle.ptable)), cocycle.autgroup))
+
+
+def _kept(cocycle: LoopCocycle, name: str, verdict) -> bool:
+    """The closed-form verdict ``name`` of ``cocycle``: ``verdict()`` on the
+    first call, kept on the cocycle, whose tables never change, for the rest.
+    Callers check their preconditions before asking."""
+    kept = cocycle._verdicts
+    if name not in kept:
+        kept[name] = verdict()
+    return kept[name]
 
 
 def _lip_conditions_hold(table, inv, pt, qt, autgroup: AutomorphismGroup) -> bool:
@@ -319,6 +331,10 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
         raise PreconditionError(
             "equivariance test needs a loop with no element x*x = x^{-1}"
         )
+    return _kept(cocycle, "equivariance", lambda: _equivariance_holds(cocycle))
+
+
+def _equivariance_holds(cocycle: LoopCocycle) -> bool:
     pt, qt = list(chain.from_iterable(cocycle.ptable)), list(chain.from_iterable(cocycle.qtable))
     products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
     moves = list(PAIR_MAPS.values())[1:]  # member 0 is the representative, under "id"

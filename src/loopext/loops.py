@@ -121,7 +121,7 @@ def validate_table(rows: Sequence[Sequence[int]]) -> None:
             raise StructureError(f"row {i} is not a permutation of 0..{l - 1}", index=i,
                                  axis="row")
     for j, col in enumerate(zip(*rows)):
-        if set(col) != full:
+        if len(set(col)) != l:  # the rows hold only 0..l-1, so l distinct entries are all
             raise StructureError(f"column {j} is not a permutation of 0..{l - 1}", index=j,
                                  axis="column")
     identity = tuple(range(l))
@@ -278,7 +278,8 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
     overlap, so each new coset's least element is x and the labels are the
     canonical ascending-least-element ones, with the identity coset at 0.
     The table is read off the representatives and every row of the loop is
-    then checked against it, which proves coset multiplication well defined.
+    then checked against it, the classes of a whole row read by one
+    ``itemgetter`` gather, which proves coset multiplication well defined.
     That also gives Nv = vN: take u = n in N, then n*v lies in the class of
     e*v = v, so Nv is inside the class of v, and |Nv| = |N| = |vN|.
     """
@@ -295,9 +296,12 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
             coset_of[u] = len(reps)
         reps.append(x)
     table = [[coset_of[t[a][b]] for b in reps] for a in reps]
-    spread = [list(map(qrow.__getitem__, coset_of)) for qrow in table]
-    for row, cu in zip(t, coset_of):
-        if list(map(coset_of.__getitem__, row)) != spread[cu]:
+    # row u must read, at each v, the class of (class of u)*(class of v); both
+    # sides are gathers of l indices, so at l = 1 both are scalars
+    classes = tuple(coset_of)
+    spread = list(map(itemgetter(*classes), table))
+    for row, cu in zip(t, classes):
+        if itemgetter(*row)(classes) != spread[cu]:
             return None
     return table
 

@@ -11,6 +11,7 @@ timing line.
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Optional
 
 from .errors import NotNormalError, PreconditionError
@@ -86,14 +87,35 @@ def _identity_on_sigma(cocycle: LoopCocycle) -> bool:
     )
 
 
-def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int, int]]:
+def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int]]:
+    """The first element whose built left or right inverse is not the closed
+    form, as a 1-tuple, else None.
+
+    Each kernel coset {x} x A is compared whole: the closed forms of all its
+    elements, (e/x, -P(e/x,x)^{-1} Q(e/x,x) a) and (x\\e, -Q(x,x\\e)^{-1} P(x,x\\e) a)
+    for a in A, are gathered by one ``itemgetter`` call each from the entries
+    z*|A| + (-c), c in A, of the coset of z.  Only the first coset that
+    differs is scanned element by element, so the witness is the one an
+    element-by-element scan finds.  |A| >= 2, so each gather is a tuple.
+    """
     lefts, rights = built.loop._left_inverse, built.loop._right_inverse
-    for index in built.loop.elements():
-        pair = built.pair_of(index)
-        left = built.pair_index(*extension_left_inverse(cocycle, pair))
-        right = built.pair_index(*extension_right_inverse(cocycle, pair))
-        if left != lefts[index] or right != rights[index]:
-            return (index,)
+    loop, aut, n = cocycle.loop, cocycle.autgroup, built.kernel_size
+    products, inverses = aut.products, aut.inverses
+    pt, qt = cocycle.ptable, cocycle.qtable
+    negated = [tuple(base + c for c in cocycle.group.neg_table)
+               for base in range(0, built.size, n)]
+    for x, (lx, rx) in enumerate(zip(loop._left_inverse, loop._right_inverse)):
+        left = aut[products[inverses[pt[lx][x]]][qt[lx][x]]].table
+        right = aut[products[inverses[qt[x][rx]]][pt[x][rx]]].table
+        start = x * n
+        if ((itemgetter(*left)(negated[lx]), itemgetter(*right)(negated[rx]))
+                != (lefts[start:start + n], rights[start:start + n])):
+            for index in range(start, start + n):
+                pair = built.pair_of(index)
+                if (built.pair_index(*extension_left_inverse(cocycle, pair)) != lefts[index]
+                        or built.pair_index(*extension_right_inverse(cocycle, pair))
+                        != rights[index]):
+                    return (index,)
     return None
 
 

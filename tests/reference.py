@@ -10,6 +10,8 @@ helpers work on image tables, not on canonical indices.
 from loopext.abelian import Automorphism
 from loopext.orbits import CELL_MAPS
 
+MASK64 = (1 << 64) - 1
+
 
 def left_div(loop, x, y):
     """Unique z with x*z = y, by a scan of row x."""
@@ -40,6 +42,78 @@ def exhaustive_iota(loop):
             return None
         iota.extend(forced)
     return tuple(iota) if sorted(iota) == list(range(loop.size)) else None
+
+
+def quotient_table(loop, members):
+    """Coset table of the subloop ``members``, cell by cell, or None when the
+    left cosets overlap or the product of cosets is not well defined.  Cosets
+    are labelled by their least element, ascending."""
+    table = loop.table
+    label = {}
+    reps = []
+    for x in range(loop.size):
+        if x in label:
+            continue
+        coset = {table[x][m] for m in members}
+        if any(u in label for u in coset):
+            return None
+        label.update(dict.fromkeys(coset, len(reps)))
+        reps.append(x)
+    cosets = [[label[table[a][b]] for b in reps] for a in reps]
+    for u in range(loop.size):
+        for v in range(loop.size):
+            if label[table[u][v]] != cosets[label[u]][label[v]]:
+                return None
+    return cosets
+
+
+def inverse_formula_mismatch(cocycle, table):
+    """First element of the extension table ``table`` whose left or right
+    inverse is not the closed form of ``cocycle``, as a 1-tuple, else None.
+
+    Element by element: the inverses of (x, a) come from scans of its column
+    and row of ``table``, and the closed forms
+    (e/x, -P(e/x,x)^{-1} Q(e/x,x) a) and (x\\e, -Q(x,x\\e)^{-1} P(x,x\\e) a)
+    from image tables, with e/x and x\\e scanned in the base table.
+    """
+    n = cocycle.group.size
+    base, aut, neg = cocycle.loop.table, cocycle.autgroup, cocycle.group.neg_table
+    pt, qt = cocycle.ptable, cocycle.qtable
+    for index, row in enumerate(table):
+        x, a = divmod(index, n)
+        lx = [r[x] for r in base].index(0)
+        rx = base[x].index(0)
+        left = lx * n + neg[invert(aut[pt[lx][x]]).table[aut[qt[lx][x]].table[a]]]
+        right = rx * n + neg[invert(aut[qt[x][rx]]).table[aut[pt[x][rx]].table[a]]]
+        if (left, right) != ([r[index] for r in table].index(0), row.index(0)):
+            return (index,)
+    return None
+
+
+class ScalarChoiceSource:
+    """The draw stream one output at a time, as ``ChoiceSource`` computed it
+    before it computed blocks: the state advances by the golden gamma modulo
+    2^64 and each output is the state mixed by the splitmix64 finaliser.
+    ``pick`` rejects raw values at or above the largest multiple of n."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+        self.count = 0
+
+    def next_raw(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        self.count += 1
+        return z ^ (z >> 31)
+
+    def pick(self, n):
+        limit = ((1 << 64) // n) * n
+        while True:
+            value = self.next_raw()
+            if value < limit:
+                return value % n
 
 
 def identity(group):

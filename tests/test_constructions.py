@@ -22,7 +22,7 @@ from loopext.extension import (
 )
 from loopext.fileio import dumps_cocycle
 from loopext.loops import analyze_properties, make_loop
-from reference import Replay, compose, invert
+from reference import Replay, ScalarChoiceSource, compose, invert
 
 
 class TestChoiceSource:
@@ -58,6 +58,39 @@ class TestChoiceSource:
         source = ChoiceSource(3)
         source.pick(7)
         assert source.count >= 1
+
+    # blocks hold 8, 16, 32, 64, 128, 256, 256, ... outputs: 760 raw values
+    # span seven blocks
+    STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5]
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_block_stream_is_the_scalar_recurrence(self, seed):
+        source, scalar = ChoiceSource(seed), ScalarChoiceSource(seed)
+        for _ in range(760):
+            assert source.next_raw() == scalar.next_raw()
+            assert source.count == scalar.count
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_interleaved_picks_follow_the_scalar_stream(self, seed):
+        source, scalar = ChoiceSource(seed), ScalarChoiceSource(seed)
+        sizes = [1, 2, 3, 7, 168, 20160, 2**32 + 1, 2**63 + 1, 2**64]
+        for step in range(600):
+            if step % 3 == 0:
+                assert source.next_raw() == scalar.next_raw()
+            else:
+                n = sizes[step % len(sizes)]
+                assert source.pick(n) == scalar.pick(n)
+            assert source.count == scalar.count
+        assert scalar.count > 8 + 16 + 32 + 64
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_half_rejected_picks_follow_the_scalar_stream(self, seed):
+        # n = 2^63 + 1: every raw value at or above n is rejected
+        n = 2**63 + 1
+        source, scalar = ChoiceSource(seed), ScalarChoiceSource(seed)
+        picks = [(source.pick(n), source.count) for _ in range(200)]
+        assert picks == [(scalar.pick(n), scalar.count) for _ in range(200)]
+        assert 300 < source.count < 500
 
 
 class TestConstructPq:

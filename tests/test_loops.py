@@ -41,6 +41,13 @@ class TestMakeLoop:
         with pytest.raises(StructureError):
             make_loop([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
 
+    def test_first_bad_column_named(self):
+        # every row is a permutation; columns 2 and 3 repeat an entry
+        with pytest.raises(StructureError,
+                           match=r"^column 2 is not a permutation of 0\.\.3$") as caught:
+            make_loop([[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]])
+        assert caught.value.index == 2
+
     def test_identity_position(self):
         with pytest.raises(IdentityPositionError):
             make_loop([[1, 0], [0, 1]])

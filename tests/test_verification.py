@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import sys
 
 import pytest
@@ -16,8 +17,14 @@ from loopext.constructions import (
 from loopext.errors import PreconditionError
 from loopext.extension import build_extension, make_cocycle
 from loopext.fileio import dumps_cocycle
-from loopext.loops import make_loop
-from loopext.verification import VerificationReport, extension_report, verify_cocycle
+from loopext.loops import _quotient_table, make_loop
+from loopext.verification import (
+    VerificationReport,
+    _check_inverse_formulas,
+    extension_report,
+    verify_cocycle,
+)
+from reference import inverse_formula_mismatch, quotient_table
 
 
 def identity_cocycle(loop, group):
@@ -138,6 +145,34 @@ class TestSinglePass:
         assert sorted(calls) == list(SCANS)
         assert builds == ["_extension_rows"]
 
+    def test_gate_verdicts_are_kept(self, loops, groups, monkeypatch):
+        # the gate decides LIP, RIP and equivariance once each; verify reads
+        # those verdicts, and a cocycle remade from the tables decides afresh
+        import loopext.extension as extension_module
+
+        kernels = count_calls(monkeypatch, extension_module,
+                              ["_lip_conditions_hold", "_equivariance_holds"])
+        cocycle = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
+        gate = list(kernels)
+        assert verify_cocycle(cocycle, mode="ip").passed
+        assert kernels == gate == ["_lip_conditions_hold"] * 2 + ["_equivariance_holds"]
+        remade = make_cocycle(cocycle.loop, cocycle.group, cocycle.ptable, cocycle.qtable)
+        assert verify_cocycle(remade, mode="ip").passed
+        assert kernels == gate * 2
+
+    def test_kept_verdict_keeps_preconditions(self, loops, groups):
+        # a kept verdict is read only after the precondition checks pass
+        from loopext.extension import check_equivariance, check_rip_conditions
+
+        cocycle = identity_cocycle(loops["lip_only"], groups["z3"])
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="right inverse property"):
+                check_rip_conditions(cocycle)
+        cocycle = identity_cocycle(loops["ip7"], groups["z3"])
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="no element x\\*x"):
+                check_equivariance(cocycle)
+
     @pytest.mark.parametrize("name,mode", [
         ("mismatch", "lip"), ("mismatch", "rip"), ("mismatch", "ip"),
         ("lip_only", "rip"), ("lip_only", "ip"),
@@ -198,6 +233,93 @@ class TestBuiltOnce:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def s3_loop():
+    """The symmetric group on three points, identity first; {0, 1} (the
+    identity and a transposition) is a subgroup whose left cosets partition
+    it, but it is not normal."""
+    perms = sorted(itertools.permutations(range(3)))
+    return make_loop([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms])
+
+
+def relabelled_rows(original, a, b):
+    """``_extension_rows`` of an isomorphic copy in which elements ``a`` and
+    ``b`` exchange names, so the table stays a loop but its inverses move."""
+    def rows(cocycle):
+        table = original(cocycle)
+        name = list(range(len(table)))
+        name[a], name[b] = b, a
+        return [tuple(name[table[u][v]] for v in name) for u in name]
+
+    return rows
+
+
+class TestGatheredKernels:
+    """The row-gathered quotient check and the coset-gathered inverse-formula
+    check against cell-by-cell references."""
+
+    @pytest.mark.parametrize("name,members", [
+        ("trivial", {0}), ("z2", {0}), ("z2", {0, 1}), ("z4", {0, 2}), ("z6", {0, 3}),
+        ("z6", {0, 2, 4}), ("klein", {0, 1}), ("ip7", {0, 1, 2}), ("s3", {0, 1}),
+        ("s3", {0, 3, 4}),
+    ])
+    def test_quotient_table(self, loops, name, members):
+        loop = s3_loop() if name == "s3" else loops[name]
+        assert _quotient_table(loop, frozenset(members)) == quotient_table(loop, members)
+
+    def test_non_normal_subloop_with_partitioning_cosets(self):
+        # {0, 1} of S3: its left cosets partition the group, so only the row
+        # gather can refuse it
+        loop = s3_loop()
+        cosets = {frozenset(loop.table[x][m] for m in (0, 1)) for x in range(6)}
+        assert len(cosets) == 3 and set().union(*cosets) == set(range(6))
+        assert _quotient_table(loop, frozenset({0, 1})) is None
+
+    @pytest.mark.parametrize("name,orders,mode,seed", [
+        ("trivial", (2,), "random", 0), ("z2", (2,), "random", 3), ("z2", (3,), "lip", 1),
+        ("klein", (3,), "random", 2), ("z5", (2, 2), "ip", 1), ("ip8", (4,), "rip", 0),
+        ("lip_only", (2, 2), "random", 4), ("mismatch", (3,), "random", 5),
+    ])
+    def test_extension(self, loops, monkeypatch, name, orders, mode, seed):
+        # on a passing extension every coset's gathers match, so no element
+        # is scanned with the per-element closed forms
+        from loopext import verification
+
+        scans = count_calls(monkeypatch, verification,
+                            ["extension_left_inverse", "extension_right_inverse"])
+        group = make_group(orders)
+        if mode == "random":
+            cocycle = random_cocycle(loops[name], group, ChoiceSource(seed))
+        else:
+            cocycle = CONSTRUCT[mode](loops[name], group, ChoiceSource(seed))
+        built = build_extension(cocycle)
+        table, kernel = built.loop.table, built.kernel()
+        assert _quotient_table(built.loop, kernel) == quotient_table(built.loop, kernel)
+        assert inverse_formula_mismatch(cocycle, table) is None
+        assert _check_inverse_formulas(cocycle, built) is None
+        assert scans == []
+
+    @pytest.mark.parametrize("name,orders,a,b", [
+        ("z2", (2, 2), 5, 6), ("klein", (3,), 5, 7), ("z5", (2, 2), 9, 10),
+        ("z5", (2, 2), 5, 13), ("mismatch", (3,), 13, 14),
+    ])
+    def test_broken_inverse_witness(self, loops, monkeypatch, name, orders, a, b):
+        # renaming two elements keeps a loop table but moves inverses away
+        # from the closed forms; each witness lies inside its coset, so it
+        # is the coset's element scan that finds it
+        from loopext import extension
+
+        monkeypatch.setattr(extension, "_extension_rows",
+                            relabelled_rows(extension._extension_rows, a, b))
+        group = make_group(orders)
+        cocycle = random_cocycle(loops[name], group, ChoiceSource(1))
+        built = build_extension(cocycle)
+        witness = inverse_formula_mismatch(cocycle, built.loop.table)
+        assert witness is not None and witness[0] % group.size != 0
+        assert _check_inverse_formulas(cocycle, built) == witness
+        text = verify_cocycle(cocycle).to_text(include_timing=False)
+        assert f"counterexample inverse-formulas: {witness[0]}\n" in text
 
 
 class TestExtensionReport:
