@@ -8,12 +8,13 @@ generator of the last factor is index 1.  Groups and automorphisms are
 immutable after construction and safe to share between threads; an
 :class:`AutomorphismGroup` only adds entries to its memos.
 
-The index algebra of Aut(A) is one pair of lazily filled memos on each
+The index algebra of Aut(A) is two capped memos (``_Memo``) on each
 :class:`AutomorphismGroup`: ``products[i][j]`` is the canonical index of
 member i after member j and ``inverses[i]`` that of the inverse of member i.
-Both are dicts that rank a missing entry on first read and keep it while
-fewer than ``_COMPOSE_MEMO_CAP`` are stored, so hot loops index them
-directly, with a row ``products[i]`` looked up once per row of work.
+A memo computes a missing entry on first read and keeps it while its budget
+of ``_COMPOSE_MEMO_CAP`` entries has room, so hot loops index them directly,
+with a row ``products[i]`` looked up once per row of work; the members of
+Aut(A) are kept in a third memo, capped at ``_MEMBER_MEMO_CAP``.
 
 The canonical order of Aut(A) is the lexicographic order of the image
 tables, that is of the generator images taken as (e_k, ..., e_1).  Members
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 from .errors import InputError, InternalError
@@ -232,12 +233,12 @@ class AutomorphismGroup:
 
     The index algebra is ``products`` and ``inverses``: ``products[i][j]`` is
     the index of member i after member j and ``inverses[i]`` that of the
-    inverse of member i.  Each is a dict that ranks a missing entry on first
-    read (from the generator images of the product or inverse) and keeps it
-    while fewer than ``_COMPOSE_MEMO_CAP`` products, or inverses, are stored;
-    past the cap entries are still answered, only not kept.  The row
-    ``products[i]`` is itself such a dict, so a kernel that composes with one
-    left factor many times looks the row up once.  ``compose_indices`` and
+    inverse of member i, each ranked on first read from the generator images
+    of the product or inverse.  Both are :class:`_Memo`, as are the rows
+    ``products[i]``, so a kernel that composes with one left factor many
+    times looks the row up once.  The rows share one budget of
+    ``_COMPOSE_MEMO_CAP`` products; the ``products`` memo counts no row
+    against it but keeps none once it is spent.  ``compose_indices`` and
     ``invert_index`` read the same memos.
     """
 
@@ -259,9 +260,9 @@ class AutomorphismGroup:
         self._purity = tuple(_purity_tests(group))
         self._by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._by_image: dict[frozenset[int], tuple[int, ...]] = {}
-        self._members: dict[int, Automorphism] = {}
-        self.products = _Products(self)
-        self.inverses = _Inverses(self)
+        self._members = _Memo(self._member, [0, _MEMBER_MEMO_CAP])
+        self.products = _Memo(self._product_row, [0, _COMPOSE_MEMO_CAP], 0)
+        self.inverses = _Memo(self._inverse, [0, _COMPOSE_MEMO_CAP])
         counts = [len(self._extendable(self._generators[:t]))
                   for t in range(len(self._generators))]
         if math.prod(counts) != count:
@@ -273,16 +274,7 @@ class AutomorphismGroup:
         return self._count
 
     def __getitem__(self, i: int) -> Automorphism:
-        try:
-            return self._members[i]
-        except KeyError:
-            pass
-        if not 0 <= i < self._count:
-            raise IndexError(f"automorphism index {i} out of range 0..{self._count - 1}")
-        aut = self._unrank(i)
-        if len(self._members) < _MEMBER_MEMO_CAP:
-            self._members[i] = aut
-        return aut
+        return self._members[i]
 
     def __iter__(self) -> Iterator[Automorphism]:
         return map(self._unrank, range(self._count))
@@ -302,6 +294,23 @@ class AutomorphismGroup:
     def invert_index(self, i: int) -> int:
         """Canonical index of the inverse of member i: ``inverses[i]``."""
         return self.inverses[i]
+
+    def _member(self, i: int) -> Automorphism:
+        if not 0 <= i < self._count:
+            raise IndexError(f"automorphism index {i} out of range 0..{self._count - 1}")
+        return self._unrank(i)
+
+    def _product_row(self, i: int) -> "_Memo":
+        return _Memo(partial(self._product, self[i].table), self.products.budget)
+
+    def _product(self, table: tuple[int, ...], j: int) -> int:
+        """Index of the member with image table ``table`` after member j."""
+        ht = self[j].table
+        return self._rank(tuple(table[ht[e]] for e in self._generators))
+
+    def _inverse(self, i: int) -> int:
+        table = self[i].table
+        return self._rank(tuple(table.index(e) for e in self._generators))
 
     def _extendable(self, images: tuple[int, ...]) -> tuple[int, ...]:
         """Images for the next generator, ascending, with which the prefix
@@ -354,60 +363,26 @@ class AutomorphismGroup:
         return Automorphism(self.group, table)
 
 
-class _Products(dict):
-    """``products[i]``: the row of products with left factor i, created on
-    first read and kept while the product memo is under its cap."""
+class _Memo(dict):
+    """A dict that computes a missing entry as ``compute(key)`` and keeps it
+    while ``budget``, a ``[kept, cap]`` list that memos may share, has room;
+    each entry kept adds ``weight`` to ``kept``.  Past the cap entries are
+    still answered, only not kept.  Hits are plain dict reads."""
 
-    __slots__ = ("autgroup", "stored")
+    __slots__ = ("compute", "budget", "weight")
 
-    def __init__(self, autgroup: AutomorphismGroup):
-        self.autgroup = autgroup
-        self.stored = 0  # products kept over all rows
+    def __init__(self, compute, budget: list[int], weight: int = 1):
+        self.compute = compute
+        self.budget = budget
+        self.weight = weight
 
-    def __missing__(self, i: int) -> "_ProductRow":
-        row = _ProductRow(self, self.autgroup[i].table)
-        if self.stored < _COMPOSE_MEMO_CAP:
-            self[i] = row
-        return row
-
-
-class _ProductRow(dict):
-    """``products[i][j]``, ranked from the generator images of f_i after f_j
-    on first read."""
-
-    __slots__ = ("products", "table")
-
-    def __init__(self, products: _Products, table: tuple[int, ...]):
-        self.products = products
-        self.table = table
-
-    def __missing__(self, j: int) -> int:
-        products = self.products
-        autgroup = products.autgroup
-        ft, ht = self.table, autgroup[j].table
-        out = autgroup._rank(tuple(ft[ht[e]] for e in autgroup._generators))
-        if products.stored < _COMPOSE_MEMO_CAP:
-            self[j] = out
-            products.stored += 1
-        return out
-
-
-class _Inverses(dict):
-    """``inverses[i]``, ranked from the preimages of the generators on first
-    read and kept while fewer than ``_COMPOSE_MEMO_CAP`` are stored."""
-
-    __slots__ = ("autgroup",)
-
-    def __init__(self, autgroup: AutomorphismGroup):
-        self.autgroup = autgroup
-
-    def __missing__(self, i: int) -> int:
-        autgroup = self.autgroup
-        table = autgroup[i].table
-        out = autgroup._rank(tuple(table.index(e) for e in autgroup._generators))
-        if len(self) < _COMPOSE_MEMO_CAP:
-            self[i] = out
-        return out
+    def __missing__(self, key):
+        value = self.compute(key)
+        budget = self.budget
+        if budget[0] < budget[1]:
+            self[key] = value
+            budget[0] += self.weight
+        return value
 
 
 def _extend(add, table: list[int], g: int, n: int) -> list[int]:

@@ -1,8 +1,10 @@
-"""Which loop cardinalities admit strongly linear inverse-property extensions.
+"""The loop orders l with 6 | (l-1)(l-2), as has every IP loop with no x*x = x^{-1}.
 
-The complement of Sigma has l^2 - 3l + 2 cells and the six-element symmetry
-group partitions it into orbits of six, so a feasible order must satisfy
-l^2 - 3l + 2 = 6k.  Solving for l gives l = (3 + h)/2 with h^2 = 1 + 24k;
+On an IP loop the six-element symmetry group moves the l^2 - 3l + 2 cells
+outside Sigma in orbits of six, but for the cells (x, x) with x*x = x^{-1},
+x != e, which pair up; so with no such x, l^2 - 3l + 2 = 6k.  That is all:
+P = Q = Id extends every IP loop with IP, and ``z6`` is an IP loop with 6
+not dividing 20.  Solving for l gives l = (3 + h)/2 with h^2 = 1 + 24k;
 everything here is exact integer arithmetic, no square roots.
 """
 
@@ -31,7 +33,7 @@ class CardinalityCertificate(NamedTuple):
 
 
 def feasible_cardinality(l: int) -> CardinalityCertificate:
-    """Whether order l admits strongly linear inverse-property extensions."""
+    """Whether 6 | (l-1)(l-2), as for every IP loop of order l with no x*x = x^{-1}."""
     if not isinstance(l, int) or l < 1:
         raise InputError(f"loop order must be an integer >= 1, got {l!r}")
     complement = l * l - 3 * l + 2

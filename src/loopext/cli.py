@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("feasible", help="orders admitting strongly linear IP extensions")
+    p = sub.add_parser("feasible",
+                       help="orders l with 6 | (l-1)(l-2), as in IP loops with no x*x = x^-1")
     p.add_argument("--max-l", type=int, required=True)
     p.set_defaults(func=cmd_feasible)
 

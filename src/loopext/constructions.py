@@ -49,22 +49,22 @@ from .orbits import PAIR_MAPS, gamma_orbits, phi_orbits, psi_orbits, sigma_set
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-_FIRST_BLOCK, _LAST_BLOCK = 8, 256
+_WIDTH = 64  # outputs per block
 
 
-def _block_constants(width: int):
-    """(ones, mask, steps, unpack) of a block of ``width`` 128-bit lanes, lane
+def _block_constants():
+    """(ones, mask, steps, unpack) of a block of ``_WIDTH`` 128-bit lanes, lane
     k at bits 128k..128k+127 of one int: ``ones`` holds 1 in every lane,
     ``mask`` holds 2^64 - 1, ``steps`` holds (k + 1)*golden mod 2^64, and
     ``unpack`` reads the low 64 bits of every lane from the block's
     little-endian bytes."""
-    lanes = struct.Struct("<" + "Q8x" * width)
-    ones = int.from_bytes(lanes.pack(*[1] * width), "little")
-    steps = lanes.pack(*[(k + 1) * _GOLDEN & _MASK64 for k in range(width)])
+    lanes = struct.Struct("<" + "Q8x" * _WIDTH)
+    ones = int.from_bytes(lanes.pack(*[1] * _WIDTH), "little")
+    steps = lanes.pack(*[(k + 1) * _GOLDEN & _MASK64 for k in range(_WIDTH)])
     return ones, ones * _MASK64, int.from_bytes(steps, "little"), lanes.unpack
 
 
-_BLOCKS = {width: _block_constants(width) for width in (8, 16, 32, 64, 128, 256)}
+_BLOCK = _block_constants()
 
 
 class ChoiceSource:
@@ -77,9 +77,8 @@ class ChoiceSource:
     forever; bounded picks use rejection sampling, so results are exactly
     uniform and platform independent.
 
-    Outputs are computed a block at a time, 8 in the first block and twice as
-    many in each next one up to 256, each output in its own 128-bit lane of
-    one Python int, so every block step is one C-level big-int operation.
+    Outputs are computed 64 at a time, each in its own 128-bit lane of one
+    Python int, so every block step is one C-level big-int operation.
     Lanes cannot interfere: a lane holds less than 2^64 before each multiply
     by a 64-bit constant, so the product stays below 2^128, inside the lane,
     and every right shift, which moves the next lane's low bits into this
@@ -103,12 +102,11 @@ class ChoiceSource:
 
     def _refill(self) -> None:
         self._drawn += len(self._block)
-        width = min(2 * len(self._block), _LAST_BLOCK) or _FIRST_BLOCK
-        ones, mask, steps, unpack = _BLOCKS[width]
+        ones, mask, steps, unpack = _BLOCK
         z = (((self.seed + self._drawn * _GOLDEN) & _MASK64) * ones + steps) & mask
         for shift, multiplier in zip((30, 27), _MIX):
             z = (((z ^ (z >> shift)) & mask) * multiplier) & mask
-        self._block = unpack(((z ^ (z >> 31)) & mask).to_bytes(16 * width, "little"))
+        self._block = unpack(((z ^ (z >> 31)) & mask).to_bytes(16 * _WIDTH, "little"))
         self._next = 0
 
     def next_raw(self) -> int:

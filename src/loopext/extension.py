@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import CocycleNormalizationError, InputError, PreconditionError, StructureError
-from .loops import FiniteLoop, validate_table
+from .loops import FiniteLoop, kept, validate_table
 from .orbits import PAIR_MAPS, gamma_orbits
 
 Pair = tuple[int, int]
@@ -33,7 +33,7 @@ Pair = tuple[int, int]
 class LoopCocycle:
     """Validated pair of automorphism-index tables over a loop and a group."""
 
-    __slots__ = ("loop", "group", "autgroup", "ptable", "qtable", "_built", "_verdicts")
+    __slots__ = ("loop", "group", "autgroup", "ptable", "qtable", "_kept")
 
     def __init__(self, loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGroup,
                  ptable, qtable):
@@ -42,8 +42,9 @@ class LoopCocycle:
         self.autgroup = autgroup
         self.ptable = ptable
         self.qtable = qtable
-        self._built = None  # build_extension's (loop, defect): an ExtensionLoop is a cycle
-        self._verdicts = {}  # "lip", "rip", "equivariance" -> closed-form verdict, see _kept
+        # see kept: "built" -> build_extension's (loop, defect), not the ExtensionLoop,
+        # which points back here; "lip", "rip", "equivariance" -> closed-form verdict
+        self._kept = {}
 
     def p(self, x: int, y: int) -> int:
         return self.ptable[x][y]
@@ -131,15 +132,16 @@ def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
     """Multiply out the cocycle into a table of size l * |A| and run the Latin
     check on it once per cocycle; a table that fails is kept out of
     :class:`FiniteLoop` and its defect is returned instead."""
-    if cocycle._built is None:
-        rows = _extension_rows(cocycle)
-        try:
-            validate_table(rows)
-        except StructureError as defect:  # its traceback would hold the cocycle
-            cocycle._built = (None, defect.with_traceback(None))
-        else:
-            cocycle._built = (FiniteLoop(rows, _checked=True), None)
-    return ExtensionLoop(cocycle, *cocycle._built)
+    return ExtensionLoop(cocycle, *kept(cocycle, "built", _build, cocycle))
+
+
+def _build(cocycle: LoopCocycle) -> tuple[Optional[FiniteLoop], Optional[StructureError]]:
+    rows = _extension_rows(cocycle)
+    try:
+        validate_table(rows)
+    except StructureError as defect:  # its traceback would hold the cocycle
+        return None, defect.with_traceback(None)
+    return FiniteLoop(rows, _checked=True), None
 
 
 def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
@@ -234,9 +236,8 @@ def check_lip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_lip:
         raise PreconditionError("base loop does not have the left inverse property")
-    return _kept(cocycle, "lip", lambda: _lip_conditions_hold(
-        cocycle.loop.table, report.inverse_map, cocycle.ptable, cocycle.qtable,
-        cocycle.autgroup))
+    return kept(cocycle, "lip", _lip_conditions_hold, cocycle.loop.table, report.inverse_map,
+                cocycle.ptable, cocycle.qtable, cocycle.autgroup)
 
 
 def check_rip_conditions(cocycle: LoopCocycle) -> bool:
@@ -252,19 +253,9 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_rip:
         raise PreconditionError("base loop does not have the right inverse property")
-    return _kept(cocycle, "rip", lambda: _lip_conditions_hold(
+    return kept(cocycle, "rip", lambda: _lip_conditions_hold(
         tuple(zip(*cocycle.loop.table)), report.inverse_map, tuple(zip(*cocycle.qtable)),
         tuple(zip(*cocycle.ptable)), cocycle.autgroup))
-
-
-def _kept(cocycle: LoopCocycle, name: str, verdict) -> bool:
-    """The closed-form verdict ``name`` of ``cocycle``: ``verdict()`` on the
-    first call, kept on the cocycle, whose tables never change, for the rest.
-    Callers check their preconditions before asking."""
-    kept = cocycle._verdicts
-    if name not in kept:
-        kept[name] = verdict()
-    return kept[name]
 
 
 def _lip_conditions_hold(table, inv, pt, qt, autgroup: AutomorphismGroup) -> bool:
@@ -331,7 +322,7 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
         raise PreconditionError(
             "equivariance test needs a loop with no element x*x = x^{-1}"
         )
-    return _kept(cocycle, "equivariance", lambda: _equivariance_holds(cocycle))
+    return kept(cocycle, "equivariance", _equivariance_holds, cocycle)
 
 
 def _equivariance_holds(cocycle: LoopCocycle) -> bool:

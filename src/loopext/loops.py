@@ -2,11 +2,11 @@
 
 A loop of size l is an l x l Latin square over ``0..l-1`` whose row 0 and
 column 0 are the identity permutation.  Elements are plain integers.  Loops
-are immutable after validation, apart from what is computed once and kept:
-the report that ``properties()`` caches, the one home of the loop's inverse
-facts (the LIP and RIP witnesses, the first inverse mismatch and the
-two-sided inverse map), and the orbit decompositions of ``loopext.orbits``.
-Every predicate here is a pure function.  Of the divisions only e/x and x\\e
+are immutable after validation, apart from what :func:`kept` keeps: the
+report of ``properties()``, the one home of the loop's inverse facts (the
+LIP and RIP witnesses, the first inverse mismatch and the two-sided inverse
+map), and the orbit decompositions of ``loopext.orbits``.  Every predicate
+here is a pure function.  Of the divisions only e/x and x\\e
 are kept, as the two inverse maps; no library path divides general elements.
 """
 
@@ -32,7 +32,7 @@ class FiniteLoop:
     Nothing else of size l^2 is kept.
     """
 
-    __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_report", "_orbits")
+    __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_kept")
 
     def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
         if _checked:
@@ -46,8 +46,7 @@ class FiniteLoop:
         # left-inverse map is the inverse permutation of the right one
         right = self._right_inverse = tuple(row.index(0) for row in rows)
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
-        self._report = None
-        self._orbits = {}  # mode -> OrbitDecomposition, filled by loopext.orbits
+        self._kept = {}  # "report" and each orbit mode -> its fact, see kept
 
     def elements(self) -> range:
         return range(self.size)
@@ -80,10 +79,8 @@ class FiniteLoop:
         return all(t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r)
 
     def properties(self) -> "LoopPropertyReport":
-        """Cached default property analysis (see :func:`analyze_properties`)."""
-        if self._report is None:
-            self._report = analyze_properties(self)
-        return self._report
+        """Kept default property analysis (see :func:`analyze_properties`)."""
+        return kept(self, "report", analyze_properties, self)
 
     def _check(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.size:
@@ -99,6 +96,18 @@ class FiniteLoop:
 
     def __repr__(self) -> str:
         return f"FiniteLoop(size={self.size})"
+
+
+def kept(owner, key, compute, *args):
+    """Fact ``key`` of a loop or cocycle: ``compute(*args)`` once, then kept
+    in ``owner._kept``, as the owner's tables never change.  Callers check
+    preconditions first.  A miss is found by ``in``, not by catching KeyError,
+    which an error that ``compute`` raises or keeps would take as its context,
+    with this frame and so the owner."""
+    facts = owner._kept
+    if key not in facts:
+        facts[key] = compute(*args)
+    return facts[key]
 
 
 def validate_table(rows: Sequence[Sequence[int]]) -> None:

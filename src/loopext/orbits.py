@@ -14,8 +14,8 @@ subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
 ``psi_orbits`` and ``gamma_orbits`` each check their precondition on every
 call and walk a loop once: the walker builds Sigma once, refuses any orbit
 that is not a fresh block of complement cells closed under its generators,
-and keeps the decomposition on the loop, packed as the cell codes x*l + y
-of its members, where later calls find it.
+and returns the decomposition packed as the cell codes x*l + y of its
+members, which the loop keeps (:func:`loopext.loops.kept`) for later calls.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from array import array
 from typing import Callable, Iterator, Sequence
 
 from .errors import InternalError, Order3Error, PreconditionError
-from .loops import FiniteLoop
+from .loops import FiniteLoop, kept
 
 Cell = tuple[int, int]
 
@@ -122,7 +122,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     images under ``names`` in that order.  The members must be fresh
     complement cells permuted by every generator (phi, psi) among ``names``;
     otherwise the maps do not partition the complement.  One flag per cell
-    marks Sigma and the cells met; the result is kept as ``loop._orbits[mode]``.
+    marks Sigma and the cells met.
     """
     sigma = sigma_set(loop)
     table, l = loop.table, loop.size
@@ -147,13 +147,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
             met[code] = 1
         codes.extend(block)
         cell = met.find(0, cell + 1)
-    loop._orbits[mode] = decomposition = OrbitDecomposition(mode, names, codes, sigma)
-    return decomposition
-
-
-def _kept(loop: FiniteLoop, mode: str, names: tuple[str, ...], inverse_map: Sequence[int]):
-    kept = loop._orbits.get(mode)  # an empty decomposition is falsy
-    return _orbits(loop, mode, names, inverse_map) if kept is None else kept
+    return OrbitDecomposition(mode, names, codes, sigma)
 
 
 def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -161,7 +155,7 @@ def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     report = loop.properties()
     if not report.has_lip:
         raise PreconditionError("phi orbits need a loop with the left inverse property")
-    return _kept(loop, "phi", ("id", "phi"), report.inverse_map)
+    return kept(loop, "phi", _orbits, loop, "phi", ("id", "phi"), report.inverse_map)
 
 
 def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -169,7 +163,7 @@ def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
     report = loop.properties()
     if not report.has_rip:
         raise PreconditionError("psi orbits need a loop with the right inverse property")
-    return _kept(loop, "psi", ("id", "psi"), report.inverse_map)
+    return kept(loop, "psi", _orbits, loop, "psi", ("id", "psi"), report.inverse_map)
 
 
 def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
@@ -185,4 +179,4 @@ def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
         raise Order3Error(
             "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
         )
-    return _kept(loop, "gamma", tuple(CELL_MAPS), report.inverse_map)
+    return kept(loop, "gamma", _orbits, loop, "gamma", tuple(CELL_MAPS), report.inverse_map)

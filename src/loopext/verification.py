@@ -11,10 +11,10 @@ timing line.
 from __future__ import annotations
 
 import time
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Optional
 
-from .errors import NotNormalError, PreconditionError
+from .errors import InputError, PreconditionError
 from .extension import (
     ExtensionLoop,
     LoopCocycle,
@@ -23,8 +23,6 @@ from .extension import (
     check_equivariance,
     check_lip_conditions,
     check_rip_conditions,
-    extension_left_inverse,
-    extension_right_inverse,
     is_commutative_extension,
     is_strongly_linear,
 )
@@ -94,9 +92,10 @@ def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int]]
     Each kernel coset {x} x A is compared whole: the closed forms of all its
     elements, (e/x, -P(e/x,x)^{-1} Q(e/x,x) a) and (x\\e, -Q(x,x\\e)^{-1} P(x,x\\e) a)
     for a in A, are gathered by one ``itemgetter`` call each from the entries
-    z*|A| + (-c), c in A, of the coset of z.  Only the first coset that
-    differs is scanned element by element, so the witness is the one an
-    element-by-element scan finds.  |A| >= 2, so each gather is a tuple.
+    z*|A| + (-c), c in A, of the coset of z.  In the first coset that
+    differs, the witness is the first position where the gathered (left,
+    right) pairs and the built ones differ, the element an element-by-element
+    scan finds.  |A| >= 2, so each gather is a tuple.
     """
     lefts, rights = built.loop._left_inverse, built.loop._right_inverse
     loop, aut, n = cocycle.loop, cocycle.autgroup, built.kernel_size
@@ -108,14 +107,10 @@ def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int]]
         left = aut[products[inverses[pt[lx][x]]][qt[lx][x]]].table
         right = aut[products[inverses[qt[x][rx]]][pt[x][rx]]].table
         start = x * n
-        if ((itemgetter(*left)(negated[lx]), itemgetter(*right)(negated[rx]))
-                != (lefts[start:start + n], rights[start:start + n])):
-            for index in range(start, start + n):
-                pair = built.pair_of(index)
-                if (built.pair_index(*extension_left_inverse(cocycle, pair)) != lefts[index]
-                        or built.pair_index(*extension_right_inverse(cocycle, pair))
-                        != rights[index]):
-                    return (index,)
+        closed = (itemgetter(*left)(negated[lx]), itemgetter(*right)(negated[rx]))
+        found = (lefts[start:start + n], rights[start:start + n])
+        if closed != found:
+            return (start + list(map(ne, zip(*closed), zip(*found))).index(True),)
     return None
 
 
@@ -140,7 +135,7 @@ def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> bool:
     report.add("inverse-formulas", witness is None, witness)
     try:
         quotient = quotient_loop(built.loop, built.kernel())
-    except NotNormalError:
+    except InputError:  # NotNormalError, or a kernel that is no subloop at all
         report.add("kernel-normal", False)
         report.add("quotient-reconstructs-base", False, note="kernel not normal")
     else:

@@ -385,7 +385,7 @@ class TestComposeInvert:
         # all 36 products are answered, but only the first 10 are kept, and
         # no row is kept once the cap is reached
         assert sum(map(len, autgroup.products.values())) == 10
-        assert autgroup.products.stored == 10
+        assert autgroup.products.budget[0] == 10
         assert len(autgroup.products) == 2
         assert len(autgroup._members) == 4
         larger = AutomorphismGroup(make_group([3, 3]))

@@ -8,7 +8,7 @@ from loopext.cardinality import (
 )
 from loopext.constructions import ChoiceSource, construct_ip_cocycle
 from loopext.abelian import make_group
-from loopext.catalog import cyclic_loop
+from loopext.catalog import abelian_group_loop, bundled_corpus, cyclic_loop
 from loopext.errors import InputError, Order3Error, PreconditionError
 from loopext.extension import build_extension
 from loopext.loops import analyze_properties
@@ -102,6 +102,35 @@ class TestOrbitCrossCheck:
             assert not feasible_cardinality(l).feasible
             with pytest.raises(Order3Error):
                 gamma_orbits(cyclic_loop(l))
+
+
+def ip_loops():
+    """Every IP loop of the corpus, the cyclic loops of order up to 16, Z3^2
+    and Z3 x Z6, by name."""
+    found = {name: loop for name, loop in bundled_corpus().items() if loop.properties().has_ip}
+    found.update({f"cyclic{l}": cyclic_loop(l) for l in range(1, 17)})
+    found.update({"z3^2": abelian_group_loop([3, 3]), "z3xz6": abelian_group_loop([3, 6])})
+    return found
+
+
+class TestProvedCount:
+    """What the orbit count proves: on an IP loop the six-element group moves
+    every complement cell in an orbit of six, except the cells (x, x) with
+    x*x = x^{-1}, which pair up in orbits of two, so (l-1)(l-2) - t is a
+    multiple of 6, for t the number of such x != e.  Only when t = 0 does
+    6 | (l-1)(l-2) follow; P = Q = Id extends every IP loop with IP."""
+
+    @pytest.mark.parametrize("name", sorted(ip_loops()))
+    def test_complement_minus_order3_elements(self, name):
+        loop = ip_loops()[name]
+        report = loop.properties()
+        assert report.has_ip
+        l, inverse = loop.size, report.inverse_map
+        t = sum(1 for x in range(1, l) if loop.table[x][x] == inverse[x])
+        assert ((l - 1) * (l - 2) - t) % 6 == 0
+        assert (t > 0) == report.has_order3_element
+        if t == 0:
+            assert 6 * len(gamma_orbits(loop)) == (l - 1) * (l - 2)
 
 
 class TestConstructiveWitness:

