@@ -152,9 +152,9 @@ def ip_loop7() -> FiniteLoop:
     """A non-associative inverse-property loop of order 7, found by search.
 
     Exhaustive enumeration over all inverse maps shows every such loop
-    contains an element with x*x = x^{-1}, so this entry can never feed the
-    six-orbit construction; :func:`ip_loop8` is the smallest searched
-    non-associative base without that obstruction.
+    contains an element with x*x = x^{-1}, so its orbit walk has orbits of
+    two; :func:`ip_loop8` is the smallest searched non-associative base
+    whose orbits all have six cells.
     """
     found = search_ip_loop(7, forbid_order3=False)
     if found is None:

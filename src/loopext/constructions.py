@@ -17,7 +17,8 @@ Choice consumption order:
   x = 1..l-1, then P and Q (in that order) at each phi-orbit representative.
 * ``construct_rip_cocycle``: the ``construct_pq`` draws, then Q(x, e) for
   x = 1..l-1, then P and Q at each psi-orbit representative.
-* ``construct_ip_cocycle``: P then Q at each six-orbit representative.
+* ``construct_ip_cocycle``: P then Q at each six-orbit representative; an
+  orbit of two draws nothing.
 * ``random_cocycle``: P then Q at every unpinned cell, row-major.
 
 Every construction is gated: the returned cocycle has been re-verified both
@@ -323,19 +324,21 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
                          choice: ChoiceSource) -> LoopCocycle:
     """Seeded strongly linear cocycle whose extension has the inverse property.
 
-    Requires an inverse-property loop with no element x*x = x^{-1}.  Sigma is
-    Id; each six-orbit representative draws a free automorphism pair (P, Q),
-    and every other orbit member receives the pair transformed by the
-    symmetry carrying the representative there.
+    Requires an inverse-property loop.  Sigma is Id; each orbit
+    representative draws a free automorphism pair (P, Q), and every other
+    orbit member receives the pair transformed by the symmetry carrying the
+    representative there.  An orbit of two, whose representative is its own
+    phi*psi image, gets (Id, Id), which its stabiliser fixes, and no draw.
     """
     autgroup = enumerate_automorphisms(group)
-    naut = len(autgroup)
+    naut, ident = len(autgroup), autgroup.identity_index
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
-    ptable, qtable = _id_tables(loop.size, autgroup.identity_index, decomposition.sigma.pairs)
+    ptable, qtable = _id_tables(loop.size, ident, decomposition.sigma.pairs)
     codes = iter(decomposition._codes)
     for orbit in zip(*[codes] * 6):
-        pr, qr = choice.pick(naut), choice.pick(naut)
+        of_two = orbit[0] == orbit[4]  # phi*psi fixes the representative
+        pr, qr = (ident, ident) if of_two else (choice.pick(naut), choice.pick(naut))
         for pair_map, code in zip(PAIR_MAPS.values(), orbit):
             ptable[code], qtable[code] = pair_map(products, inverses, pr, qr)
     return _gated(_finish(loop, group, ptable, qtable), "ip",

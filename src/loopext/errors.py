@@ -65,9 +65,5 @@ class UndefinedPropertyError(PreconditionError):
     """A property flag was read on a loop where it is undefined."""
 
 
-class Order3Error(PreconditionError):
-    """An element with x*x equal to its two-sided inverse blocks the operation."""
-
-
 class InternalError(LoopextError):
     """A library invariant failed; indicates a bug, not a caller mistake."""

@@ -304,24 +304,21 @@ def check_ip_conditions(cocycle: LoopCocycle) -> bool:
 def check_equivariance(cocycle: LoopCocycle) -> bool:
     """Whether (P, Q) commutes with the pair symmetries on every complement cell.
 
-    Requires a strongly linear cocycle over an inverse-property loop with no
-    element x*x = x^{-1}; under those preconditions this is equivalent to
-    :func:`check_ip_conditions` when the cocycle is Id on all of Sigma.
+    Requires a strongly linear cocycle over an inverse-property loop; then
+    this is equivalent to :func:`check_ip_conditions` when the cocycle is Id
+    on all of Sigma.
 
     Each orbit member is compared with its symmetry's pair map of the
     representative's (P, Q) only.  That suffices: the cell maps and the pair
-    maps are actions of the same six-element group, and the orbit walker
-    proves that each orbit has six distinct members.
+    maps are actions of the same group, S3.  A cell (x, x) with
+    x*x = x^{-1} is listed under id, phi*psi and psi*phi, so it is compared
+    with those three images of its own pair, which all hold exactly when
+    the stabiliser fixes the pair: P = Q^{-1} with Q^3 = Id.
     """
     if not is_strongly_linear(cocycle):
         raise PreconditionError("equivariance test needs a strongly linear cocycle")
-    report = cocycle.loop.properties()
-    if not report.has_ip:
+    if not cocycle.loop.properties().has_ip:
         raise PreconditionError("base loop does not have the inverse property")
-    if report.has_order3_element:
-        raise PreconditionError(
-            "equivariance test needs a loop with no element x*x = x^{-1}"
-        )
     return kept(cocycle, "equivariance", _equivariance_holds, cocycle)
 
 

@@ -3,11 +3,11 @@
 Sigma collects the cells of L x L where cocycle values are pinned: the
 identity row, the identity column and the inverse diagonal (x^{-1}, x).  Two
 involutions act on the complement, ``phi: (x, y) -> (x^{-1}, x*y)`` and
-``psi: (x, y) -> (x*y, y^{-1})``; together they generate a six-element group
-(isomorphic to S3 when no element satisfies x*x = x^{-1}) that acts both on
-complement cells and on pairs of automorphisms.  Each element is a name
-such as ``"phi*psi"``, the key of its direct formula in ``CELL_MAPS`` (the
-action on cells) and in ``PAIR_MAPS`` (the action on automorphism pairs).
+``psi: (x, y) -> (x*y, y^{-1})``; on an inverse-property loop they generate
+S3, which acts both on complement cells and on pairs of automorphisms.  Each
+element is a name such as ``"phi*psi"``, the key of its direct formula in
+``CELL_MAPS`` (the action on cells) and in ``PAIR_MAPS`` (the action on
+automorphism pairs).
 
 The LIP, RIP and IP orbits are one walk of the complement under the
 subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
@@ -16,6 +16,8 @@ call and walk a loop once: the walker builds Sigma once, refuses any orbit
 that is not a fresh block of complement cells closed under its generators,
 and returns the decomposition packed as the cell codes x*l + y of its
 members, which the loop keeps (:func:`loopext.loops.kept`) for later calls.
+A cell (x, x) with x*x = x^{-1} has stabiliser {id, phi*psi, psi*phi}, so
+its S3 orbit, {(x, x), (x^{-1}, x^{-1})}, lists each cell three times.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Iterator, Sequence
 
-from .errors import InternalError, Order3Error, PreconditionError
+from .errors import InternalError, PreconditionError
 from .loops import FiniteLoop, kept
 
 Cell = tuple[int, int]
@@ -137,7 +139,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
         x, y = divmod(cell, l)
         members = [m(table, inverse_map, x, y) for m in maps]
         block = [u * l + v for u, v in members]
-        if len(set(block)) != len(block) or any(map(met.__getitem__, block)):
+        if any(map(met.__getitem__, block)):
             raise InternalError(f"{mode} orbit of {(x, y)} is not a set of fresh complement cells")
         for name, g in generators:
             images = [g(table, inverse_map, u, v) for u, v in members]
@@ -167,16 +169,9 @@ def psi_orbits(loop: FiniteLoop) -> OrbitDecomposition:
 
 
 def gamma_orbits(loop: FiniteLoop) -> OrbitDecomposition:
-    """Size-6 orbits of the full group on the complement.
-
-    Requires an inverse-property loop with no element x*x = x^{-1}; under
-    that precondition the orbits partition the complement.
-    """
+    """Orbits of S3 on the complement, of six cells or of two; requires the
+    inverse property."""
     report = loop.properties()
     if not report.has_ip:
         raise PreconditionError("loop does not have the inverse property")
-    if report.has_order3_element:
-        raise Order3Error(
-            "loop has an element with x*x = x^{-1}; six-element orbits degenerate"
-        )
     return kept(loop, "gamma", _orbits, loop, "gamma", tuple(CELL_MAPS), report.inverse_map)

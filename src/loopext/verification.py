@@ -191,7 +191,8 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
         _agreement(report, "ip", ip_condition, ip_witness is None, ip_witness)
         # the equivariance test only sees cells outside Sigma, so it answers
         # the same question as the closed-form conditions exactly when the
-        # cocycle is Id on all of Sigma
+        # cocycle is Id on all of Sigma.  It answers when x*x = x^{-1} too, but
+        # the line stays off there, as report text is frozen output.
         if not base.has_order3_element and _identity_on_sigma(cocycle):
             _agreement(report, "equivariance", check_equivariance(cocycle),
                        ip_condition, None)

@@ -179,7 +179,7 @@ def walked_orbits(loop, names):
         if cell in seen:
             continue
         members = tuple(m(table, inv, *cell) for m in maps)
-        assert len(set(members)) == len(members) and not seen & set(members)
+        assert not seen & set(members)
         seen |= set(members)
         orbits.append((cell, members, tuple(names)))
     assert seen == set(complement)

@@ -9,8 +9,10 @@ from loopext.cardinality import (
 from loopext.constructions import ChoiceSource, construct_ip_cocycle
 from loopext.abelian import make_group
 from loopext.catalog import abelian_group_loop, bundled_corpus, cyclic_loop
-from loopext.errors import InputError, Order3Error, PreconditionError
+from loopext.cli import main
+from loopext.errors import InputError, PreconditionError
 from loopext.extension import build_extension
+from loopext.fileio import emit_loop_file
 from loopext.loops import analyze_properties
 from loopext.orbits import gamma_orbits
 from loopext.verification import verify_cocycle
@@ -94,14 +96,17 @@ class TestOrbitCrossCheck:
             gamma_orbits(loops["mismatch"])
 
     def test_requires_no_order3(self, loops):
-        with pytest.raises(PreconditionError):
-            gamma_orbits(loops["z3"])
-        # every order up to 16 that 3 divides is infeasible, and the orbit
-        # walk refuses the cyclic loop of that order for its element of order 3
+        # the count 6 | (l-1)(l-2) requires no element x*x = x^{-1}: every
+        # order up to 16 that 3 divides is infeasible, and the cyclic loop of
+        # that order has two such elements, whose cells form one orbit of two
         for l in range(3, 17, 3):
             assert not feasible_cardinality(l).feasible
-            with pytest.raises(Order3Error):
-                gamma_orbits(cyclic_loop(l))
+            decomposition = gamma_orbits(cyclic_loop(l))
+            pairs = [set(orbit.members) for orbit in decomposition
+                     if len(set(orbit.members)) == 2]
+            x = l // 3
+            assert pairs == [{(x, x), (2 * x, 2 * x)}]
+            assert 6 * (len(decomposition) - 1) + 2 == (l - 1) * (l - 2)
 
 
 def ip_loops():
@@ -127,10 +132,21 @@ class TestProvedCount:
         assert report.has_ip
         l, inverse = loop.size, report.inverse_map
         t = sum(1 for x in range(1, l) if loop.table[x][x] == inverse[x])
-        assert ((l - 1) * (l - 2) - t) % 6 == 0
+        k6, rest = divmod((l - 1) * (l - 2) - t, 6)
+        assert rest == 0 and t % 2 == 0
         assert (t > 0) == report.has_order3_element
-        if t == 0:
-            assert 6 * len(gamma_orbits(loop)) == (l - 1) * (l - 2)
+        assert len(gamma_orbits(loop)) == k6 + t // 2
+
+    @pytest.mark.parametrize("name", sorted(ip_loops()))
+    def test_constructed_extension_verifies(self, name, tmp_path, capsys):
+        # through the CLI, as a user runs it, orbits of two included
+        loop_path, coc_path = str(tmp_path / "base.loop"), str(tmp_path / "ip.coc")
+        emit_loop_file(ip_loops()[name], loop_path)
+        assert main(["construct", "--loop", loop_path, "--group", "3", "--mode", "ip",
+                     "--seed", "5", "--out", coc_path]) == 0
+        assert main(["verify", "--loop", loop_path, "--cocycle", coc_path,
+                     "--mode", "ip", "--no-timing"]) == 0
+        assert capsys.readouterr().out.endswith("result: pass\n")
 
 
 class TestConstructiveWitness:

@@ -61,8 +61,8 @@ def test_involution_count():
 def test_order7_obstruction_is_exhaustive():
     """Every labeled IP loop of order 7 is either a relabeled cyclic group
     (120 of them, all free of x*x = x^{-1}) or non-associative with such an
-    element (30 of them).  A non-associative entry compatible with the
-    six-orbit construction therefore cannot exist at order 7."""
+    element (30 of them).  So the complement of Sigma in a non-associative
+    IP loop of order 7 always holds orbits of two, not only orbits of six."""
     tallies = {"total": 0, "nonassociative": 0, "order3_free": 0, "both": 0}
 
     def tally(loop):

@@ -326,9 +326,14 @@ class TestOrbits:
         assert "orbits: 3" in out
         assert "id:(1,1) phi:(3,2)" in out
 
-    def test_gamma_rejects_order3(self, capsys, loop_files):
-        code, _, err = run(capsys, "orbits", "--loop", loop_files["z3"], "--mode", "gamma")
-        assert code == 2
+    def test_gamma_lists_order3_orbit_of_two(self, capsys, loop_files):
+        # z3's complement is the orbit {(1, 1), (2, 2)}, as 1 + 1 = -1: its
+        # line names six group elements, each cell three times
+        code, out, _ = run(capsys, "orbits", "--loop", loop_files["z3"], "--mode", "gamma")
+        assert code == 0
+        assert "complement-size: 2\norbits: 1\n" in out
+        assert out.endswith("orbit 0: id:(1,1) phi:(2,2) psi:(2,2) phi*psi*phi:(2,2) "
+                            "phi*psi:(1,1) psi*phi:(1,1)\n")
 
     @pytest.mark.parametrize("mode", ["phi", "psi", "gamma"])
     def test_no_cell_tuple_built(self, capsys, loop_files, monkeypatch, mode):
@@ -439,18 +444,21 @@ class TestConstructVerifyExtend:
         assert code == 2
         assert "error:" in err
 
-    def test_order3_precondition_exit(self, capsys, loop_files, tmp_path):
-        code, _, err = run(capsys, "construct", "--loop", loop_files["z3"],
-                           "--group", "3", "--mode", "ip",
-                           "--out", str(tmp_path / "x.coc"))
-        assert code == 2
-        assert "x*x" in err
-
-    def test_ip7_order3_precondition_exit(self, capsys, loop_files, tmp_path):
-        code, _, err = run(capsys, "construct", "--loop", loop_files["ip7"],
-                           "--group", "2", "--mode", "ip",
-                           "--out", str(tmp_path / "x.coc"))
-        assert code == 2
+    @pytest.mark.parametrize("name,group", [("z3", "3"), ("ip7", "2")])
+    def test_order3_base_chain_exits_zero(self, capsys, loop_files, tmp_path, name, group):
+        # a base with an element x*x = x^{-1}: construct, extend and verify
+        # --mode ip each succeed
+        coc, ext = str(tmp_path / "x.coc"), str(tmp_path / "x.loop")
+        code, _, _ = run(capsys, "construct", "--loop", loop_files[name],
+                         "--group", group, "--mode", "ip", "--out", coc)
+        assert code == 0
+        code, _, _ = run(capsys, "extend", "--loop", loop_files[name], "--cocycle", coc,
+                         "--out", ext, "--no-timing")
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "--loop", loop_files[name], "--cocycle", coc,
+                           "--mode", "ip", "--no-timing")
+        assert code == 0
+        assert "check property-ip: pass\nresult: pass\n" in out
 
     def test_failing_verify_reports_replayable_counterexample(
             self, capsys, loop_files, tmp_path):

@@ -1,7 +1,13 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from loopext.abelian import make_group
+from loopext import constructions
+from loopext.abelian import enumerate_automorphisms, make_group
+from loopext.catalog import cyclic_loop
+from loopext.cli import main
 from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
@@ -10,7 +16,7 @@ from loopext.constructions import (
     construct_rip_cocycle,
     random_cocycle,
 )
-from loopext.errors import InputError, Order3Error, PreconditionError
+from loopext.errors import InputError, InternalError, PreconditionError
 from loopext.extension import (
     build_extension,
     check_ip_conditions,
@@ -18,10 +24,12 @@ from loopext.extension import (
     check_rip_conditions,
     coincidence_condition_holds,
     is_strongly_linear,
+    make_cocycle,
     opposite_cocycle,
 )
-from loopext.fileio import dumps_cocycle
+from loopext.fileio import dumps_cocycle, emit_loop_file
 from loopext.loops import analyze_properties, make_loop
+from loopext.orbits import PAIR_MAPS, gamma_orbits, phi_orbits
 from reference import Replay, ScalarChoiceSource, compose, invert
 
 
@@ -307,12 +315,39 @@ class TestIpConstruction:
         assert analyze_properties(built.loop).has_ip
 
     def test_order3_rejected(self, loops, groups):
-        with pytest.raises(Order3Error):
-            construct_ip_cocycle(loops["z3"], groups["z3"], ChoiceSource(0))
-        with pytest.raises(Order3Error):
-            construct_ip_cocycle(loops["z6"], groups["z2"], ChoiceSource(0))
-        with pytest.raises(Order3Error):
-            construct_ip_cocycle(loops["ip7"], groups["z2"], ChoiceSource(0))
+        # an orbit of two, {(x, x), (x^{-1}, x^{-1})} with x*x = x^{-1}, gets
+        # (Id, Id) and draws nothing; a pair its stabiliser {id, phi*psi,
+        # psi*phi} does not fix is rejected by both routes, so on z3, whose
+        # complement is the one orbit {(1, 1), (2, 2)}, with A = Z2^2 the
+        # strongly linear IP cocycles are (Q^{-1}, Q) at (1, 1), Q^3 = Id,
+        # and its phi image at (2, 2)
+        for name, group in (("z3", "z3"), ("z6", "z2"), ("ip7", "z2xz2")):
+            loop, source = loops[name], Replay()
+            cocycle = construct_ip_cocycle(loop, groups[group], source)
+            orbits = list(gamma_orbits(loop))
+            pairs = [o.members for o in orbits if o.members[0] == o.members[4]]
+            assert pairs and len(source.asked) == 2 * (len(orbits) - len(pairs))
+            assert all(cocycle.p(x, y) == cocycle.q(x, y) == cocycle.autgroup.identity_index
+                       for members in pairs for x, y in members)
+
+        loop, group = loops["z3"], groups["z2xz2"]
+        aut = enumerate_automorphisms(group)
+        m, v, ident = aut.products, aut.inverses, aut.identity_index
+        survivors = []
+        for p1, q1, p2, q2 in itertools.product(range(len(aut)), repeat=4):
+            ptable, qtable = [[ident] * 3 for _ in range(3)], [[ident] * 3 for _ in range(3)]
+            ptable[1][1], qtable[1][1], ptable[2][2], qtable[2][2] = p1, q1, p2, q2
+            cocycle = make_cocycle(loop, group, ptable, qtable)
+            ip = analyze_properties(build_extension(cocycle).loop).has_ip
+            assert check_ip_conditions(cocycle) == ip
+            if ip:
+                survivors.append(((p1, q1), (p2, q2)))
+        fixed = [(v[q], q) for q in range(len(aut)) if m[q][m[q][q]] == ident]
+        assert len(fixed) == 3
+        assert sorted(survivors) == sorted(
+            ((p, q), PAIR_MAPS["phi"](m, v, p, q)) for p, q in fixed)
+        assert construct_ip_cocycle(loop, group, ChoiceSource(0)) == make_cocycle(
+            loop, group, [[ident] * 3] * 3, [[ident] * 3] * 3)
 
     def test_non_ip_rejected(self, loops, groups):
         with pytest.raises(PreconditionError):
@@ -374,6 +409,52 @@ class TestIpConstruction:
         loop = make_loop(loops["ip8"].table)
         for construct in (construct_lip_cocycle, construct_rip_cocycle, construct_ip_cocycle):
             construct(loop, groups["z3"], ChoiceSource(5))
+
+
+def built_as_not_a_loop(monkeypatch):
+    defect = SimpleNamespace(loop=None, defect="row 0 repeats an entry")
+    monkeypatch.setattr(constructions, "build_extension", lambda cocycle: defect)
+
+
+def built_from_another_cocycle(monkeypatch):
+    # the gate scans the extension of a random cocycle, which lacks LIP
+    other = random_cocycle(cyclic_loop(4), make_group([3]), ChoiceSource(0))
+    monkeypatch.setattr(constructions, "build_extension", lambda cocycle: build_extension(other))
+
+
+def last_orbit_dropped(monkeypatch):
+    monkeypatch.setattr(constructions, "phi_orbits",
+                        lambda loop: SimpleNamespace(_codes=phi_orbits(loop)._codes[:-2]))
+
+
+def coincidence_refused(monkeypatch):
+    monkeypatch.setattr(constructions, "coincidence_condition_holds", lambda *args: False)
+
+
+GATE_FAULTS = {
+    "not-a-loop": (built_as_not_a_loop, "built extension is not a loop"),
+    "scan-disagrees": (built_from_another_cocycle,
+                       "built extension fails the definition-level lip check"),
+    "cell-unassigned": (last_orbit_dropped, r"construction left P\(2, 1\) unassigned"),
+    "pq-not-coincident": (coincidence_refused, "violate the coincidence condition"),
+}
+
+
+class TestGateFaults:
+    """A construction that breaks its own invariants raises InternalError,
+    a crash that ``loopext construct`` lets through rather than exit 2."""
+
+    @pytest.mark.parametrize("fault", sorted(GATE_FAULTS))
+    def test_raised_and_propagated(self, loops, groups, monkeypatch, tmp_path, fault):
+        provoke, message = GATE_FAULTS[fault]
+        provoke(monkeypatch)
+        with pytest.raises(InternalError, match=message):
+            construct_lip_cocycle(loops["z4"], groups["z3"], ChoiceSource(0))
+        loop_path = tmp_path / "z4.loop"
+        emit_loop_file(loops["z4"], loop_path)
+        with pytest.raises(InternalError, match=message):
+            main(["construct", "--loop", str(loop_path), "--group", "3", "--mode", "lip",
+                  "--out", str(tmp_path / "x.coc")])
 
 
 class TestRandomCocycle:

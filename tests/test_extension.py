@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from loopext.abelian import make_group
@@ -32,7 +34,7 @@ from loopext.loops import (
     is_normal_subloop,
     quotient_loop,
 )
-from loopext.orbits import gamma_orbits
+from loopext.orbits import PAIR_MAPS, gamma_orbits
 from reference import Replay, ip_conditions_hold, left_div, right_div
 
 
@@ -417,11 +419,30 @@ class TestIpAndEquivariance:
                     assert not ip_conditions_hold(broken)
 
     def test_equivariance_rejects_order3(self, loops, groups):
-        cocycle = trivial_cocycle(loops["z3"], groups["z3"])
-        with pytest.raises(PreconditionError):
-            check_equivariance(cocycle)
-        # the plain conditions stay defined there
-        assert check_ip_conditions(cocycle)
+        # on an orbit of two of ip7, {(x, x), (x^{-1}, x^{-1})} with
+        # x*x = x^{-1}, put (P, Q) at (x, x) and its phi image at the other
+        # cell of a constructed IP cocycle: equivariance, like the
+        # closed-form conditions, rejects every pair that the stabiliser
+        # {id, phi*psi, psi*phi} does not fix, and holds on P = Q^{-1} with
+        # Q^3 = Id
+        loop, group = loops["ip7"], groups["z2xz2"]
+        base = construct_ip_cocycle(loop, group, ChoiceSource(3))
+        aut = base.autgroup
+        m, v, ident = aut.products, aut.inverses, aut.identity_index
+        pairs = [o.members for o in gamma_orbits(loop) if o.members[0] == o.members[4]]
+        assert pairs
+        for (x, y), (u, w) in (members[:2] for members in pairs):
+            held = 0
+            for p, q in itertools.product(range(len(aut)), repeat=2):
+                ptable = [list(row) for row in base.ptable]
+                qtable = [list(row) for row in base.qtable]
+                ptable[x][y], qtable[x][y] = p, q
+                ptable[u][w], qtable[u][w] = PAIR_MAPS["phi"](m, v, p, q)
+                cocycle = make_cocycle(loop, group, ptable, qtable)
+                fixed = p == v[q] and m[q][m[q][q]] == ident
+                assert check_equivariance(cocycle) == check_ip_conditions(cocycle) == fixed
+                held += fixed
+            assert held == 3
 
     def test_sigma_diagonal_must_be_identity(self, loops, groups):
         # strongly linear but with a negation on the inverse diagonal of

@@ -4,6 +4,7 @@ import pytest
 
 from loopext.abelian import make_group
 from loopext.catalog import abelian_group_loop
+from loopext.cli import main
 from loopext.constructions import (
     ChoiceSource,
     construct_ip_cocycle,
@@ -96,6 +97,62 @@ class TestLoopFormat:
     def test_duplicate_row_entry_error_mentions_row(self):
         with pytest.raises(ParseError, match="row 1"):
             loads_loop("loop 3\n0 1 2\n1 1 0\n2 0 1\n")
+
+
+# Files each parser refuses, by case: the text, the line the refusal names
+# (None where it names the file alone) and a fragment of its message.
+LOOP_REFUSALS = {
+    "empty": ("# nothing but a comment\n\n", None, "empty loop file"),
+    "order-zero": ("# comment\nloop 0\n", 2, "loop size must be >= 1, got 0"),
+}
+
+COCYCLE_BODY = "P\n0 0\n0 0\nQ\n0 0\n0 0\n"
+
+COCYCLE_REFUSALS = {
+    "empty": ("\n# nothing\n", None, "empty cocycle file"),
+    "field-without-equals": ("cocycle l=2 group3\n" + COCYCLE_BODY, 1,
+                             "bad header field 'group3'"),
+    "other-fields": ("cocycle l=2 size=3\n" + COCYCLE_BODY, 1,
+                     "header must carry exactly 'l' and 'group', got ['l', 'size']"),
+    "non-integer-l": ("cocycle l=two group=3\n" + COCYCLE_BODY, 1, "bad size 'two'"),
+    "bad-group": ("cocycle l=2 group=1x\n" + COCYCLE_BODY, 1, "bad group spec '1x'"),
+    "body-count": ("cocycle l=2 group=3\n" + COCYCLE_BODY[:-4], 1,
+                   "expected 'P', 2 rows, 'Q', 2 rows; found 5 lines"),
+    "no-p-section": ("# comment\ncocycle l=2 group=3\n" + COCYCLE_BODY.replace("P", "R"), 3,
+                     "expected 'P' section, got 'R'"),
+}
+
+
+def refusal_prefix(path, line):
+    return f"{path}:{line}: " if line is not None else f"{path}: "
+
+
+class TestParseRefusals:
+    """Each parser refusal names the file and line, and the CLI turns it into
+    exit 2 with an ``error:`` line."""
+
+    @pytest.mark.parametrize("case", sorted(LOOP_REFUSALS))
+    def test_loop(self, tmp_path, capsys, case):
+        text, line, fragment = LOOP_REFUSALS[case]
+        path = tmp_path / "bad.loop"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_loop_file(path)
+        assert str(err.value).startswith(refusal_prefix(path, line)) and fragment in str(err.value)
+        assert main(["check", "--loop", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+    @pytest.mark.parametrize("case", sorted(COCYCLE_REFUSALS))
+    def test_cocycle(self, tmp_path, capsys, loops, case):
+        text, line, fragment = COCYCLE_REFUSALS[case]
+        loop_path, path = tmp_path / "z2.loop", tmp_path / "bad.coc"
+        emit_loop_file(loops["z2"], loop_path)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_cocycle_file(path, loops["z2"])
+        assert str(err.value).startswith(refusal_prefix(path, line)) and fragment in str(err.value)
+        assert main(["verify", "--loop", str(loop_path), "--cocycle", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 class TestCocycleFormat:

@@ -6,7 +6,7 @@ from reference import walked_orbits
 from loopext import orbits
 from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.catalog import abelian_group_loop, bundled_corpus, cyclic_loop, ip_loop8
-from loopext.errors import InternalError, Order3Error, PreconditionError
+from loopext.errors import InternalError, PreconditionError
 from loopext.loops import make_loop
 from loopext.orbits import (
     CELL_MAPS,
@@ -111,9 +111,17 @@ class TestGammaOrbit:
         )
         assert orbit.symmetries == tuple(CELL_MAPS)
 
-    def test_z3_order3_error(self, loops):
-        with pytest.raises(Order3Error):
-            gamma_orbits(loops["z3"])
+    def test_z3_order3_error(self, loops, monkeypatch):
+        # z3's complement is one orbit of two, {(1, 1), (2, 2)} with
+        # 1 + 1 = -1: its block is six codes wide and lists each cell three
+        # times, and the walker still refuses it if a map leaves the
+        # complement
+        (orbit,) = gamma_orbits(loops["z3"])
+        assert orbit.members == ((1, 1), (2, 2), (2, 2), (2, 2), (1, 1), (1, 1))
+        # (x, y) -> (x, x^{-1}) lands on the inverse diagonal
+        monkeypatch.setitem(CELL_MAPS, "psi", lambda t, inv, x, y: (x, inv[x]))
+        with pytest.raises(InternalError, match="fresh complement cells"):
+            gamma_orbits(make_loop(loops["z3"].table))  # not walked before
 
     def test_not_ip_rejected(self, loops):
         with pytest.raises(PreconditionError):
@@ -196,7 +204,7 @@ class TestPackedWalk:
     def assert_same_walk(loop):
         report = loop.properties()
         applies = {"phi": report.has_lip, "psi": report.has_rip,
-                   "gamma": report.has_ip and not report.has_order3_element}
+                   "gamma": report.has_ip}
         for mode, (walk, names) in WALKS.items():
             if not applies[mode]:
                 continue
