@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds; 1 a verified property or check fails
 (the report carries a replayable counterexample); 2 input or precondition error,
-including a file that cannot be read, written or decoded as UTF-8.
+including a file that cannot be read, written or decoded as UTF-8.  A report
+on stdout is byte-stable; its ``elapsed-ms:`` line goes to stderr.
 """
 
 from __future__ import annotations
@@ -122,6 +123,12 @@ def _fingerprints(args) -> dict[str, str]:
     return {"loop": file_sha256(args.loop), "cocycle": file_sha256(args.cocycle)}
 
 
+def _emit_report(report) -> int:
+    sys.stdout.write(report.to_text())
+    print(f"elapsed-ms: {report.elapsed_ms:.1f}", file=sys.stderr)
+    return 0 if report.passed else 1
+
+
 def cmd_extend(args) -> int:
     loop = parse_loop_file(args.loop)
     cocycle = parse_cocycle_file(args.cocycle, loop)
@@ -129,17 +136,14 @@ def cmd_extend(args) -> int:
     if built.loop is not None:
         emit_loop_file(built.loop, args.out, comments=extension_comments(cocycle))
         print(f"wrote: {args.out}")
-    report = extension_report(built, _fingerprints(args))
-    sys.stdout.write(report.to_text(include_timing=not args.no_timing))
-    return 0 if report.passed else 1
+    return _emit_report(extension_report(built, _fingerprints(args)))
 
 
 def cmd_verify(args) -> int:
     loop = parse_loop_file(args.loop)
     cocycle = parse_cocycle_file(args.cocycle, loop)
     report = verify_cocycle(cocycle, mode=args.mode, fingerprints=_fingerprints(args))
-    sys.stdout.write(report.to_text(include_timing=not args.no_timing))
-    return 0 if report.passed else 1
+    return _emit_report(report)
 
 
 def cmd_feasible(args) -> int:
@@ -185,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", required=True)
     p.add_argument("--cocycle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("verify", help="run dual-route verification on a cocycle file")
     p.add_argument("--loop", required=True)
     p.add_argument("--cocycle", required=True)
     p.add_argument("--mode", default="all", choices=list(VERIFY_MODES))
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("feasible",

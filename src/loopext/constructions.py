@@ -23,7 +23,9 @@ Choice consumption order:
 
 Every construction is gated: the returned cocycle has been re-verified both
 by its closed-form condition checker and by a definition-level check of the
-built extension, so a successful return is a proof of the property.
+built extension, so a successful return is a proof of the property.  Each
+first refuses an extension larger than ``MAX_EXTENSION_ORDER``, before any
+orbit walk or draw.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .extension import (
     coincidence_condition_holds,
     is_strongly_linear,
     make_cocycle,
+    refuse_oversized_extension,
 )
 from .loops import FiniteLoop
 from .orbits import PAIR_MAPS, gamma_orbits, phi_orbits, psi_orbits, sigma_set
@@ -249,6 +252,7 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     only asks (p(x)^{-1} q(x))^2 = Id; on L = Z2 with A = Z3 the construction
     reaches 4 of the 8 LIP cocycles.
     """
+    refuse_oversized_extension(loop, group)
     report = loop.properties()
     if not report.has_lip:
         raise PreconditionError("construction needs a loop with the left inverse property")
@@ -291,6 +295,7 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     As for LIP, p(x) = q(x) at a self-inverse x != e, so the image need not
     be every RIP cocycle: 4 of the 8 on L = Z2 with A = Z3.
     """
+    refuse_oversized_extension(loop, group)
     report = loop.properties()
     if not report.has_rip:
         raise PreconditionError("construction needs a loop with the right inverse property")
@@ -330,6 +335,7 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     representative there.  An orbit of two, whose representative is its own
     phi*psi image, gets (Id, Id), which its stabiliser fixes, and no draw.
     """
+    refuse_oversized_extension(loop, group)
     autgroup = enumerate_automorphisms(group)
     naut, ident = len(autgroup), autgroup.identity_index
     products, inverses = autgroup.products, autgroup.inverses
@@ -354,6 +360,7 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
     convention under which the strongly linear checkers are exercised) and
     only complement cells are drawn.
     """
+    refuse_oversized_extension(loop, group)
     autgroup = enumerate_automorphisms(group)
     l = loop.size
     naut = len(autgroup)

@@ -23,11 +23,29 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
-from .errors import CocycleNormalizationError, InputError, PreconditionError, StructureError
+from .errors import (
+    CocycleNormalizationError,
+    InputError,
+    PreconditionError,
+    ResourceError,
+    StructureError,
+)
 from .loops import FiniteLoop, kept, validate_table
 from .orbits import PAIR_MAPS, gamma_orbits
 
 Pair = tuple[int, int]
+
+# Largest extension order N = l * |A| admitted; cyclic_loop(64) with A = Z64
+# reaches it.  The table has N^2 cells, so time and memory grow with N^2.
+MAX_EXTENSION_ORDER = 4096
+
+
+def refuse_oversized_extension(loop: FiniteLoop, group: AbelianGroup) -> None:
+    """Raise ``ResourceError`` when the extension of ``loop`` by ``group``
+    would have more than ``MAX_EXTENSION_ORDER`` elements."""
+    if (n := loop.size * group.size) > MAX_EXTENSION_ORDER:
+        raise ResourceError(f"extension order N = {loop.size} * {group.size} = {n} "
+                            f"exceeds the cap {MAX_EXTENSION_ORDER}")
 
 
 class LoopCocycle:
@@ -69,7 +87,9 @@ class LoopCocycle:
 
 
 def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopCocycle:
-    """Validate index tables (shape, range, identity boundary) into a cocycle."""
+    """Validate index tables (shape, range, identity boundary) into a cocycle;
+    refuse an oversized extension first."""
+    refuse_oversized_extension(loop, group)
     autgroup = enumerate_automorphisms(group)
     l = loop.size
     naut = len(autgroup)

@@ -446,3 +446,26 @@ class TestAutomorphismValidation:
             else:
                 accepted = True
             assert accepted == additive, table
+
+
+# (call, exception type, exact message) of each input refusal that no other
+# test reaches
+REFUSALS = {
+    "index-of-short-tuple": (lambda: make_group([2, 3]).index_of((1,)), InputError,
+                             "residue tuple has 1 entries, group has 2 factors"),
+    "automorphism-short-table": (lambda: Automorphism(make_group([3]), (0, 2)), InputError,
+                                 "automorphism table has 2 entries, group size is 3"),
+    "index-of-foreign-automorphism": (
+        lambda: enumerate_automorphisms(make_group([3])).index_of(
+            Automorphism(make_group([4]), (0, 3, 2, 1))),
+        InputError, "automorphism belongs to a different group"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -139,14 +139,17 @@ class TestProvedCount:
 
     @pytest.mark.parametrize("name", sorted(ip_loops()))
     def test_constructed_extension_verifies(self, name, tmp_path, capsys):
-        # through the CLI, as a user runs it, orbits of two included
+        # through the CLI, as a user runs it, orbits of two included; the
+        # equivariance route is proved on every base, x*x = x^{-1} or not
         loop_path, coc_path = str(tmp_path / "base.loop"), str(tmp_path / "ip.coc")
         emit_loop_file(ip_loops()[name], loop_path)
         assert main(["construct", "--loop", loop_path, "--group", "3", "--mode", "ip",
                      "--seed", "5", "--out", coc_path]) == 0
         assert main(["verify", "--loop", loop_path, "--cocycle", coc_path,
-                     "--mode", "ip", "--no-timing"]) == 0
-        assert capsys.readouterr().out.endswith("result: pass\n")
+                     "--mode", "ip"]) == 0
+        out = capsys.readouterr().out
+        assert "check agreement-equivariance: pass (condition=yes)" in out.splitlines()
+        assert out.endswith("result: pass\n")
 
 
 class TestConstructiveWitness:

@@ -1,3 +1,5 @@
+import pytest
+
 from loopext.catalog import (
     _complete_loop,
     _involutions,
@@ -8,6 +10,7 @@ from loopext.catalog import (
     klein_loop,
     search_ip_loop,
 )
+from loopext.errors import InputError
 from loopext.loops import analyze_properties
 
 
@@ -111,3 +114,20 @@ def test_search_machinery_complete_for_order5():
     for inv_rest in _involutions(tuple(range(1, 5))):
         _complete_loop(5, {0: 0, **inv_rest}, lip=True, rip=True, predicate=collect_ip)
     assert sorted(loop.table for loop in via_involutions) == expected_ip
+
+
+# (call, exception type, exact message) of each catalog refusal that no other
+# test reaches
+REFUSALS = {
+    "cyclic-order-zero": (lambda: cyclic_loop(0), InputError,
+                          "cyclic loop order must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

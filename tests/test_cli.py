@@ -9,7 +9,7 @@ from loopext.cli import main
 from loopext.constructions import ChoiceSource, random_cocycle
 from loopext.extension import build_extension
 from loopext.fileio import emit_cocycle_file, emit_loop_file, parse_cocycle_file, parse_loop_file
-from loopext.loops import analyze_properties
+from loopext.loops import analyze_properties, make_loop
 
 
 @pytest.fixture()
@@ -362,14 +362,14 @@ class TestConstructVerifyExtend:
         assert "orbit 0:" in out
 
         code, out, _ = run(capsys, "verify", "--loop", loop_files["klein"],
-                           "--cocycle", out_path, "--mode", "ip", "--no-timing")
+                           "--cocycle", out_path, "--mode", "ip")
         assert code == 0
         assert "check property-ip: pass" in out
         assert "result: pass" in out
 
         ext_path = str(tmp_path / "f.loop")
         code, out, _ = run(capsys, "extend", "--loop", loop_files["klein"],
-                           "--cocycle", out_path, "--out", ext_path, "--no-timing")
+                           "--cocycle", out_path, "--out", ext_path)
         assert code == 0
         built = parse_loop_file(ext_path)
         assert built.size == 12
@@ -382,7 +382,7 @@ class TestConstructVerifyExtend:
                          "--group", "2,2", "--mode", mode, "--seed", "3", "--out", out_path)
         assert code == 0
         code, out, _ = run(capsys, "verify", "--loop", loop_files[loop_name],
-                           "--cocycle", out_path, "--mode", mode, "--no-timing")
+                           "--cocycle", out_path, "--mode", mode)
         assert code == 0
         assert f"check property-{mode}: pass" in out
 
@@ -402,7 +402,7 @@ class TestConstructVerifyExtend:
         for module in (cli, extension, verification):
             monkeypatch.setattr(module, "build_extension", counting)
         code, _, _ = run(capsys, "extend", "--loop", loop_files["klein"], "--cocycle", out_path,
-                         "--out", str(tmp_path / "f.loop"), "--no-timing")
+                         "--out", str(tmp_path / "f.loop"))
         assert code == 0
         assert len(calls) == 1
 
@@ -423,7 +423,7 @@ class TestConstructVerifyExtend:
 
         monkeypatch.setattr(loops, "_quotient_table", counting)
         code, out, _ = run(capsys, "extend", "--loop", loop_files["ip8"], "--cocycle", out_path,
-                           "--out", str(tmp_path / "f.loop"), "--no-timing")
+                           "--out", str(tmp_path / "f.loop"))
         assert code == 0
         assert "check kernel-normal: pass" in out
         assert "check quotient-reconstructs-base: pass" in out
@@ -453,10 +453,10 @@ class TestConstructVerifyExtend:
                          "--group", group, "--mode", "ip", "--out", coc)
         assert code == 0
         code, _, _ = run(capsys, "extend", "--loop", loop_files[name], "--cocycle", coc,
-                         "--out", ext, "--no-timing")
+                         "--out", ext)
         assert code == 0
         code, out, _ = run(capsys, "verify", "--loop", loop_files[name], "--cocycle", coc,
-                           "--mode", "ip", "--no-timing")
+                           "--mode", "ip")
         assert code == 0
         assert "check property-ip: pass\nresult: pass\n" in out
 
@@ -466,7 +466,7 @@ class TestConstructVerifyExtend:
         path = tmp_path / "random.coc"
         emit_cocycle_file(cocycle, path)
         code, out, _ = run(capsys, "verify", "--loop", loop_files["z4"],
-                           "--cocycle", str(path), "--mode", "lip", "--no-timing")
+                           "--cocycle", str(path), "--mode", "lip")
         assert code == 1
         assert "check property-lip: fail" in out
         match = re.search(r"counterexample property-lip: (\d+) (\d+)", out)
@@ -484,7 +484,7 @@ class TestConstructVerifyExtend:
         path = tmp_path / "random.coc"
         emit_cocycle_file(cocycle, path)
         code, out, _ = run(capsys, "verify", "--loop", loop_files["z4"],
-                           "--cocycle", str(path), "--no-timing")
+                           "--cocycle", str(path))
         # agreements hold even though the property itself does not
         assert code == 0
         assert "check agreement-lip: pass (condition=no)" in out
@@ -512,21 +512,81 @@ class TestConstructVerifyExtend:
         coc_path = tmp_path / "m.coc"
         emit_cocycle_file(cocycle, coc_path)
         code, out, _ = run(capsys, "verify", "--loop", str(loop_path),
-                           "--cocycle", str(coc_path), "--no-timing")
+                           "--cocycle", str(coc_path))
         assert code == 0
         assert "check inverse-formulas: pass" in out
         assert "agreement-lip" not in out
 
     def test_reports_identical_without_timing(self, capsys, loop_files, tmp_path):
+        # stdout is the byte-stable report; its timing goes to stderr
         out_path = str(tmp_path / "c.coc")
         run(capsys, "construct", "--loop", loop_files["z4"], "--group", "3",
             "--mode", "lip", "--seed", "5", "--out", out_path)
-        outputs = []
-        for _ in range(2):
-            _, out, _ = run(capsys, "verify", "--loop", loop_files["z4"],
-                            "--cocycle", out_path, "--no-timing")
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+        for argv in (["verify"], ["extend", "--out", str(tmp_path / "f.loop")]):
+            outputs = []
+            for _ in range(2):
+                code, out, err = run(capsys, *argv, "--loop", loop_files["z4"],
+                                     "--cocycle", out_path)
+                assert code == 0
+                assert re.fullmatch(r"elapsed-ms: \d+\.\d\n", err)
+                outputs.append(out)
+            assert outputs[0] == outputs[1]
+            assert "elapsed-ms" not in outputs[0]
+
+    @pytest.mark.parametrize("mode", ["lip", "rip"])
+    def test_one_sided_construction_proves_no_ip(self, capsys, loop_files, tmp_path, mode):
+        # a LIP or RIP construction over klein with A = Z3 is not strongly
+        # linear and lacks IP; both routes say so
+        out_path = str(tmp_path / "c.coc")
+        run(capsys, "construct", "--loop", loop_files["klein"], "--group", "3",
+            "--mode", mode, "--seed", "7", "--out", out_path)
+        code, out, _ = run(capsys, "verify", "--loop", loop_files["klein"],
+                           "--cocycle", out_path, "--mode", mode)
+        assert code == 0
+        assert "check agreement-ip: pass (condition=no)" in out.splitlines()
+
+
+class TestExtensionOrderCap:
+    """An extension of more than MAX_EXTENSION_ORDER elements is refused with
+    exit 2 before its table is built or an orbit walked."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch):
+        from loopext import extension, orbits
+        from loopext.abelian import enumerate_automorphisms
+
+        def refuse(*args):
+            raise AssertionError("work began before the size check")
+
+        monkeypatch.setattr(extension, "_extension_rows", refuse)
+        monkeypatch.setattr(orbits, "_orbits", refuse)
+        loop_path, coc_path = tmp_path / "z65.loop", tmp_path / "id.coc"
+        # Z65 by its table: cyclic_loop(65) is refused, as |Z65| exceeds the group size cap
+        emit_loop_file(make_loop([[(x + y) % 65 for y in range(65)] for x in range(65)]),
+                       loop_path)
+        row = " ".join([str(enumerate_automorphisms(make_group([64])).identity_index)] * 65)
+        coc_path.write_text("\n".join(["cocycle l=65 group=64", "P", *[row] * 65,
+                                       "Q", *[row] * 65]) + "\n")
+        return str(loop_path), str(coc_path), str(tmp_path / "out")
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--group", "64", "--mode", "lip"],
+        ["construct", "--group", "64", "--mode", "rip"],
+        ["construct", "--group", "64", "--mode", "ip"],
+        ["extend", "--cocycle"],
+        ["verify", "--cocycle"],
+    ])
+    def test_refused_before_work(self, capsys, files, argv):
+        loop_path, coc_path, out_path = files
+        command, *rest = argv
+        if command != "construct":
+            rest.append(coc_path)
+        if command != "verify":
+            rest += ["--out", out_path]
+        code, out, err = run(capsys, command, "--loop", loop_path, *rest)
+        assert code == 2
+        assert out == ""
+        assert err == "error: extension order N = 65 * 64 = 4160 exceeds the cap 4096\n"
 
 
 class TestBrokenBuild:
@@ -560,12 +620,12 @@ class TestBrokenBuild:
     def test_latin_line_fails(self, capsys, loop_files, tmp_path, cocycle_path, broken_build,
                               command):
         out_path = tmp_path / "f.loop"
-        argv = [command, "--loop", loop_files["klein"], "--cocycle", cocycle_path, "--no-timing"]
+        argv = [command, "--loop", loop_files["klein"], "--cocycle", cocycle_path]
         if command == "extend":
             argv += ["--out", str(out_path)]
         code, out, err = run(capsys, *argv)
         assert code == 1
-        assert err == ""
+        assert re.fullmatch(r"elapsed-ms: \d+\.\d\n", err)
         lines = out.splitlines()
         assert [line for line in lines if line.startswith(("check ", "counterexample "))] == [
             "check extension-latin: fail (column 2 is not a permutation of 0..11)",
@@ -585,12 +645,15 @@ class TestBrokenBuild:
 
 # sha256 of the construct -> extend -> verify transcript of each chain below,
 # recorded before the right-hand checks were derived from the left-hand ones;
-# report text, witnesses and exit codes are frozen outputs
+# the klein lip, rip and random digests were recorded again when verify began
+# to print agreement-ip for cocycles that are not strongly linear, which added
+# only "check agreement-ip: pass (condition=no)" lines.  Report text, witnesses
+# and exit codes are frozen outputs
 FROZEN_CHAIN_DIGESTS = {
     ("klein", "3", "lip"):
-        "c851ae88cd18242a8125a1af5a5d1533f38c7a33d90a299aa61e7ca7d822d996",
+        "c026efb9ce0ae72b25e82fcf889b6377d7a69b59a12383e78c6541ab39e5fdb8",
     ("klein", "3", "rip"):
-        "b671ac067525bf99cdfef5e1aa8ab82e2955ff63f6fb7cd5a8bbacc40e1d7932",
+        "2a82a6bae4ffff157aed72372c6e447102bb2c2670114fb4cbd2149583c8e875",
     ("klein", "3", "ip"):
         "7f59660da33c384558d4fab2591a6188d9c52d0ebc910ea0b9c6a052a6c9acf0",
     ("ip8", "2", "lip"):
@@ -600,7 +663,7 @@ FROZEN_CHAIN_DIGESTS = {
     ("ip8", "2", "ip"):
         "f9b6cc2a3d03ed376c0148acba66bed76955ad69dbc063cac4343d4b83797a36",
     ("klein", "3", "random"):
-        "7d95442052208d4f1b3c31d7d59bc4043d5e2e28e81a35b1ec433ad5a2aaf8c7",
+        "65c4dd33be5446f02f33cef71cb0a92e541a36df57e8324661f7eebc5f2b50a9",
     ("lip_only", "3", "random"):
         "d23fc83ea9e0319365d557db4e723e8fb14ed8042b3d6f0b492a376e438beef0",
     ("mismatch", "3", "random"):
@@ -613,7 +676,8 @@ def chain_transcript(capsys, tmp_path, loop, group_spec, source):
 
     ``source`` is a construction mode, or ``random`` for a seeded random
     cocycle (which fails the properties, so its reports carry witnesses).
-    Every chain ends with one ``verify --no-timing`` per verify mode.
+    Every chain ends with one ``verify`` per verify mode.  The ``elapsed-ms:``
+    line each report writes to stderr is left out.
     """
     from loopext.verification import VERIFY_MODES
 
@@ -628,17 +692,17 @@ def chain_transcript(capsys, tmp_path, loop, group_spec, source):
         steps.append(["construct", "--loop", loop_path, "--group", group_spec,
                       "--mode", source, "--seed", "7", "--out", coc_path])
     steps.append(["extend", "--loop", loop_path, "--cocycle", coc_path,
-                  "--out", str(tmp_path / "f.loop"), "--no-timing"])
+                  "--out", str(tmp_path / "f.loop")])
     for mode in VERIFY_MODES:
         steps.append(["verify", "--loop", loop_path, "--cocycle", coc_path,
-                      "--mode", mode, "--no-timing"])
+                      "--mode", mode])
     lines = []
     for argv in steps:
         code, out, err = run(capsys, *argv)
         lines.append(f"$ {argv[0]} {argv[argv.index('--mode') + 1] if '--mode' in argv else ''}"
                      f" -> {code}")
         lines += [line for line in out.splitlines() if not line.startswith("wrote:")]
-        lines += err.splitlines()
+        lines += [line for line in err.splitlines() if not line.startswith("elapsed-ms:")]
     return "\n".join(lines) + "\n"
 
 

@@ -431,7 +431,16 @@ def coincidence_refused(monkeypatch):
     monkeypatch.setattr(constructions, "coincidence_condition_holds", lambda *args: False)
 
 
+def closed_form_refused(monkeypatch):
+    def check_lip_conditions(cocycle):
+        return False
+
+    monkeypatch.setattr(constructions, "check_lip_conditions", check_lip_conditions)
+
+
 GATE_FAULTS = {
+    "closed-form-refuses": (closed_form_refused,
+                            "^constructed cocycle fails check_lip_conditions$"),
     "not-a-loop": (built_as_not_a_loop, "built extension is not a loop"),
     "scan-disagrees": (built_from_another_cocycle,
                        "built extension fails the definition-level lip check"),

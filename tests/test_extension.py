@@ -10,7 +10,12 @@ from loopext.constructions import (
     construct_pq,
     random_cocycle,
 )
-from loopext.errors import CocycleNormalizationError, InputError, PreconditionError
+from loopext.errors import (
+    CocycleNormalizationError,
+    InputError,
+    PreconditionError,
+    ResourceError,
+)
 from loopext.extension import (
     build_extension,
     check_cip,
@@ -25,6 +30,7 @@ from loopext.extension import (
     make_cocycle,
     _extension_rows,
     opposite_cocycle,
+    refuse_oversized_extension,
 )
 from loopext.loops import (
     FiniteLoop,
@@ -32,6 +38,7 @@ from loopext.loops import (
     first_inverse_mismatch,
     first_lip_counterexample,
     is_normal_subloop,
+    make_loop,
     quotient_loop,
 )
 from loopext.orbits import PAIR_MAPS, gamma_orbits
@@ -95,6 +102,23 @@ class TestMakeCocycle:
     def test_bad_shape(self, loops, groups):
         with pytest.raises(InputError):
             make_cocycle(loops["z2"], groups["z3"], [[0, 0]], [[0, 0], [0, 0]])
+
+    def test_extension_order_cap(self, monkeypatch):
+        # N = l * |A| = 4096 is admitted; one more element of L is refused by
+        # make_cocycle and by random_cocycle before Aut(A) or any draw
+        from loopext import constructions, extension
+
+        refuse_oversized_extension(cyclic_loop(64), make_group([64]))
+        big = make_loop([[(x + y) % 65 for y in range(65)] for x in range(65)])
+        group = make_group([64])
+        for module in (constructions, extension):
+            monkeypatch.setattr(module, "enumerate_automorphisms", None)
+        p, q = identity_tables(65)
+        message = "^extension order N = 65 \\* 64 = 4160 exceeds the cap 4096$"
+        with pytest.raises(ResourceError, match=message):
+            make_cocycle(big, group, p, q)
+        with pytest.raises(ResourceError, match=message):
+            random_cocycle(big, group, None)
 
 
 

@@ -409,3 +409,19 @@ class TestNormality:
                 "45670123", "54761230", "67452301", "76543012")
         loop = make_loop([[int(c) for c in row] for row in rows])
         assert assert_matches_reference(loop, {0, 1}) == "product"
+
+
+# (table, exception type, exact message) of each make_loop refusal that no other
+# test reaches
+REFUSALS = {
+    "no-rows": ([], StructureError, "loop table must have at least one row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    table, error, message = REFUSALS[case]
+    with pytest.raises(error) as caught:
+        make_loop(table)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
