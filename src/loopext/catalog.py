@@ -29,11 +29,10 @@ def abelian_group_loop(orders: list[int]) -> FiniteLoop:
 
 
 def cyclic_loop(n: int) -> FiniteLoop:
+    """Z_n by its addition table, of any order n >= 1."""
     if n < 1:
         raise InputError(f"cyclic loop order must be >= 1, got {n}")
-    if n == 1:
-        return trivial_loop()
-    return abelian_group_loop([n])
+    return make_loop([[(x + y) % n for y in range(n)] for x in range(n)])
 
 
 def klein_loop() -> FiniteLoop:

@@ -21,10 +21,10 @@ Choice consumption order:
   orbit of two draws nothing.
 * ``random_cocycle``: P then Q at every unpinned cell, row-major.
 
-Every construction is gated: the returned cocycle has been re-verified both
-by its closed-form condition checker and by a definition-level check of the
-built extension, so a successful return is a proof of the property.  Each
-first refuses an extension larger than ``MAX_EXTENSION_ORDER``, before any
+Every construction is gated by the agreement and property lines of ``verify``:
+each closed-form condition on the base loop agrees with the scan of the built
+extension, which has the property, so a successful return is a proof of it.
+Each first refuses an extension larger than ``MAX_EXTENSION_ORDER``, before any
 orbit walk or draw.
 """
 
@@ -38,10 +38,6 @@ from .errors import InputError, InternalError, PreconditionError
 from .extension import (
     LoopCocycle,
     build_extension,
-    check_equivariance,
-    check_ip_conditions,
-    check_lip_conditions,
-    check_rip_conditions,
     coincidence_condition_holds,
     is_strongly_linear,
     make_cocycle,
@@ -49,6 +45,7 @@ from .extension import (
 )
 from .loops import FiniteLoop
 from .orbits import PAIR_MAPS, gamma_orbits, phi_orbits, psi_orbits, sigma_set
+from .verification import VerificationReport, _add_agreement
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -222,17 +219,18 @@ def _finish(loop, group, ptable, qtable) -> LoopCocycle:
     return _cocycle(loop, group, ptable, qtable)
 
 
-def _gated(cocycle: LoopCocycle, prop: str, *checks) -> LoopCocycle:
-    """``cocycle`` once each closed-form check passes and the built extension
-    has ``prop`` at the definition level; anything else is an internal fault."""
-    for check in checks:
-        if not check(cocycle):
-            raise InternalError(f"constructed cocycle fails {check.__name__}")
+def _gated(cocycle: LoopCocycle, mode: str) -> LoopCocycle:
+    """``cocycle`` once its built extension is a loop that passes ``verify``'s
+    agreement and property lines, else an internal fault.  The build, verdicts
+    and inverse scans stay kept, so ``verify_cocycle`` on it reads them back."""
     built = build_extension(cocycle)
     if built.loop is None:
         raise InternalError(f"built extension is not a loop: {built.defect}")
-    if not getattr(built.loop.properties(), f"has_{prop}"):
-        raise InternalError(f"built extension fails the definition-level {prop} check")
+    report = VerificationReport("gate")
+    _add_agreement(report, cocycle, built.loop, mode)
+    failed = [outcome.name for outcome in report.outcomes if not outcome.passed]
+    if failed:
+        raise InternalError(f"constructed cocycle fails {failed[0]}")
     return cocycle
 
 
@@ -277,7 +275,7 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
         qtable[partner] = vq = inverses[qr]
         ptable[partner] = products[vq][products[pr][tails[cell // l]]]
 
-    return _gated(_finish(loop, group, ptable, qtable), "lip", check_lip_conditions)
+    return _gated(_finish(loop, group, ptable, qtable), "lip")
 
 
 def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
@@ -322,7 +320,7 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
         ptable[partner] = vp = inverses[pr]
         qtable[partner] = products[vp][products[qr][tails[cell % l]]]
 
-    return _gated(_finish(loop, group, ptable, qtable), "rip", check_rip_conditions)
+    return _gated(_finish(loop, group, ptable, qtable), "rip")
 
 
 def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
@@ -347,8 +345,10 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
         pr, qr = (ident, ident) if of_two else (choice.pick(naut), choice.pick(naut))
         for pair_map, code in zip(PAIR_MAPS.values(), orbit):
             ptable[code], qtable[code] = pair_map(products, inverses, pr, qr)
-    return _gated(_finish(loop, group, ptable, qtable), "ip",
-                  is_strongly_linear, check_ip_conditions, check_equivariance)
+    cocycle = _finish(loop, group, ptable, qtable)
+    if not is_strongly_linear(cocycle):
+        raise InternalError("constructed cocycle fails is_strongly_linear")
+    return _gated(cocycle, "ip")
 
 
 def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,

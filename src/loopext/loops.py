@@ -74,9 +74,12 @@ class FiniteLoop:
         return first_noncommuting_pair(self) is None
 
     def is_associative(self) -> bool:
+        """Whether (x*y)*z = x*(y*z) for all z, pair by pair: row x*y against
+        row y read through row x, one gather.  At size 1 a gather is a scalar."""
         t = self.table
-        r = range(self.size)
-        return all(t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r)
+        reads = [itemgetter(*row) for row in t]
+        return self.size == 1 or all(t[xy] == reads[y](row) for row in t
+                                     for y, xy in enumerate(row))
 
     def properties(self) -> "LoopPropertyReport":
         """Kept default property analysis (see :func:`analyze_properties`)."""

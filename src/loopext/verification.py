@@ -2,10 +2,10 @@
 
 Every structural property is checked twice, via the closed-form condition on
 the cocycle and via a definition-level scan of the built extension; a report
-line records each outcome.  Failing checks carry the first counterexample,
-as element indices of the built extension, so failures can be replayed.
-Report text is byte-identical for identical inputs; a report's
-``elapsed_ms`` is kept apart from it, and the CLI writes it to stderr.
+line records each outcome, and the agreement and property lines gate every
+construction too.  Failing checks carry the first counterexample, as element
+indices of the built extension, so failures can be replayed.  Report text is
+byte-identical for identical inputs; ``elapsed_ms``, the checks' time, is apart.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .extension import (
     check_rip_conditions,
     is_commutative_extension,
 )
-from .loops import first_noncommuting_pair, quotient_loop
+from .loops import FiniteLoop, first_noncommuting_pair, quotient_loop
 from .orbits import sigma_set
 
 VERIFY_MODES = ("all", "lip", "rip", "ip")
@@ -75,11 +75,8 @@ class VerificationReport:
 
 
 def _identity_on_sigma(cocycle: LoopCocycle) -> bool:
-    ident = cocycle.autgroup.identity_index
-    return all(
-        cocycle.ptable[x][y] == ident and cocycle.qtable[x][y] == ident
-        for (x, y) in sigma_set(cocycle.loop).pairs
-    )
+    ident, pt, qt = cocycle.autgroup.identity_index, cocycle.ptable, cocycle.qtable
+    return all(pt[x][y] == qt[x][y] == ident for x, y in sigma_set(cocycle.loop).pairs)
 
 
 def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int]]:
@@ -141,35 +138,17 @@ def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> bool:
     return True
 
 
-def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
-                   fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
-    """Run the dual-route verification of one cocycle.
-
-    ``mode='all'`` checks internal consistency: inverse formulas, kernel
-    normality, quotient reconstruction, and agreement between every
-    applicable closed-form condition and the built extension.  A property
-    mode (``lip``/``rip``/``ip``) additionally asserts that the property
-    itself holds, reporting a counterexample pair when it does not; it is
-    refused up front when the base loop lacks the property.
-    """
-    if mode not in VERIFY_MODES:
-        raise PreconditionError(f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}")
+def _add_agreement(report: VerificationReport, cocycle: LoopCocycle, ext: FiniteLoop,
+                   mode: str) -> None:
+    """Agreement lines of each closed-form condition on the base loop with the
+    scans of the built extension ``ext``, then, in a property mode, the
+    ``property-<mode>`` line: the whole proof of a construction's gate too."""
     base = cocycle.loop.properties()
-    if mode != "all" and not getattr(base, f"has_{mode}"):
-        raise PreconditionError(f"cannot assert {mode}: base loop lacks the property")
-    start = time.perf_counter()
-    report = VerificationReport("verify", fingerprints)
-    built = build_extension(cocycle)
-    if not _add_consistency(report, built):
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
-    ext = built.loop
-
     noncommuting = first_noncommuting_pair(ext)
     _agreement(report, "commutative", is_commutative_extension(cocycle),
                noncommuting is None, noncommuting)
 
-    scanned = ext.properties()  # the scans of a construction's gate, when it ran one
+    scanned = ext.properties()
     if base.two_sided_inverses_coincide:
         mismatch = scanned.inverse_mismatch
         _agreement(report, "inverse-coincidence", check_cip(cocycle),
@@ -198,6 +177,27 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
         witness = {"lip": lip_witness, "rip": rip_witness, "ip": ip_witness}[mode]
         report.add(f"property-{mode}", witness is None, witness)
 
+
+def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
+                   fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
+    """Run the dual-route verification of one cocycle.
+
+    ``mode='all'`` checks internal consistency: inverse formulas, kernel
+    normality, quotient reconstruction, and agreement between every
+    applicable closed-form condition and the built extension.  A property
+    mode (``lip``/``rip``/``ip``) additionally asserts that the property
+    itself holds, reporting a counterexample pair when it does not; it is
+    refused up front when the base loop lacks the property.
+    """
+    if mode not in VERIFY_MODES:
+        raise PreconditionError(f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}")
+    if mode != "all" and not getattr(cocycle.loop.properties(), f"has_{mode}"):
+        raise PreconditionError(f"cannot assert {mode}: base loop lacks the property")
+    start = time.perf_counter()
+    report = VerificationReport("verify", fingerprints)
+    built = build_extension(cocycle)
+    if _add_consistency(report, built):
+        _add_agreement(report, cocycle, built.loop, mode)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 

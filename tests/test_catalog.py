@@ -22,6 +22,16 @@ def test_cyclic_tables():
     assert cyclic_loop(1).size == 1
 
 
+@pytest.mark.parametrize("n", [65, 128])
+def test_cyclic_beyond_group_size_cap(n):
+    # Z_n as a loop is not bounded by the size cap of the groups A
+    loop = cyclic_loop(n)
+    assert loop.size == n
+    assert loop.table == tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+    assert loop.is_commutative()
+    assert loop.properties().has_ip
+
+
 def test_klein_is_elementary():
     klein = klein_loop()
     for x in klein.elements():

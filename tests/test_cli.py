@@ -1,5 +1,7 @@
 import re
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from loopext.cli import main
 from loopext.constructions import ChoiceSource, random_cocycle
 from loopext.extension import build_extension
 from loopext.fileio import emit_cocycle_file, emit_loop_file, parse_cocycle_file, parse_loop_file
-from loopext.loops import analyze_properties, make_loop
+from loopext.loops import analyze_properties
 
 
 @pytest.fixture()
@@ -533,6 +535,26 @@ class TestConstructVerifyExtend:
             assert outputs[0] == outputs[1]
             assert "elapsed-ms" not in outputs[0]
 
+    def test_elapsed_covers_the_whole_command(self, capsys, loop_files, tmp_path,
+                                              monkeypatch):
+        # the file write is timed too, not only the checks
+        from loopext import cli
+
+        out_path = str(tmp_path / "c.coc")
+        run(capsys, "construct", "--loop", loop_files["z4"], "--group", "3",
+            "--mode", "lip", "--seed", "5", "--out", out_path)
+        write = cli.emit_loop_file
+
+        def slow_write(*args, **kwargs):
+            time.sleep(0.05)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "emit_loop_file", slow_write)
+        code, _, err = run(capsys, "extend", "--loop", loop_files["z4"], "--cocycle", out_path,
+                           "--out", str(tmp_path / "f.loop"))
+        assert code == 0
+        assert float(err.removeprefix("elapsed-ms: ")) >= 50.0
+
     @pytest.mark.parametrize("mode", ["lip", "rip"])
     def test_one_sided_construction_proves_no_ip(self, capsys, loop_files, tmp_path, mode):
         # a LIP or RIP construction over klein with A = Z3 is not strongly
@@ -561,9 +583,7 @@ class TestExtensionOrderCap:
         monkeypatch.setattr(extension, "_extension_rows", refuse)
         monkeypatch.setattr(orbits, "_orbits", refuse)
         loop_path, coc_path = tmp_path / "z65.loop", tmp_path / "id.coc"
-        # Z65 by its table: cyclic_loop(65) is refused, as |Z65| exceeds the group size cap
-        emit_loop_file(make_loop([[(x + y) % 65 for y in range(65)] for x in range(65)]),
-                       loop_path)
+        emit_loop_file(cyclic_loop(65), loop_path)
         row = " ".join([str(enumerate_automorphisms(make_group([64])).identity_index)] * 65)
         coc_path.write_text("\n".join(["cocycle l=65 group=64", "P", *[row] * 65,
                                        "Q", *[row] * 65]) + "\n")
@@ -812,3 +832,56 @@ def test_frozen_orbit_text(capsys, tmp_path, loops, key):
     lines = [f"-> {code}"] + [line for line in out.splitlines() if not line.startswith("wrote:")]
     text = "\n".join(lines + err.splitlines()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ORBIT_DIGESTS[key], text
+
+
+def _mutated(data: bytes, rng) -> bytes:
+    """``data`` with one flipped byte, dropped or duplicated row, out-of-range
+    entry or altered header."""
+    lines = data.split(b"\n")
+    kind = rng.randrange(5)
+    if kind == 0:
+        i = rng.randrange(len(data))
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:]
+    if kind in (1, 2):
+        i = rng.randrange(1, len(lines) - 1)
+        lines[i:i + 1] = [] if kind == 1 else [lines[i]] * 2
+    elif kind == 3:
+        i = rng.randrange(1, len(lines) - 1)
+        entries = lines[i].split()
+        if entries:
+            entries[rng.randrange(len(entries))] = str(rng.choice((-1, 7, 8, 64, 10**20))).encode()
+        lines[i] = b" ".join(entries)
+    else:
+        fields = lines[0].split()
+        i = rng.randrange(len(fields))
+        altered = re.sub(rb"\d+", str(rng.randint(-2, 70)).encode(), fields[i], count=1)
+        fields[i:i + 1] = rng.choice(([], [fields[i]] * 2, [altered], [b"x" + fields[i]]))
+        lines[0] = b" ".join(fields)
+    return b"\n".join(lines)
+
+
+def test_mutated_files_never_crash(capsys, loop_files, tmp_path):
+    # no input reaches an InternalError or any other exception: each run
+    # ends in exit 0, 1 or 2
+    import random
+
+    rng = random.Random(2024)
+    coc = tmp_path / "ip7.coc"
+    main(["construct", "--loop", loop_files["ip7"], "--group", "2,2", "--mode", "ip",
+          "--seed", "3", "--out", str(coc)])
+    files = {"loop": Path(loop_files["ip7"]).read_bytes(), "cocycle": coc.read_bytes()}
+    mutant = tmp_path / "mutant"
+    codes = []
+    for _ in range(300):
+        which = rng.choice(sorted(files))
+        mutant.write_bytes(_mutated(files[which], rng))
+        paths = {"loop": loop_files["ip7"], "cocycle": str(coc), which: str(mutant)}
+        inputs = ["--loop", paths["loop"], "--cocycle", paths["cocycle"]]
+        runs = [["extend", *inputs, "--out", str(tmp_path / "ext.loop")],
+                ["verify", *inputs, "--mode", rng.choice(("all", "lip", "rip", "ip"))]]
+        if which == "loop":
+            runs.append(["check", "--loop", paths["loop"]])
+        for argv in runs:
+            codes.append(main(argv))
+            capsys.readouterr()
+    assert set(codes) == {0, 1, 2}

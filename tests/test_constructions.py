@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from loopext import constructions
+from loopext import constructions, verification
 from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.catalog import cyclic_loop
 from loopext.cli import main
@@ -417,7 +417,8 @@ def built_as_not_a_loop(monkeypatch):
 
 
 def built_from_another_cocycle(monkeypatch):
-    # the gate scans the extension of a random cocycle, which lacks LIP
+    # the gate scans the extension of a random cocycle, whose left and right
+    # inverses differ where the construction's coincide
     other = random_cocycle(cyclic_loop(4), make_group([3]), ChoiceSource(0))
     monkeypatch.setattr(constructions, "build_extension", lambda cocycle: build_extension(other))
 
@@ -431,19 +432,22 @@ def coincidence_refused(monkeypatch):
     monkeypatch.setattr(constructions, "coincidence_condition_holds", lambda *args: False)
 
 
-def closed_form_refused(monkeypatch):
-    def check_lip_conditions(cocycle):
-        return False
+def lie(monkeypatch, checker):
+    """Make ``verify``'s closed-form ``checker`` give the wrong answer."""
+    honest = getattr(verification, checker)
+    monkeypatch.setattr(verification, checker, lambda cocycle: not honest(cocycle))
 
-    monkeypatch.setattr(constructions, "check_lip_conditions", check_lip_conditions)
+
+def closed_form_refused(monkeypatch):
+    lie(monkeypatch, "check_lip_conditions")
 
 
 GATE_FAULTS = {
     "closed-form-refuses": (closed_form_refused,
-                            "^constructed cocycle fails check_lip_conditions$"),
+                            "^constructed cocycle fails agreement-lip$"),
     "not-a-loop": (built_as_not_a_loop, "built extension is not a loop"),
     "scan-disagrees": (built_from_another_cocycle,
-                       "built extension fails the definition-level lip check"),
+                       "^constructed cocycle fails agreement-inverse-coincidence$"),
     "cell-unassigned": (last_orbit_dropped, r"construction left P\(2, 1\) unassigned"),
     "pq-not-coincident": (coincidence_refused, "violate the coincidence condition"),
 }
@@ -464,6 +468,43 @@ class TestGateFaults:
         with pytest.raises(InternalError, match=message):
             main(["construct", "--loop", str(loop_path), "--group", "3", "--mode", "lip",
                   "--out", str(tmp_path / "x.coc")])
+
+    def test_gate_checks_every_applicable_condition(self, loops, groups, monkeypatch):
+        # a LIP construction over a base with RIP too is proved by the RIP
+        # agreement line as well, not by the LIP checker alone
+        lie(monkeypatch, "check_rip_conditions")
+        with pytest.raises(InternalError, match="^constructed cocycle fails agreement-rip$"):
+            construct_lip_cocycle(loops["klein"], groups["z3"], ChoiceSource(0))
+
+    def test_gate_checks_equivariance(self, loops, groups, monkeypatch):
+        lie(monkeypatch, "check_equivariance")
+        with pytest.raises(InternalError,
+                           match="^constructed cocycle fails agreement-equivariance$"):
+            construct_ip_cocycle(loops["ip8"], groups["z3"], ChoiceSource(0))
+
+    def test_not_strongly_linear(self, loops, groups, monkeypatch):
+        monkeypatch.setattr(constructions, "is_strongly_linear", lambda cocycle: False)
+        with pytest.raises(InternalError, match="fails is_strongly_linear$"):
+            construct_ip_cocycle(loops["ip8"], groups["z3"], ChoiceSource(0))
+
+    @pytest.mark.parametrize("construct", [construct_lip_cocycle, construct_rip_cocycle,
+                                           construct_ip_cocycle])
+    def test_verify_reads_the_gate_back(self, loops, groups, monkeypatch, construct):
+        # verify on a constructed cocycle repeats no build, closed-form
+        # check or inverse scan of the gate
+        from loopext import extension, loops as loops_module
+
+        cocycle = construct(loops["ip8"], groups["z3"], ChoiceSource(1))
+
+        def repeated(*args):
+            raise AssertionError("verify repeated the gate's work")
+
+        for module, name in ((extension, "_build"), (extension, "_lip_conditions_hold"),
+                             (extension, "_equivariance_holds"),
+                             (loops_module, "analyze_properties")):
+            monkeypatch.setattr(module, name, repeated)
+        mode = construct.__name__.split("_")[1]
+        assert verification.verify_cocycle(cocycle, mode=mode).passed
 
 
 class TestRandomCocycle:

@@ -294,6 +294,46 @@ class TestLipRowScan:
         assert witness == reference_lip_scan(built)
 
 
+def reference_associative(loop):
+    """Associativity by its definition, cell by cell."""
+    r = loop.elements()
+    return all(loop.mul(loop.mul(x, y), z) == loop.mul(x, loop.mul(y, z))
+               for x in r for y in r for z in r)
+
+
+class TestAssociativity:
+    """``is_associative`` compares whole rows; its verdicts must be those of
+    the cell-by-cell definition."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus(self, loops, name):
+        loop = loops[name]
+        assert loop.is_associative() == reference_associative(loop)
+
+    def test_corpus_has_both_verdicts(self, loops):
+        assert {loops[name].is_associative() for name in CORPUS} == {True, False}
+
+    @pytest.mark.parametrize("name,group", [
+        ("z4", "z3"), ("klein", "z2xz2"), ("ip7", "z2"), ("z3", "z4"),
+    ])
+    @pytest.mark.parametrize("strongly_linear", [False, True])
+    def test_extensions(self, loops, groups, name, group, strongly_linear):
+        from loopext.constructions import ChoiceSource, random_cocycle
+        from loopext.extension import build_extension
+
+        cocycle = random_cocycle(loops[name], groups[group], ChoiceSource(1),
+                                 strongly_linear=strongly_linear)
+        built = build_extension(cocycle).loop
+        assert built.is_associative() == reference_associative(built)
+
+    def test_untwisted_extension_is_a_group(self, loops, groups):
+        # the identity cocycle over Z4 gives the group Z4 x Z3
+        from loopext.extension import build_extension, make_cocycle
+
+        cocycle = make_cocycle(loops["z4"], groups["z3"], [[0] * 4] * 4, [[0] * 4] * 4)
+        assert build_extension(cocycle).loop.is_associative()
+
+
 def reference_normality(loop, members):
     """Normality by its definition, cell by cell: ("normal", quotient rows)
     or the first clause that fails ("overlap", "nx" or "product", None)."""
