@@ -13,8 +13,8 @@ The index algebra of Aut(A) is two capped memos (``_Memo``) on each
 member i after member j and ``inverses[i]`` that of the inverse of member i.
 A memo computes a missing entry on first read and keeps it while its budget
 of ``_COMPOSE_MEMO_CAP`` entries has room, so hot loops index them directly,
-with a row ``products[i]`` looked up once per row of work; the members of
-Aut(A) are kept in a third memo, capped at ``_MEMBER_MEMO_CAP``.
+as ``products[i][j]`` for every product; the members of Aut(A) are kept in a
+third memo, capped at ``_MEMBER_MEMO_CAP``.
 
 The canonical order of Aut(A) is the lexicographic order of the image
 tables, that is of the generator images taken as (e_k, ..., e_1).  Members
@@ -67,10 +67,12 @@ class AbelianGroup:
     __slots__ = ("orders", "size", "_strides", "add_table", "neg_table", "element_orders")
 
     def __init__(self, orders: Sequence[int]):
-        orders = tuple(int(n) for n in orders)
+        orders = tuple(orders)
         if not orders:
             raise InputError("group needs at least one cyclic factor")
         for n in orders:
+            if not isinstance(n, int):  # a float or str order is refused, not truncated
+                raise InputError(f"cyclic factor order must be an integer, got {n!r}")
             if n < 2:
                 raise InputError(f"cyclic factor order must be >= 2, got {n}")
         size = math.prod(orders)
@@ -235,8 +237,8 @@ class AutomorphismGroup:
     the index of member i after member j and ``inverses[i]`` that of the
     inverse of member i, each ranked on first read from the generator images
     of the product or inverse.  Both are :class:`_Memo`, as are the rows
-    ``products[i]``, so a kernel that composes with one left factor many
-    times looks the row up once.  The rows share one budget of
+    ``products[i]``; every caller indexes ``products[i][j]``, a row lookup
+    and an entry lookup per product.  The rows share one budget of
     ``_COMPOSE_MEMO_CAP`` products; the ``products`` memo counts no row
     against it but keeps none once it is spent.  ``compose_indices`` and
     ``invert_index`` read the same memos.

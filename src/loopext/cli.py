@@ -139,7 +139,7 @@ def cmd_extend(args) -> int:
     if built.loop is not None:
         emit_loop_file(built.loop, args.out, comments=extension_comments(cocycle))
         print(f"wrote: {args.out}")
-    return _emit_report(extension_report(built, _fingerprints(args)), start)
+    return _emit_report(extension_report(cocycle, _fingerprints(args)), start)
 
 
 def cmd_verify(args) -> int:

@@ -114,8 +114,8 @@ class ChoiceSource:
         return self.pick(1 << 64)  # no raw value is rejected, none reduced
 
     def pick(self, n: int) -> int:
-        """Uniform index in 0..n-1."""
-        if n <= 0:
+        """Uniform index in 0..n-1, for 1 <= n <= 2^64."""
+        if not 0 < n <= 1 << 64:  # above 2^64 the limit below is 0 and no draw passes
             raise InputError(f"cannot pick from {n} alternatives")
         limit = (1 << 64) - (1 << 64) % n  # the largest multiple of n up to 2^64
         block, i = self._block, self._next

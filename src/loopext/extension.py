@@ -19,7 +19,7 @@ this convention verbatim.
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
@@ -60,8 +60,8 @@ class LoopCocycle:
         self.autgroup = autgroup
         self.ptable = ptable
         self.qtable = qtable
-        # see kept: "built" -> build_extension's (loop, defect), not the ExtensionLoop,
-        # which points back here; "lip", "rip", "equivariance" -> closed-form verdict
+        # see kept: "built" -> the ExtensionLoop of build_extension;
+        # "lip", "rip", "equivariance" -> closed-form verdict
         self._kept = {}
 
     def p(self, x: int, y: int) -> int:
@@ -95,7 +95,10 @@ def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopC
     naut = len(autgroup)
 
     def norm(table, name):
-        rows = tuple(tuple(map(int, row)) for row in table)
+        try:  # index, not int: a float or str entry is refused, not truncated
+            rows = tuple(tuple(map(index, row)) for row in table)
+        except TypeError as error:
+            raise InputError(f"{name} table entry is not an integer: {error}") from None
         if len(rows) != l or any(len(row) != l for row in rows):
             raise InputError(f"{name} table must be {l}x{l}")
         for row in rows:
@@ -122,20 +125,16 @@ class ExtensionLoop:
     """The table built from a cocycle, on pair indices (x, a) -> x*|A| + a.
 
     ``loop`` is None when the table fails the Latin check, whose error is then
-    ``defect``."""
+    ``defect``.  Nothing here points back at the cocycle."""
 
-    __slots__ = ("cocycle", "loop", "defect", "kernel_size")
+    __slots__ = ("size", "kernel_size", "loop", "defect")
 
     def __init__(self, cocycle: LoopCocycle, loop: Optional[FiniteLoop],
                  defect: Optional[StructureError] = None):
-        self.cocycle = cocycle
+        self.kernel_size = cocycle.group.size
+        self.size = cocycle.loop.size * self.kernel_size
         self.loop = loop
         self.defect = defect
-        self.kernel_size = cocycle.group.size
-
-    @property
-    def size(self) -> int:
-        return self.cocycle.loop.size * self.kernel_size
 
     def pair_index(self, x: int, a: int) -> int:
         return x * self.kernel_size + a
@@ -149,19 +148,19 @@ class ExtensionLoop:
 
 
 def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
-    """Multiply out the cocycle into a table of size l * |A| and run the Latin
-    check on it once per cocycle; a table that fails is kept out of
-    :class:`FiniteLoop` and its defect is returned instead."""
-    return ExtensionLoop(cocycle, *kept(cocycle, "built", _build, cocycle))
+    """Multiply out the cocycle into a table of size l * |A| and Latin-check
+    it once per cocycle; every call returns that one kept object.  A table
+    that fails is kept out of :class:`FiniteLoop`."""
+    return kept(cocycle, "built", _build, cocycle)
 
 
-def _build(cocycle: LoopCocycle) -> tuple[Optional[FiniteLoop], Optional[StructureError]]:
+def _build(cocycle: LoopCocycle) -> ExtensionLoop:
     rows = _extension_rows(cocycle)
     try:
         validate_table(rows)
     except StructureError as defect:  # its traceback would hold the cocycle
-        return None, defect.with_traceback(None)
-    return FiniteLoop(rows, _checked=True), None
+        return ExtensionLoop(cocycle, None, defect.with_traceback(None))
+    return ExtensionLoop(cocycle, FiniteLoop(rows, _checked=True))
 
 
 def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
@@ -192,12 +191,9 @@ def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
 
 
 def is_commutative_extension(cocycle: LoopCocycle) -> bool:
-    """Whether the extension is commutative: L commutative and P(x,y) = Q(y,x)."""
-    if not cocycle.loop.is_commutative():
-        return False
-    l = cocycle.loop.size
-    pt, qt = cocycle.ptable, cocycle.qtable
-    return all(pt[x][y] == qt[y][x] for x in range(l) for y in range(l))
+    """Whether the extension is commutative: L commutative and P(x,y) = Q(y,x),
+    that is P is the transpose of Q."""
+    return cocycle.loop.is_commutative() and cocycle.ptable == tuple(zip(*cocycle.qtable))
 
 
 def extension_left_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:

@@ -5,14 +5,15 @@ column 0 are the identity permutation.  Elements are plain integers.  Loops
 are immutable after validation, apart from what :func:`kept` keeps: the
 report of ``properties()``, the one home of the loop's inverse facts (the
 LIP and RIP witnesses, the first inverse mismatch and the two-sided inverse
-map), and the orbit decompositions of ``loopext.orbits``.  Every predicate
-here is a pure function.  Of the divisions only e/x and x\\e
-are kept, as the two inverse maps; no library path divides general elements.
+map), the first non-commuting pair and the orbit decompositions of
+``loopext.orbits``.  Every predicate here is a pure function.  Of the
+divisions only e/x and x\\e are kept, as the two inverse maps; no library
+path divides general elements.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -38,7 +39,10 @@ class FiniteLoop:
         if _checked:
             rows = tuple(map(tuple, table))
         else:
-            rows = tuple(tuple(map(int, row)) for row in table)
+            try:  # index, not int: a float or str entry is refused, not truncated
+                rows = tuple(tuple(map(index, row)) for row in table)
+            except TypeError as error:
+                raise InputError(f"loop table entry is not an integer: {error}") from None
             validate_table(rows)
         self.size = len(rows)
         self.table = rows
@@ -46,7 +50,7 @@ class FiniteLoop:
         # left-inverse map is the inverse permutation of the right one
         right = self._right_inverse = tuple(row.index(0) for row in rows)
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
-        self._kept = {}  # "report" and each orbit mode -> its fact, see kept
+        self._kept = {}  # "report", "noncommuting" and each orbit mode -> its fact, see kept
 
     def elements(self) -> range:
         return range(self.size)
@@ -71,7 +75,7 @@ class FiniteLoop:
         return FiniteLoop(tuple(zip(*self.table)), _checked=True)
 
     def is_commutative(self) -> bool:
-        return first_noncommuting_pair(self) is None
+        return noncommuting_pair(self) is None
 
     def is_associative(self) -> bool:
         """Whether (x*y)*z = x*(y*z) for all z, pair by pair: row x*y against
@@ -245,6 +249,11 @@ def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
             if t[x][y] != t[y][x]:
                 return (x, y)
     return None
+
+
+def noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
+    """The kept :func:`first_noncommuting_pair`, read by every commutativity test."""
+    return kept(loop, "noncommuting", first_noncommuting_pair, loop)
 
 
 def analyze_properties(loop: FiniteLoop) -> LoopPropertyReport:

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .errors import InputError, PreconditionError
 from .extension import (
-    ExtensionLoop,
     LoopCocycle,
     build_extension,
     check_cip,
@@ -25,7 +24,7 @@ from .extension import (
     check_rip_conditions,
     is_commutative_extension,
 )
-from .loops import FiniteLoop, first_noncommuting_pair, quotient_loop
+from .loops import FiniteLoop, noncommuting_pair, quotient_loop
 from .orbits import sigma_set
 
 VERIFY_MODES = ("all", "lip", "rip", "ip")
@@ -118,14 +117,15 @@ def _agreement(report: VerificationReport, name: str, condition: bool, brute: bo
                    note=f"condition says {condition}, built extension says {brute}")
 
 
-def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> bool:
-    """Latin table, inverse formulas, kernel normality and quotient lines; False,
-    after the Latin line alone, when the build's Latin check failed."""
+def _add_consistency(report: VerificationReport, cocycle: LoopCocycle) -> Optional[FiniteLoop]:
+    """Latin table, inverse formulas, kernel normality and quotient lines of the
+    cocycle's extension; its loop, or None after the Latin line when it fails."""
+    built = build_extension(cocycle)
     if built.loop is None:
         report.add("extension-latin", False, (built.defect.index,), note=str(built.defect))
-        return False
+        return None
     report.add("extension-latin", True, note=f"size {built.loop.size}")
-    witness = _check_inverse_formulas(built.cocycle, built)
+    witness = _check_inverse_formulas(cocycle, built)
     report.add("inverse-formulas", witness is None, witness)
     try:
         quotient = quotient_loop(built.loop, built.kernel())
@@ -134,8 +134,8 @@ def _add_consistency(report: VerificationReport, built: ExtensionLoop) -> bool:
         report.add("quotient-reconstructs-base", False, note="kernel not normal")
     else:
         report.add("kernel-normal", True)
-        report.add("quotient-reconstructs-base", quotient == built.cocycle.loop)
-    return True
+        report.add("quotient-reconstructs-base", quotient == cocycle.loop)
+    return built.loop
 
 
 def _add_agreement(report: VerificationReport, cocycle: LoopCocycle, ext: FiniteLoop,
@@ -144,7 +144,7 @@ def _add_agreement(report: VerificationReport, cocycle: LoopCocycle, ext: Finite
     scans of the built extension ``ext``, then, in a property mode, the
     ``property-<mode>`` line: the whole proof of a construction's gate too."""
     base = cocycle.loop.properties()
-    noncommuting = first_noncommuting_pair(ext)
+    noncommuting = noncommuting_pair(ext)
     _agreement(report, "commutative", is_commutative_extension(cocycle),
                noncommuting is None, noncommuting)
 
@@ -195,18 +195,17 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
         raise PreconditionError(f"cannot assert {mode}: base loop lacks the property")
     start = time.perf_counter()
     report = VerificationReport("verify", fingerprints)
-    built = build_extension(cocycle)
-    if _add_consistency(report, built):
-        _add_agreement(report, cocycle, built.loop, mode)
+    if (ext := _add_consistency(report, cocycle)) is not None:
+        _add_agreement(report, cocycle, ext, mode)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def extension_report(built: ExtensionLoop,
+def extension_report(cocycle: LoopCocycle,
                      fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
-    """Consistency report emitted alongside a built extension."""
+    """Consistency report of the extension a cocycle builds."""
     start = time.perf_counter()
     report = VerificationReport("extend", fingerprints)
-    _add_consistency(report, built)
+    _add_consistency(report, cocycle)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

@@ -107,6 +107,13 @@ class TestMakeGroup:
         with pytest.raises(InputError):
             make_group([3, 0])
 
+    def test_non_integer_order_rejected(self):
+        # refused, not truncated to Z2
+        for order in (2.9, 2.0, "2"):
+            with pytest.raises(InputError, match="^cyclic factor order must be an integer, got "):
+                make_group([order])
+        assert make_group([2, 3]).orders == (2, 3)
+
     def test_cap(self):
         assert make_group([64]).size == 64
         with pytest.raises(InputError, match="exceeds the size cap 64"):

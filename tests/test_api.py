@@ -45,7 +45,6 @@ PUBLIC_API = [
     "ChoiceSource.seed",
     "DEFAULT_SIZE_CAP",
     "ExtensionLoop",
-    "ExtensionLoop.cocycle",
     "ExtensionLoop.defect",
     "ExtensionLoop.kernel",
     "ExtensionLoop.kernel_size",

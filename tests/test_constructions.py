@@ -62,6 +62,19 @@ class TestChoiceSource:
         with pytest.raises(InputError):
             ChoiceSource(0).pick(0)
 
+    def test_pick_above_two_to_64_rejected(self):
+        # above 2^64 no raw draw lies below the largest multiple of n, so no
+        # pick would ever return; 2^64 itself is the raw draw
+        for n in (2**64 + 1, 2**65):
+            with pytest.raises(InputError, match=f"^cannot pick from {n} alternatives$"):
+                ChoiceSource(0).pick(n)
+        source = ChoiceSource(0)
+        assert [source.pick(2**64) for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
     def test_count_advances(self):
         source = ChoiceSource(3)
         source.pick(7)

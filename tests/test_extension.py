@@ -86,6 +86,19 @@ class TestMakeCocycle:
         with pytest.raises(InputError):
             make_cocycle(loops["z2"], groups["z3"], p, q)
 
+    def test_non_integer_entry_rejected(self, loops, groups):
+        # refused, not truncated to indices 0 and 1; bools are ints and pass
+        p, q = identity_tables(2)
+        p[1][1], q[1][1] = 0.7, 1.2
+        with pytest.raises(InputError, match="^P table entry is not an integer: "):
+            make_cocycle(loops["z2"], groups["z3"], p, q)
+        p[1][1] = 1
+        with pytest.raises(InputError, match="^Q table entry is not an integer: "):
+            make_cocycle(loops["z2"], groups["z3"], p, q)
+        q[1][1] = True
+        cocycle = make_cocycle(loops["z2"], groups["z3"], p, q)
+        assert cocycle.qtable == ((0, 0), (0, 1)) and type(cocycle.qtable[1][1]) is int
+
     def test_bad_index_names_first_bad_entry(self, loops, groups):
         # Aut(Z3) has 2 members; rows are scanned in order, entries left to right
         p, q = identity_tables(3)

@@ -62,6 +62,14 @@ class TestMakeLoop:
         with pytest.raises(StructureError):
             make_loop([[0, 2], [2, 0]])
 
+    def test_non_integer_entry_rejected(self):
+        # refused, not truncated to Z2; bools are ints and pass
+        for entry in (0.5, 0.0, "0"):
+            with pytest.raises(InputError, match="^loop table entry is not an integer: "):
+                make_loop([[0, 1], [1, entry]])
+        loop = make_loop([[False, True], [True, False]])
+        assert loop.table == ((0, 1), (1, 0)) and type(loop.table[1][0]) is int
+
 
 class TestDivisions:
     """Every corpus table has unique divisions; they are found by scanning a

@@ -130,13 +130,13 @@ def count_calls(monkeypatch, module, names, calls=None):
 SCANS = ("first_inverse_mismatch", "first_lip_counterexample", "first_rip_counterexample")
 
 
-def count_scans(monkeypatch):
+def count_scans(monkeypatch, scans=SCANS):
     """Count the scans in every loopext module that binds their names, so a
     scan called through another module's import is counted too."""
     calls = []
     for name, module in sorted(sys.modules.items()):
         if name.startswith("loopext."):
-            count_calls(monkeypatch, module, [s for s in SCANS if hasattr(module, s)], calls)
+            count_calls(monkeypatch, module, [s for s in scans if hasattr(module, s)], calls)
     return calls
 
 
@@ -164,6 +164,18 @@ class TestSinglePass:
         assert report.passed
         assert sorted(calls) == list(SCANS)
         assert builds == ["_extension_rows"]
+
+    def test_commutativity_decided_once_per_loop(self, groups, monkeypatch):
+        # the gate scans the base and the extension once each; verify and
+        # is_commutative read those pairs back
+        loop = cyclic_loop(256)
+        calls = count_scans(monkeypatch, ["first_noncommuting_pair"])
+        cocycle = construct_ip_cocycle(loop, groups["z2"], ChoiceSource(1))
+        report = verify_cocycle(cocycle, mode="ip")
+        assert report.passed and "check agreement-commutative: pass (condition=yes)" in report.to_text()
+        assert calls == ["first_noncommuting_pair"] * 2  # 4 when each call scanned afresh
+        assert loop.is_commutative() and build_extension(cocycle).loop.is_commutative()
+        assert len(calls) == 2
 
     def test_gate_verdicts_are_kept(self, loops, groups, monkeypatch):
         # the gate decides LIP, RIP and equivariance once each; verify reads
@@ -239,9 +251,16 @@ class TestBuiltOnce:
         assert len(builds) == 1
         assert build_extension(cocycle).defect.__traceback__ is None
 
+    def test_build_is_kept_object(self, loops, groups):
+        cocycle = identity_cocycle(loops["klein"], groups["z3"])
+        built = build_extension(cocycle)
+        assert build_extension(cocycle) is built
+        assert not hasattr(built, "cocycle")
+        assert (built.size, built.kernel_size, built.loop.size) == (12, 3, 12)
+
     def test_no_reference_cycle(self, loops, groups):
-        # the cocycle keeps its extension's table, not the ExtensionLoop that
-        # points back at it, so dropping the cocycle frees it without the collector
+        # the cocycle keeps its ExtensionLoop, which does not point back at
+        # it, so dropping the cocycle frees both without the collector
         loop = make_loop(loops["z5"].table)
         gc.collect()
         gc.disable()
@@ -355,7 +374,7 @@ class TestKernelNotSubloop:
         built = build_extension(cocycle)
         kernel, table = built.kernel(), built.loop.table
         assert any(table[u][v] not in kernel for u in kernel for v in kernel)
-        for report in (verify_cocycle(cocycle), extension_report(built)):
+        for report in (verify_cocycle(cocycle), extension_report(cocycle)):
             assert not report.passed
             assert self.EXPECTED in report.to_text()
 
@@ -376,7 +395,7 @@ class TestKernelNotSubloop:
 
 class TestExtensionReport:
     def test_basic(self, loops, groups):
-        report = extension_report(build_extension(identity_cocycle(loops["z4"], groups["z2xz2"])))
+        report = extension_report(identity_cocycle(loops["z4"], groups["z2xz2"]))
         assert report.passed
         assert outcome_names(report) == [
             "extension-latin", "inverse-formulas", "kernel-normal",
