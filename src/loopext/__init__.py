@@ -38,8 +38,6 @@ from .extension import (
     check_ip_conditions,
     check_lip_conditions,
     check_rip_conditions,
-    extension_left_inverse,
-    extension_right_inverse,
     is_commutative_extension,
     is_strongly_linear,
     make_cocycle,

@@ -60,8 +60,8 @@ def parse_group_spec(spec: str) -> tuple[int, ...]:
 class AbelianGroup:
     """Direct sum ``Z_{n_1} x ... x Z_{n_k}`` with 0-based element indices.
 
-    Addition, negation and element orders are precomputed; the raw tables are
-    exposed (``add_table``, ``neg_table``) for hot loops.
+    Addition, negation and element orders are precomputed tables
+    (``add_table``, ``neg_table``, ``element_orders``), read directly.
     """
 
     __slots__ = ("orders", "size", "_strides", "add_table", "neg_table", "element_orders")
@@ -118,15 +118,6 @@ class AbelianGroup:
             )
         return sum((r % n) * s for r, n, s in zip(residues, self.orders, self._strides))
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return self.add_table[a][b]
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return self.neg_table[a]
-
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or not 0 <= a < self.size:
             raise InputError(f"element index {a!r} out of range for group of size {self.size}")
@@ -172,9 +163,6 @@ class Automorphism:
 
     def __repr__(self) -> str:
         return f"Automorphism({list(self.table)})"
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.table))
 
 
 def _validate_automorphism(group: AbelianGroup, table: tuple[int, ...]) -> None:

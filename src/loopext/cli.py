@@ -117,7 +117,7 @@ def cmd_construct(args) -> int:
         decomposition = _ORBIT_MODES[{"lip": "phi", "rip": "psi", "ip": "gamma"}[args.mode]](loop)
         for i, orbit in enumerate(decomposition):
             rx, ry = orbit.representative
-            print(f"{_orbit_line(i, orbit)} P={cocycle.p(rx, ry)} Q={cocycle.q(rx, ry)}")
+            print(f"{_orbit_line(i, orbit)} P={cocycle.ptable[rx][ry]} Q={cocycle.qtable[rx][ry]}")
     return 0
 
 

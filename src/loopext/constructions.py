@@ -110,9 +110,6 @@ class ChoiceSource:
         self._block = unpack(((z ^ (z >> 31)) & mask).to_bytes(16 * _WIDTH, "little"))
         self._next = 0
 
-    def next_raw(self) -> int:
-        return self.pick(1 << 64)  # no raw value is rejected, none reduced
-
     def pick(self, n: int) -> int:
         """Uniform index in 0..n-1, for 1 <= n <= 2^64."""
         if not 0 < n <= 1 << 64:  # above 2^64 the limit below is 0 and no draw passes

@@ -33,8 +33,6 @@ from .errors import (
 from .loops import FiniteLoop, kept, validate_table
 from .orbits import PAIR_MAPS, gamma_orbits
 
-Pair = tuple[int, int]
-
 # Largest extension order N = l * |A| admitted; cyclic_loop(64) with A = Z64
 # reaches it.  The table has N^2 cells, so time and memory grow with N^2.
 MAX_EXTENSION_ORDER = 4096
@@ -63,12 +61,6 @@ class LoopCocycle:
         # see kept: "built" -> the ExtensionLoop of build_extension;
         # "lip", "rip", "equivariance" -> closed-form verdict
         self._kept = {}
-
-    def p(self, x: int, y: int) -> int:
-        return self.ptable[x][y]
-
-    def q(self, x: int, y: int) -> int:
-        return self.qtable[x][y]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LoopCocycle):
@@ -136,12 +128,6 @@ class ExtensionLoop:
         self.loop = loop
         self.defect = defect
 
-    def pair_index(self, x: int, a: int) -> int:
-        return x * self.kernel_size + a
-
-    def pair_of(self, index: int) -> Pair:
-        return divmod(index, self.kernel_size)
-
     def kernel(self) -> frozenset[int]:
         """Indices of the subloop {e} x A."""
         return frozenset(range(self.kernel_size))
@@ -194,28 +180,6 @@ def is_commutative_extension(cocycle: LoopCocycle) -> bool:
     """Whether the extension is commutative: L commutative and P(x,y) = Q(y,x),
     that is P is the transpose of Q."""
     return cocycle.loop.is_commutative() and cocycle.ptable == tuple(zip(*cocycle.qtable))
-
-
-def extension_left_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
-    """Closed-form left inverse (e/x, -P(e/x, x)^{-1} Q(e/x, x) a) of (x, a)."""
-    x, a = pair
-    loop, group, aut = cocycle.loop, cocycle.group, cocycle.autgroup
-    group._check(a)
-    li = loop.left_inverse(x)
-    value = aut[cocycle.qtable[li][x]].table[a]
-    value = aut[aut.inverses[cocycle.ptable[li][x]]].table[value]
-    return (li, group.neg_table[value])
-
-
-def extension_right_inverse(cocycle: LoopCocycle, pair: Pair) -> Pair:
-    """Closed-form right inverse (x\\e, -Q(x, x\\e)^{-1} P(x, x\\e) a) of (x, a)."""
-    x, a = pair
-    loop, group, aut = cocycle.loop, cocycle.group, cocycle.autgroup
-    group._check(a)
-    ri = loop.right_inverse(x)
-    value = aut[cocycle.ptable[x][ri]].table[a]
-    value = aut[aut.inverses[cocycle.qtable[x][ri]]].table[value]
-    return (ri, group.neg_table[value])
 
 
 def coincidence_condition_holds(autgroup: AutomorphismGroup, inverse_map: Sequence[int],

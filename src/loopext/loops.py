@@ -55,11 +55,6 @@ class FiniteLoop:
     def elements(self) -> range:
         return range(self.size)
 
-    def mul(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        return self.table[x][y]
-
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""
         self._check(x)

@@ -32,7 +32,7 @@ Cell = tuple[int, int]
 
 
 class SigmaSet:
-    """The pinned cells of one loop; :meth:`complement` lists the others."""
+    """The pinned cells of one loop; the complement is every other cell."""
 
     __slots__ = ("size", "pairs")
 
@@ -42,11 +42,6 @@ class SigmaSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def complement(self) -> tuple[Cell, ...]:
-        """Cells outside Sigma in row-major order."""
-        cells = ((x, y) for x in range(self.size) for y in range(self.size))
-        return tuple(cell for cell in cells if cell not in self.pairs)
 
 
 def sigma_set(loop: FiniteLoop) -> SigmaSet:

@@ -157,6 +157,12 @@ def ip_conditions_hold(cocycle):
     return True
 
 
+def complement(sigma):
+    """The cells outside Sigma, ``sigma.pairs``, in row-major order."""
+    return tuple((x, y) for x in range(sigma.size) for y in range(sigma.size)
+                 if (x, y) not in sigma.pairs)
+
+
 def walked_orbits(loop, names):
     """The orbits of the cell maps ``names`` on Sigma's complement, as
     ``(representative, members, symmetries)`` triples.

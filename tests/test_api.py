@@ -10,19 +10,16 @@ import loopext
 
 PUBLIC_API = [
     "AbelianGroup",
-    "AbelianGroup.add",
     "AbelianGroup.add_table",
     "AbelianGroup.element_orders",
     "AbelianGroup.elements",
     "AbelianGroup.index_of",
-    "AbelianGroup.neg",
     "AbelianGroup.neg_table",
     "AbelianGroup.orders",
     "AbelianGroup.size",
     "AbelianGroup.tuple_of",
     "Automorphism",
     "Automorphism.group",
-    "Automorphism.is_identity",
     "Automorphism.table",
     "AutomorphismGroup",
     "AutomorphismGroup.compose_indices",
@@ -40,7 +37,6 @@ PUBLIC_API = [
     "CardinalityCertificate.l",
     "ChoiceSource",
     "ChoiceSource.count",
-    "ChoiceSource.next_raw",
     "ChoiceSource.pick",
     "ChoiceSource.seed",
     "DEFAULT_SIZE_CAP",
@@ -49,15 +45,12 @@ PUBLIC_API = [
     "ExtensionLoop.kernel",
     "ExtensionLoop.kernel_size",
     "ExtensionLoop.loop",
-    "ExtensionLoop.pair_index",
-    "ExtensionLoop.pair_of",
     "ExtensionLoop.size",
     "FiniteLoop",
     "FiniteLoop.elements",
     "FiniteLoop.is_associative",
     "FiniteLoop.is_commutative",
     "FiniteLoop.left_inverse",
-    "FiniteLoop.mul",
     "FiniteLoop.opposite",
     "FiniteLoop.properties",
     "FiniteLoop.right_inverse",
@@ -67,9 +60,7 @@ PUBLIC_API = [
     "LoopCocycle.autgroup",
     "LoopCocycle.group",
     "LoopCocycle.loop",
-    "LoopCocycle.p",
     "LoopCocycle.ptable",
-    "LoopCocycle.q",
     "LoopCocycle.qtable",
     "LoopPropertyReport",
     "LoopPropertyReport.has_ip",
@@ -91,7 +82,6 @@ PUBLIC_API = [
     "PairOrbit.representative",
     "PairOrbit.symmetries",
     "SigmaSet",
-    "SigmaSet.complement",
     "SigmaSet.pairs",
     "SigmaSet.size",
     "analyze_properties",
@@ -107,8 +97,6 @@ PUBLIC_API = [
     "construct_rip_cocycle",
     "enumerate_automorphisms",
     "enumerate_feasible",
-    "extension_left_inverse",
-    "extension_right_inverse",
     "feasible_cardinality",
     "gamma_orbits",
     "is_commutative_extension",

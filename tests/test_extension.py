@@ -23,8 +23,6 @@ from loopext.extension import (
     check_ip_conditions,
     check_lip_conditions,
     check_rip_conditions,
-    extension_left_inverse,
-    extension_right_inverse,
     is_commutative_extension,
     is_strongly_linear,
     make_cocycle,
@@ -42,7 +40,8 @@ from loopext.loops import (
     quotient_loop,
 )
 from loopext.orbits import PAIR_MAPS, gamma_orbits
-from reference import Replay, ip_conditions_hold, left_div, right_div
+from loopext.verification import _check_inverse_formulas
+from reference import Replay, inverse_formula_mismatch, ip_conditions_hold
 
 
 def identity_tables(l):
@@ -143,12 +142,13 @@ class TestBuildExtension:
     def test_direct_product_structure(self, loops, groups):
         loop, group = loops["z3"], groups["z4"]
         built = build_extension(trivial_cocycle(loop, group))
+        n = group.size  # (x, a) is element x*|A| + a
         for x in loop.elements():
             for a in group.elements():
                 for y in loop.elements():
                     for b in group.elements():
-                        product = built.loop.mul(built.pair_index(x, a), built.pair_index(y, b))
-                        assert built.pair_of(product) == (loop.mul(x, y), group.add(a, b))
+                        product = built.loop.table[x * n + a][y * n + b]
+                        assert divmod(product, n) == (loop.table[x][y], group.add_table[a][b])
 
     def test_twisted_order6(self, loops, groups):
         cocycle = cocycle_with(loops["z2"], groups["z3"], q_cells=[((1, 1), 1)])
@@ -163,17 +163,17 @@ class TestBuildExtension:
                     for b in range(3):
                         rhs = b if (x, y) != (1, 1) else neg[b]
                         expected = ((x + y) % 2, add[a][rhs])
-                        product = built.loop.mul(built.pair_index(x, a), built.pair_index(y, b))
-                        assert built.pair_of(product) == expected
+                        assert divmod(built.loop.table[x * 3 + a][y * 3 + b], 3) == expected
 
     def test_identity_element(self, loops, groups):
+        # (e, 0) is element 0, the identity of the built loop
         built = build_extension(trivial_cocycle(loops["z4"], groups["z2xz2"]))
-        assert built.pair_index(0, 0) == 0
+        assert built.loop.table[0] == tuple(built.loop.elements())
 
     def test_pair_encoding(self, loops, groups):
+        # (x, a) is element x*|A| + a: (2, 1) * (1, 2) = (3, 0) is 7 * 5 = 9
         built = build_extension(trivial_cocycle(loops["z4"], groups["z3"]))
-        assert built.pair_index(2, 1) == 7
-        assert built.pair_of(7) == (2, 1)
+        assert built.loop.table[7][5] == 9
 
 
 def product_loop(left, right):
@@ -207,7 +207,7 @@ class TestExtensionRows:
             # (x, a)(y, b) = (x*y, P(x,y)a + Q(x,y)b), one cell at a time
             reference = [
                 tuple(loop.table[x][y] * n
-                      + add[aut[cocycle.p(x, y)](a)][aut[cocycle.q(x, y)](b)]
+                      + add[aut[cocycle.ptable[x][y]](a)][aut[cocycle.qtable[x][y]](b)]
                       for y in loop.elements() for b in range(n))
                 for x in loop.elements() for a in range(n)
             ]
@@ -236,29 +236,28 @@ class TestCommutativity:
 
 
 class TestInverseFormulas:
-    def test_identity_element(self, loops, groups):
-        cocycle = trivial_cocycle(loops["z4"], groups["z3"])
-        assert extension_left_inverse(cocycle, (0, 0)) == (0, 0)
-        assert extension_right_inverse(cocycle, (0, 0)) == (0, 0)
+    """The gathered inverse-formula check and its element-by-element
+    reference both pass on every built extension."""
 
     def test_trivial_cocycle_collapses(self, loops, groups):
+        # the closed forms of the trivial cocycle are (e/x, -a) and (x\e, -a)
         loop, group = loops["z4"], groups["z3"]
         cocycle = trivial_cocycle(loop, group)
+        built = build_extension(cocycle)
+        n, neg = group.size, group.neg_table
         for x in loop.elements():
             for a in group.elements():
-                assert extension_left_inverse(cocycle, (x, a)) == (
-                    loop.left_inverse(x), group.neg(a))
+                index = x * n + a
+                assert built.loop.left_inverse(index) == loop.left_inverse(x) * n + neg[a]
+                assert built.loop.right_inverse(index) == loop.right_inverse(x) * n + neg[a]
+        assert _check_inverse_formulas(cocycle, built) is None
 
     @pytest.mark.parametrize("seed", range(25))
     def test_formulas_match_divisions(self, loops, groups, seed):
         cocycle = random_cocycle(loops["z4"], groups["z3"], ChoiceSource(seed))
         built = build_extension(cocycle)
-        for index in built.loop.elements():
-            pair = built.pair_of(index)
-            left = built.pair_index(*extension_left_inverse(cocycle, pair))
-            right = built.pair_index(*extension_right_inverse(cocycle, pair))
-            assert left == right_div(built.loop, 0, index)
-            assert right == left_div(built.loop, index, 0)
+        assert inverse_formula_mismatch(cocycle, built.loop.table) is None
+        assert _check_inverse_formulas(cocycle, built) is None
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("base", ["mismatch", "lip_only", "ip8"])
@@ -267,12 +266,8 @@ class TestInverseFormulas:
         # the base loop has mismatched inverses
         cocycle = random_cocycle(loops[base], groups["z3"], ChoiceSource(seed))
         built = build_extension(cocycle)
-        for index in built.loop.elements():
-            pair = built.pair_of(index)
-            left = built.pair_index(*extension_left_inverse(cocycle, pair))
-            right = built.pair_index(*extension_right_inverse(cocycle, pair))
-            assert left == right_div(built.loop, 0, index)
-            assert right == left_div(built.loop, index, 0)
+        assert inverse_formula_mismatch(cocycle, built.loop.table) is None
+        assert _check_inverse_formulas(cocycle, built) is None
 
 
 class TestCip:
@@ -376,16 +371,17 @@ class TestStronglyLinear:
     def test_matches_built_multiplication(self, loops, groups, seed):
         loop, group = loops["klein"], groups["z3"]
         cocycle = random_cocycle(loop, group, ChoiceSource(seed))
-        built = build_extension(cocycle)
-        add = group.add_table
+        table = build_extension(cocycle).loop.table
+        add, n = group.add_table, group.size
 
         def pure_addition():
             for beta in loop.elements():
                 for a in group.elements():
                     for b in group.elements():
-                        lhs = built.loop.mul(built.pair_index(0, a), built.pair_index(beta, b))
-                        rhs = built.loop.mul(built.pair_index(beta, b), built.pair_index(0, a))
-                        want = built.pair_index(beta, add[a][b])
+                        # (e, a) is element a and (beta, b) is beta*|A| + b
+                        lhs = table[a][beta * n + b]
+                        rhs = table[beta * n + b][a]
+                        want = beta * n + add[a][b]
                         if lhs != want or rhs != want:
                             return False
             return True

@@ -202,7 +202,7 @@ class TestCocycleFormat:
     def test_boundary_violation_is_parse_error(self, loops):
         text = "cocycle l=2 group=3\nP\n0 1\n0 0\nQ\n0 0\n0 0\n"
         parsed = loads_cocycle(text, loops["z2"])  # P(e, 1) is free
-        assert parsed.p(0, 1) == 1
+        assert parsed.ptable[0][1] == 1
         bad = "cocycle l=2 group=3\nP\n0 0\n1 0\nQ\n0 0\n0 0\n"
         with pytest.raises(ParseError):  # P(1, e) must be Id
             loads_cocycle(bad, loops["z2"])

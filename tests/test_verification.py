@@ -331,20 +331,34 @@ class TestGatheredKernels:
         assert inverse_formula_mismatch(cocycle, table) is None
         assert _check_inverse_formulas(cocycle, built) is None
 
-    @pytest.mark.parametrize("name,orders,a,b", [
-        ("z2", (2, 2), 5, 6), ("klein", (3,), 5, 7), ("z5", (2, 2), 9, 10),
-        ("z5", (2, 2), 5, 13), ("mismatch", (3,), 13, 14),
-    ])
-    def test_broken_inverse_witness(self, loops, monkeypatch, name, orders, a, b):
+    BROKEN_INVERSE_CASES = [
+        ("z2", (2, 2), "random", 5, 6), ("klein", (3,), "random", 5, 7),
+        ("z5", (2, 2), "random", 9, 10), ("z5", (2, 2), "random", 5, 13),
+        ("mismatch", (3,), "random", 13, 14),
+        ("klein", (3,), "lip", 7, 9), ("lip_only", (3,), "lip", 10, 13),
+        ("z5", (2, 2), "rip", 11, 14), ("ip8", (2,), "rip", 9, 13),
+        ("z5", (2, 2), "ip", 11, 17), ("ip7", (2, 2), "ip", 15, 18),
+    ]
+
+    # the ids of the random cases name no mode
+    @pytest.mark.parametrize("name,orders,mode,a,b", BROKEN_INVERSE_CASES, ids=[
+        f"{name}-orders{i}-{a}-{b}" if mode == "random" else f"{name}-orders{i}-{mode}-{a}-{b}"
+        for i, (name, orders, mode, a, b) in enumerate(BROKEN_INVERSE_CASES)])
+    def test_broken_inverse_witness(self, loops, monkeypatch, name, orders, mode, a, b):
         # renaming two elements keeps a loop table but moves inverses away
         # from the closed forms; each witness lies inside its coset, so it
-        # is the coset's element scan that finds it
+        # is the coset's element scan that finds it.  A constructed cocycle
+        # is remade from its tables, so its extension is built renamed here
         from loopext import extension
 
+        group = make_group(orders)
+        if mode == "random":
+            cocycle = random_cocycle(loops[name], group, ChoiceSource(1))
+        else:
+            made = CONSTRUCT[mode](loops[name], group, ChoiceSource(1))
+            cocycle = make_cocycle(made.loop, made.group, made.ptable, made.qtable)
         monkeypatch.setattr(extension, "_extension_rows",
                             relabelled_rows(extension._extension_rows, a, b))
-        group = make_group(orders)
-        cocycle = random_cocycle(loops[name], group, ChoiceSource(1))
         built = build_extension(cocycle)
         witness = inverse_formula_mismatch(cocycle, built.loop.table)
         assert witness is not None and witness[0] % group.size != 0
