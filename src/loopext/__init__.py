@@ -30,7 +30,6 @@ from .constructions import (
     random_cocycle,
 )
 from .extension import (
-    ExtensionLoop,
     LoopCocycle,
     build_extension,
     check_cip,
@@ -55,8 +54,6 @@ from .orbits import (
     CELL_MAPS,
     PAIR_MAPS,
     OrbitDecomposition,
-    PairOrbit,
-    SigmaSet,
     gamma_orbits,
     phi_orbits,
     psi_orbits,

@@ -29,6 +29,7 @@ known in closed form (:func:`automorphism_count`).
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
@@ -102,9 +103,6 @@ class AbelianGroup:
             for a in range(size)
         )
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def tuple_of(self, a: int) -> tuple[int, ...]:
         """Residue tuple encoded by index ``a``."""
         self._check(a)
@@ -149,9 +147,6 @@ class Automorphism:
         _validate_automorphism(group, table)
         self.group = group
         self.table = table
-
-    def __call__(self, a: int) -> int:
-        return self.table[a]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automorphism):
@@ -234,7 +229,7 @@ class AutomorphismGroup:
 
     __slots__ = ("group", "identity_index", "products", "inverses", "_count", "_generators",
                  "_orders", "_of_order", "_purity", "_weights", "_by_prefix", "_by_image",
-                 "_members")
+                 "_members", "__weakref__")
 
     def __init__(self, group: AbelianGroup):
         self.group = group
@@ -244,15 +239,17 @@ class AutomorphismGroup:
         self._generators = tuple(reversed(group._strides))
         self._orders = tuple(reversed(group.orders))
         self._of_order = tuple(
-            tuple(a for a in group.elements() if group.element_orders[a] == n)
+            tuple(a for a, order in enumerate(group.element_orders) if order == n)
             for n in self._orders
         )
         self._purity = tuple(_purity_tests(group))
         self._by_prefix: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._by_image: dict[frozenset[int], tuple[int, ...]] = {}
-        self._members = _Memo(self._member, [0, _MEMBER_MEMO_CAP])
-        self.products = _Memo(self._product_row, [0, _COMPOSE_MEMO_CAP], 0)
-        self.inverses = _Memo(self._inverse, [0, _COMPOSE_MEMO_CAP])
+        # the memos compute through a proxy, so no cycle holds a dropped group
+        me, cls = weakref.proxy(self), AutomorphismGroup
+        self._members = _Memo(partial(cls._member, me), [0, _MEMBER_MEMO_CAP])
+        self.products = _Memo(partial(cls._product_row, me), [0, _COMPOSE_MEMO_CAP], 0)
+        self.inverses = _Memo(partial(cls._inverse, me), [0, _COMPOSE_MEMO_CAP])
         counts = [len(self._extendable(self._generators[:t]))
                   for t in range(len(self._generators))]
         if math.prod(counts) != count:
@@ -291,7 +288,9 @@ class AutomorphismGroup:
         return self._unrank(i)
 
     def _product_row(self, i: int) -> "_Memo":
-        return _Memo(partial(self._product, self[i].table), self.products.budget)
+        """Row i of ``products``; ``self`` is the group's proxy."""
+        return _Memo(partial(AutomorphismGroup._product, self, self[i].table),
+                     self.products.budget)
 
     def _product(self, table: tuple[int, ...], j: int) -> int:
         """Index of the member with image table ``table`` after member j."""
@@ -393,7 +392,7 @@ def _purity_tests(group: AbelianGroup) -> Iterator[tuple[tuple[int, ...], frozen
         for i in range(1, e + 1):
             n = p**i
             times = tuple(group.index_of([n * r for r in group.tuple_of(a)])
-                          for a in group.elements())
+                          for a in range(group.size))
             yield times, frozenset(times)
 
 

@@ -85,10 +85,8 @@ def cmd_aut(args) -> int:
     return 0
 
 
-def _orbit_line(i: int, orbit) -> str:
-    members = " ".join(
-        f"{name}:({x},{y})" for name, (x, y) in zip(orbit.symmetries, orbit.members)
-    )
+def _orbit_line(i: int, orbit, symmetries) -> str:
+    members = " ".join(f"{name}:({x},{y})" for name, (x, y) in zip(symmetries, orbit))
     return f"orbit {i}: {members}"
 
 
@@ -102,7 +100,7 @@ def cmd_orbits(args) -> int:
     print(f"complement-size: {loop.size * loop.size - len(sigma)}")
     print(f"orbits: {len(decomposition)}")
     for i, orbit in enumerate(decomposition):
-        print(_orbit_line(i, orbit))
+        print(_orbit_line(i, orbit, decomposition.symmetries))
     return 0
 
 
@@ -116,8 +114,9 @@ def cmd_construct(args) -> int:
     if args.report:
         decomposition = _ORBIT_MODES[{"lip": "phi", "rip": "psi", "ip": "gamma"}[args.mode]](loop)
         for i, orbit in enumerate(decomposition):
-            rx, ry = orbit.representative
-            print(f"{_orbit_line(i, orbit)} P={cocycle.ptable[rx][ry]} Q={cocycle.qtable[rx][ry]}")
+            rx, ry = orbit[0]
+            print(f"{_orbit_line(i, orbit, decomposition.symmetries)} "
+                  f"P={cocycle.ptable[rx][ry]} Q={cocycle.qtable[rx][ry]}")
     return 0
 
 
@@ -135,9 +134,9 @@ def cmd_extend(args) -> int:
     start = time.perf_counter()
     loop = parse_loop_file(args.loop)
     cocycle = parse_cocycle_file(args.cocycle, loop)
-    built = build_extension(cocycle)
-    if built.loop is not None:
-        emit_loop_file(built.loop, args.out, comments=extension_comments(cocycle))
+    ext, _ = build_extension(cocycle)
+    if ext is not None:
+        emit_loop_file(ext, args.out, comments=extension_comments(cocycle))
         print(f"wrote: {args.out}")
     return _emit_report(extension_report(cocycle, _fingerprints(args)), start)
 

@@ -196,7 +196,7 @@ def _pinned_tables(loop, autgroup, pmap, qmap):
     inverse diagonal, unassigned elsewhere."""
     inv, l = loop.properties().inverse_map, loop.size
     ptable, qtable = _empty_tables(l)
-    for x in loop.elements():
+    for x in range(l):
         ptable[x * l] = qtable[x] = autgroup.identity_index
         ptable[inv[x] * l + x], qtable[inv[x] * l + x] = pmap[x], qmap[x]
     return ptable, qtable
@@ -220,11 +220,11 @@ def _gated(cocycle: LoopCocycle, mode: str) -> LoopCocycle:
     """``cocycle`` once its built extension is a loop that passes ``verify``'s
     agreement and property lines, else an internal fault.  The build, verdicts
     and inverse scans stay kept, so ``verify_cocycle`` on it reads them back."""
-    built = build_extension(cocycle)
-    if built.loop is None:
-        raise InternalError(f"built extension is not a loop: {built.defect}")
+    ext, defect = build_extension(cocycle)
+    if ext is None:
+        raise InternalError(f"built extension is not a loop: {defect}")
     report = VerificationReport("gate")
-    _add_agreement(report, cocycle, built.loop, mode)
+    _add_agreement(report, cocycle, ext, mode)
     failed = [outcome.name for outcome in report.outcomes if not outcome.passed]
     if failed:
         raise InternalError(f"constructed cocycle fails {failed[0]}")
@@ -335,7 +335,7 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     naut, ident = len(autgroup), autgroup.identity_index
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
-    ptable, qtable = _id_tables(loop.size, ident, decomposition.sigma.pairs)
+    ptable, qtable = _id_tables(loop.size, ident, decomposition.sigma)
     codes = iter(decomposition._codes)
     for orbit in zip(*[codes] * 6):
         of_two = orbit[0] == orbit[4]  # phi*psi fixes the representative
@@ -363,7 +363,7 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
     naut = len(autgroup)
     ident = autgroup.identity_index
     if strongly_linear:
-        ptable, qtable = _id_tables(l, ident, sigma_set(loop).pairs)
+        ptable, qtable = _id_tables(l, ident, sigma_set(loop))
     else:
         ptable, qtable = _empty_tables(l)
         for x in range(l):

@@ -58,8 +58,8 @@ class LoopCocycle:
         self.autgroup = autgroup
         self.ptable = ptable
         self.qtable = qtable
-        # see kept: "built" -> the ExtensionLoop of build_extension;
-        # "lip", "rip", "equivariance" -> closed-form verdict
+        # see kept: "built" -> build_extension's (loop, defect), which holds
+        # nothing of the cocycle; "lip", "rip", "equivariance" -> closed-form verdict
         self._kept = {}
 
     def __eq__(self, other: object) -> bool:
@@ -113,40 +113,24 @@ def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopC
     return LoopCocycle(loop, group, autgroup, prows, qrows)
 
 
-class ExtensionLoop:
-    """The table built from a cocycle, on pair indices (x, a) -> x*|A| + a.
-
-    ``loop`` is None when the table fails the Latin check, whose error is then
-    ``defect``.  Nothing here points back at the cocycle."""
-
-    __slots__ = ("size", "kernel_size", "loop", "defect")
-
-    def __init__(self, cocycle: LoopCocycle, loop: Optional[FiniteLoop],
-                 defect: Optional[StructureError] = None):
-        self.kernel_size = cocycle.group.size
-        self.size = cocycle.loop.size * self.kernel_size
-        self.loop = loop
-        self.defect = defect
-
-    def kernel(self) -> frozenset[int]:
-        """Indices of the subloop {e} x A."""
-        return frozenset(range(self.kernel_size))
-
-
-def build_extension(cocycle: LoopCocycle) -> ExtensionLoop:
-    """Multiply out the cocycle into a table of size l * |A| and Latin-check
-    it once per cocycle; every call returns that one kept object.  A table
-    that fails is kept out of :class:`FiniteLoop`."""
+def build_extension(
+        cocycle: LoopCocycle) -> tuple[Optional[FiniteLoop], Optional[StructureError]]:
+    """The extension as the kept pair ``(loop, defect)``: its table of size
+    l * |A|, on pair indices (x, a) -> x*|A| + a, is multiplied out and
+    Latin-checked once per cocycle.  A table that fails is kept out of
+    :class:`FiniteLoop`: the pair is ``(None, defect)``, the Latin error
+    without its traceback, which would hold the cocycle.  The kernel
+    {e} x A is ``range(|A|)``."""
     return kept(cocycle, "built", _build, cocycle)
 
 
-def _build(cocycle: LoopCocycle) -> ExtensionLoop:
+def _build(cocycle: LoopCocycle):
     rows = _extension_rows(cocycle)
     try:
         validate_table(rows)
-    except StructureError as defect:  # its traceback would hold the cocycle
-        return ExtensionLoop(cocycle, None, defect.with_traceback(None))
-    return ExtensionLoop(cocycle, FiniteLoop(rows, _checked=True))
+    except StructureError as defect:
+        return None, defect.with_traceback(None)
+    return FiniteLoop(rows, _checked=True), None
 
 
 def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:

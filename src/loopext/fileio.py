@@ -12,6 +12,7 @@ canonically formatted x.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -70,11 +71,15 @@ def loads_loop(text: str, *, source: str = "<string>") -> FiniteLoop:
 
 
 def _loop_lines(loop: FiniteLoop, comments: Iterable[str]):
-    """The lines of a loop file, each ending in a newline, one row at a time."""
-    yield from (f"# {c}\n" for c in comments)
-    yield f"loop {loop.size}\n"
+    """The lines of a loop file, each ending in a newline, the rows one at a
+    time.  A comment holding a line break, which the parser would split, is
+    an ``InputError`` before any line is handed out."""
+    head = [f"# {c}\n" for c in comments] + [f"loop {loop.size}\n"]
+    for line in head:
+        if len(line.splitlines()) > 1:
+            raise InputError(f"loop-file comment {line[2:-1]!r} holds a line break")
     decimal = [str(v) for v in range(loop.size)].__getitem__  # entries are in range
-    yield from (" ".join(map(decimal, row)) + "\n" for row in loop.table)
+    return chain(head, (" ".join(map(decimal, row)) + "\n" for row in loop.table))
 
 
 def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:
@@ -97,9 +102,11 @@ def parse_loop_file(path) -> FiniteLoop:
 
 
 def emit_loop_file(loop: FiniteLoop, path, comments: Iterable[str] = ()) -> None:
-    """Write the text of :func:`dumps_loop` to ``path`` row by row."""
+    """Write the text of :func:`dumps_loop` to ``path`` row by row; a comment
+    holding a line break is refused before ``path`` is opened."""
+    lines = _loop_lines(loop, comments)
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_loop_lines(loop, comments))
+        out.writelines(lines)
 
 
 def loads_cocycle(text: str, loop: FiniteLoop, *, source: str = "<string>") -> LoopCocycle:

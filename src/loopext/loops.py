@@ -52,9 +52,6 @@ class FiniteLoop:
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
         self._kept = {}  # "report", "noncommuting" and each orbit mode -> its fact, see kept
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""
         self._check(x)
@@ -303,7 +300,7 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
     t = loop.table
     coset_of: list[Optional[int]] = [None] * loop.size
     reps: list[int] = []
-    for x in loop.elements():
+    for x in range(loop.size):
         if coset_of[x] is not None:
             continue
         for u in map(t[x].__getitem__, members):

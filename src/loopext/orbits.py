@@ -31,30 +31,16 @@ from .loops import FiniteLoop, kept
 Cell = tuple[int, int]
 
 
-class SigmaSet:
-    """The pinned cells of one loop; the complement is every other cell."""
-
-    __slots__ = ("size", "pairs")
-
-    def __init__(self, size: int, pairs: frozenset[Cell]):
-        self.size = size
-        self.pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def sigma_set(loop: FiniteLoop) -> SigmaSet:
-    """Sigma of a loop with two-sided inverses: identity row, identity
-    column, and the inverse diagonal.  Has 3l - 2 cells."""
+def sigma_set(loop: FiniteLoop) -> frozenset[Cell]:
+    """The 3l - 2 cells of Sigma in a loop with two-sided inverses: identity
+    row, identity column and inverse diagonal; the complement is the rest."""
     report = loop.properties()
     if not report.two_sided_inverses_coincide:
         raise PreconditionError(
             "Sigma is undefined: left and right inverses of the loop do not coincide"
         )
-    elements, e = loop.elements(), [0] * loop.size
-    pairs = frozenset([*zip(elements, e), *zip(e, elements), *zip(report.inverse_map, elements)])
-    return SigmaSet(loop.size, pairs)
+    elements, e = range(loop.size), [0] * loop.size
+    return frozenset([*zip(elements, e), *zip(e, elements), *zip(report.inverse_map, elements)])
 
 
 # The six elements of the group, each spelled in the generators with the
@@ -82,32 +68,27 @@ PAIR_MAPS: dict[str, Callable] = {
 }
 
 
-class PairOrbit:
-    __slots__ = ("representative", "members", "symmetries")
-
-    def __init__(self, representative: Cell, members: tuple[Cell, ...],
-                 symmetries: tuple[str, ...]):
-        self.representative, self.members, self.symmetries = representative, members, symmetries
-
-
 class OrbitDecomposition:
-    """Member codes x*l + y, len(``_names``) per orbit, representative first."""
+    """The orbits on Sigma's complement, each the tuple of its member cells,
+    representative first, the images under ``symmetries`` in that order.
+    They are packed as the codes x*l + y, len(``symmetries``) per orbit."""
 
-    __slots__ = ("mode", "sigma", "_names", "_codes")
+    __slots__ = ("mode", "sigma", "symmetries", "_l", "_codes")
 
-    def __init__(self, mode: str, names: tuple[str, ...], codes: array, sigma: SigmaSet):
-        self.mode, self.sigma, self._names, self._codes = mode, sigma, names, codes
+    def __init__(self, mode: str, symmetries: tuple[str, ...], l: int, codes: array,
+                 sigma: frozenset[Cell]):
+        self.mode, self.symmetries, self.sigma = mode, symmetries, sigma
+        self._l, self._codes = l, codes
 
     def __len__(self) -> int:
-        return len(self._codes) // len(self._names)
+        return len(self._codes) // len(self.symmetries)
 
-    def __iter__(self) -> Iterator[PairOrbit]:
-        cells = (divmod(code, self.sigma.size) for code in self._codes)
-        for members in zip(*[cells] * len(self._names)):
-            yield PairOrbit(members[0], members, self._names)
+    def __iter__(self) -> Iterator[tuple[Cell, ...]]:
+        cells = (divmod(code, self._l) for code in self._codes)
+        return zip(*[cells] * len(self.symmetries))
 
     @property
-    def orbits(self) -> tuple[PairOrbit, ...]:
+    def orbits(self) -> tuple[tuple[Cell, ...], ...]:
         return tuple(self)
 
 
@@ -126,7 +107,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     maps = [CELL_MAPS[name] for name in names]
     generators = [(name, CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
     met = bytearray(l * l)
-    for x, y in sigma.pairs:
+    for x, y in sigma:
         met[x * l + y] = 1
     codes = array("q")
     cell = met.find(0)
@@ -144,7 +125,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
             met[code] = 1
         codes.extend(block)
         cell = met.find(0, cell + 1)
-    return OrbitDecomposition(mode, names, codes, sigma)
+    return OrbitDecomposition(mode, names, l, codes, sigma)
 
 
 def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:

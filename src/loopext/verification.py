@@ -75,10 +75,10 @@ class VerificationReport:
 
 def _identity_on_sigma(cocycle: LoopCocycle) -> bool:
     ident, pt, qt = cocycle.autgroup.identity_index, cocycle.ptable, cocycle.qtable
-    return all(pt[x][y] == qt[x][y] == ident for x, y in sigma_set(cocycle.loop).pairs)
+    return all(pt[x][y] == qt[x][y] == ident for x, y in sigma_set(cocycle.loop))
 
 
-def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int]]:
+def _check_inverse_formulas(cocycle: LoopCocycle, ext: FiniteLoop) -> Optional[tuple[int]]:
     """The first element whose built left or right inverse is not the closed
     form, as a 1-tuple, else None.
 
@@ -90,12 +90,12 @@ def _check_inverse_formulas(cocycle: LoopCocycle, built) -> Optional[tuple[int]]
     right) pairs and the built ones differ, the element an element-by-element
     scan finds.  |A| >= 2, so each gather is a tuple.
     """
-    lefts, rights = built.loop._left_inverse, built.loop._right_inverse
-    loop, aut, n = cocycle.loop, cocycle.autgroup, built.kernel_size
+    lefts, rights = ext._left_inverse, ext._right_inverse
+    loop, aut, n = cocycle.loop, cocycle.autgroup, cocycle.group.size
     products, inverses = aut.products, aut.inverses
     pt, qt = cocycle.ptable, cocycle.qtable
     negated = [tuple(base + c for c in cocycle.group.neg_table)
-               for base in range(0, built.size, n)]
+               for base in range(0, ext.size, n)]
     for x, (lx, rx) in enumerate(zip(loop._left_inverse, loop._right_inverse)):
         left = aut[products[inverses[pt[lx][x]]][qt[lx][x]]].table
         right = aut[products[inverses[qt[x][rx]]][pt[x][rx]]].table
@@ -120,22 +120,22 @@ def _agreement(report: VerificationReport, name: str, condition: bool, brute: bo
 def _add_consistency(report: VerificationReport, cocycle: LoopCocycle) -> Optional[FiniteLoop]:
     """Latin table, inverse formulas, kernel normality and quotient lines of the
     cocycle's extension; its loop, or None after the Latin line when it fails."""
-    built = build_extension(cocycle)
-    if built.loop is None:
-        report.add("extension-latin", False, (built.defect.index,), note=str(built.defect))
+    ext, defect = build_extension(cocycle)
+    if ext is None:
+        report.add("extension-latin", False, (defect.index,), note=str(defect))
         return None
-    report.add("extension-latin", True, note=f"size {built.loop.size}")
-    witness = _check_inverse_formulas(cocycle, built)
+    report.add("extension-latin", True, note=f"size {ext.size}")
+    witness = _check_inverse_formulas(cocycle, ext)
     report.add("inverse-formulas", witness is None, witness)
     try:
-        quotient = quotient_loop(built.loop, built.kernel())
+        quotient = quotient_loop(ext, range(cocycle.group.size))
     except InputError:  # NotNormalError, or a kernel that is no subloop at all
         report.add("kernel-normal", False)
         report.add("quotient-reconstructs-base", False, note="kernel not normal")
     else:
         report.add("kernel-normal", True)
         report.add("quotient-reconstructs-base", quotient == cocycle.loop)
-    return built.loop
+    return ext
 
 
 def _add_agreement(report: VerificationReport, cocycle: LoopCocycle, ext: FiniteLoop,

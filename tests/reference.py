@@ -157,15 +157,21 @@ def ip_conditions_hold(cocycle):
     return True
 
 
-def complement(sigma):
-    """The cells outside Sigma, ``sigma.pairs``, in row-major order."""
-    return tuple((x, y) for x in range(sigma.size) for y in range(sigma.size)
-                 if (x, y) not in sigma.pairs)
+def complement(sigma, l):
+    """The cells of L x L outside the cell set ``sigma``, in row-major order."""
+    return tuple((x, y) for x in range(l) for y in range(l) if (x, y) not in sigma)
+
+
+def pinned_cells(loop):
+    """Sigma by its definition, the cells (x, e), (e, x) and (x^{-1}, x),
+    with each inverse found by a row scan of the raw table."""
+    inv = [row.index(0) for row in loop.table]
+    return {cell for x in range(loop.size) for cell in ((x, 0), (0, x), (inv[x], x))}
 
 
 def walked_orbits(loop, names):
-    """The orbits of the cell maps ``names`` on Sigma's complement, as
-    ``(representative, members, symmetries)`` triples.
+    """The orbits of the cell maps ``names`` on Sigma's complement, each the
+    tuple of its members, representative first.
 
     This is the walk the library made before it packed its decompositions:
     it lists the complement row-major, takes each cell not seen before as a
@@ -175,20 +181,18 @@ def walked_orbits(loop, names):
     """
     table = loop.table
     inv = [row.index(0) for row in table]
-    pinned = {cell for x in range(loop.size) for cell in ((x, 0), (0, x), (inv[x], x))}
-    complement = [(x, y) for x in range(loop.size) for y in range(loop.size)
-                  if (x, y) not in pinned]
+    outside = complement(pinned_cells(loop), loop.size)
     maps = [CELL_MAPS[name] for name in names]
     seen = set()
     orbits = []
-    for cell in complement:
+    for cell in outside:
         if cell in seen:
             continue
         members = tuple(m(table, inv, *cell) for m in maps)
         assert not seen & set(members)
         seen |= set(members)
-        orbits.append((cell, members, tuple(names)))
-    assert seen == set(complement)
+        orbits.append(members)
+    assert seen == set(outside)
     return orbits
 
 

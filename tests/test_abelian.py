@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -50,7 +51,7 @@ def reference_automorphism_tables(group):
     """
     add = group.add_table
     orders, strides = group.orders, group._strides
-    candidates = [[a for a in group.elements() if group.element_orders[a] == n] for n in orders]
+    candidates = [[a for a in range(group.size) if group.element_orders[a] == n] for n in orders]
     table = [0] * group.size
     used = [False] * group.size
     used[0] = True
@@ -145,12 +146,12 @@ class TestArithmetic:
 
     def test_zero_and_neg(self):
         g = make_group([4, 2])
-        for a in g.elements():
+        for a in range(g.size):
             assert g.add_table[a][g.neg_table[a]] == 0
 
     def test_index_round_trip(self):
         g = make_group([3, 2, 2])
-        for a in g.elements():
+        for a in range(g.size):
             assert g.index_of(g.tuple_of(a)) == a
 
     def test_out_of_range(self):
@@ -162,7 +163,7 @@ class TestArithmetic:
 
     def test_element_order_brute(self):
         g = make_group([4, 3])
-        for a in g.elements():
+        for a in range(g.size):
             acc, m = a, 1
             while acc != 0:
                 acc = g.add_table[acc][a]
@@ -351,6 +352,24 @@ class TestRanking:
         for i in (-1, 6):
             with pytest.raises(IndexError):
                 autgroup[i]
+
+    def test_dropped_group_needs_no_collector(self):
+        # the members, products (and each row) and inverses memos compute
+        # through no strong reference back to the group, so dropping an
+        # exercised Aut(A) frees it without the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            autgroup = AutomorphismGroup(make_group([2, 2, 2]))
+            n = len(autgroup)
+            for i in range(n):
+                assert autgroup.products[i][autgroup.inverses[i]] == autgroup.identity_index
+                assert autgroup.products[i][n - 1 - i] == autgroup.compose_indices(i, n - 1 - i)
+            assert autgroup[n - 1].table == list(autgroup)[n - 1].table
+            del autgroup
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestComposeInvert:

@@ -12,7 +12,6 @@ PUBLIC_API = [
     "AbelianGroup",
     "AbelianGroup.add_table",
     "AbelianGroup.element_orders",
-    "AbelianGroup.elements",
     "AbelianGroup.index_of",
     "AbelianGroup.neg_table",
     "AbelianGroup.orders",
@@ -40,14 +39,7 @@ PUBLIC_API = [
     "ChoiceSource.pick",
     "ChoiceSource.seed",
     "DEFAULT_SIZE_CAP",
-    "ExtensionLoop",
-    "ExtensionLoop.defect",
-    "ExtensionLoop.kernel",
-    "ExtensionLoop.kernel_size",
-    "ExtensionLoop.loop",
-    "ExtensionLoop.size",
     "FiniteLoop",
-    "FiniteLoop.elements",
     "FiniteLoop.is_associative",
     "FiniteLoop.is_commutative",
     "FiniteLoop.left_inverse",
@@ -76,14 +68,8 @@ PUBLIC_API = [
     "OrbitDecomposition.mode",
     "OrbitDecomposition.orbits",
     "OrbitDecomposition.sigma",
+    "OrbitDecomposition.symmetries",
     "PAIR_MAPS",
-    "PairOrbit",
-    "PairOrbit.members",
-    "PairOrbit.representative",
-    "PairOrbit.symmetries",
-    "SigmaSet",
-    "SigmaSet.pairs",
-    "SigmaSet.size",
     "analyze_properties",
     "build_extension",
     "check_cip",
@@ -137,7 +123,6 @@ KEYWORD_PARAMETERS = [
     "CardinalityCertificate(k)",
     "CardinalityCertificate(h)",
     "ChoiceSource(seed)",
-    "ExtensionLoop(defect)",
     "LoopPropertyReport(lip_witness)",
     "LoopPropertyReport(rip_witness)",
     "LoopPropertyReport(inverse_mismatch)",

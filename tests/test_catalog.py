@@ -34,7 +34,7 @@ def test_cyclic_beyond_group_size_cap(n):
 
 def test_klein_is_elementary():
     klein = klein_loop()
-    for x in klein.elements():
+    for x in range(klein.size):
         assert klein.table[x][x] == 0
 
 

@@ -483,9 +483,9 @@ class TestConstructVerifyExtend:
         # replay through the library: the left-inverse law fails at (x, y)
         from loopext.extension import build_extension
 
-        built = build_extension(parse_cocycle_file(path, cyclic_loop(4)))
-        iota = built.loop.left_inverse(x)
-        assert built.loop.table[iota][built.loop.table[x][y]] != y
+        built, _ = build_extension(parse_cocycle_file(path, cyclic_loop(4)))
+        iota = built.left_inverse(x)
+        assert built.table[iota][built.table[x][y]] != y
 
     def test_verify_all_mode_consistency(self, capsys, loop_files, tmp_path):
         cocycle = random_cocycle(cyclic_loop(4), make_group([3]), ChoiceSource(0))

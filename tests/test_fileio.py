@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from loopext.abelian import make_group
-from loopext.catalog import abelian_group_loop
+from loopext.catalog import abelian_group_loop, klein_loop
 from loopext.cli import main
 from loopext.constructions import (
     ChoiceSource,
@@ -11,7 +11,7 @@ from loopext.constructions import (
     construct_lip_cocycle,
     random_cocycle,
 )
-from loopext.errors import ParseError
+from loopext.errors import InputError, ParseError
 from loopext.fileio import (
     dumps_cocycle,
     dumps_loop,
@@ -236,6 +236,31 @@ class TestHashesAndComments:
         assert len(file_sha256(path)) == 64
 
 
+class TestCommentLineBreaks:
+    """A comment holding a line break of ``str.splitlines`` would be split by
+    the parser, so both emitters refuse it, before any file is touched."""
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+    def test_dumps_loop_refuses(self, brk):
+        with pytest.raises(InputError, match="holds a line break"):
+            dumps_loop(klein_loop(), ["a" + brk + "b"])
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+    def test_emit_loop_file_refuses_before_opening(self, tmp_path, brk):
+        old, new = tmp_path / "old.loop", tmp_path / "new.loop"
+        old.write_text(Z2_TEXT)
+        for path in (old, new):
+            with pytest.raises(InputError, match="holds a line break"):
+                emit_loop_file(klein_loop(), path, comments=iter(["fine", "a" + brk + "b"]))
+        assert old.read_text() == Z2_TEXT
+        assert not new.exists()
+
+    def test_plain_comments_round_trip(self):
+        text = dumps_loop(klein_loop(), ["a\tb", ""])
+        assert text.startswith("# a\tb\n# \nloop 4\n")
+        assert loads_loop(text) == klein_loop()
+
+
 class TestStreamedLoopFile:
     """``emit_loop_file`` writes row by row exactly the text of ``dumps_loop``."""
 
@@ -248,7 +273,7 @@ class TestStreamedLoopFile:
     def test_extension_of_order_512(self, tmp_path):
         loop, group = abelian_group_loop([2] * 6), make_group((2, 2, 2))
         cocycle = random_cocycle(loop, group, ChoiceSource(3))
-        ext = build_extension(cocycle).loop
+        ext = build_extension(cocycle)[0]
         assert ext.size == 512
         comments = extension_comments(cocycle)
         for given in ((), comments):

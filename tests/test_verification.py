@@ -174,7 +174,7 @@ class TestSinglePass:
         report = verify_cocycle(cocycle, mode="ip")
         assert report.passed and "check agreement-commutative: pass (condition=yes)" in report.to_text()
         assert calls == ["first_noncommuting_pair"] * 2  # 4 when each call scanned afresh
-        assert loop.is_commutative() and build_extension(cocycle).loop.is_commutative()
+        assert loop.is_commutative() and build_extension(cocycle)[0].is_commutative()
         assert len(calls) == 2
 
     def test_gate_verdicts_are_kept(self, loops, groups, monkeypatch):
@@ -249,18 +249,18 @@ class TestBuiltOnce:
             "result: fail\n"
         )
         assert len(builds) == 1
-        assert build_extension(cocycle).defect.__traceback__ is None
+        assert build_extension(cocycle)[1].__traceback__ is None
 
     def test_build_is_kept_object(self, loops, groups):
         cocycle = identity_cocycle(loops["klein"], groups["z3"])
         built = build_extension(cocycle)
         assert build_extension(cocycle) is built
-        assert not hasattr(built, "cocycle")
-        assert (built.size, built.kernel_size, built.loop.size) == (12, 3, 12)
+        ext, defect = built
+        assert (ext.size, defect) == (12, None)
 
     def test_no_reference_cycle(self, loops, groups):
-        # the cocycle keeps its ExtensionLoop, which does not point back at
-        # it, so dropping the cocycle frees both without the collector
+        # the cocycle keeps its built (loop, defect), which does not point
+        # back at it, so dropping the cocycle frees both without the collector
         loop = make_loop(loops["z5"].table)
         gc.collect()
         gc.disable()
@@ -325,9 +325,9 @@ class TestGatheredKernels:
             cocycle = random_cocycle(loops[name], group, ChoiceSource(seed))
         else:
             cocycle = CONSTRUCT[mode](loops[name], group, ChoiceSource(seed))
-        built = build_extension(cocycle)
-        table, kernel = built.loop.table, built.kernel()
-        assert _quotient_table(built.loop, kernel) == quotient_table(built.loop, kernel)
+        built, _ = build_extension(cocycle)
+        table, kernel = built.table, frozenset(range(cocycle.group.size))
+        assert _quotient_table(built, kernel) == quotient_table(built, kernel)
         assert inverse_formula_mismatch(cocycle, table) is None
         assert _check_inverse_formulas(cocycle, built) is None
 
@@ -359,8 +359,8 @@ class TestGatheredKernels:
             cocycle = make_cocycle(made.loop, made.group, made.ptable, made.qtable)
         monkeypatch.setattr(extension, "_extension_rows",
                             relabelled_rows(extension._extension_rows, a, b))
-        built = build_extension(cocycle)
-        witness = inverse_formula_mismatch(cocycle, built.loop.table)
+        built, _ = build_extension(cocycle)
+        witness = inverse_formula_mismatch(cocycle, built.table)
         assert witness is not None and witness[0] % group.size != 0
         assert _check_inverse_formulas(cocycle, built) == witness
         text = verify_cocycle(cocycle).to_text()
@@ -385,8 +385,8 @@ class TestKernelNotSubloop:
         return random_cocycle(loops["z2"], make_group([3]), ChoiceSource(0))
 
     def test_reports(self, cocycle):
-        built = build_extension(cocycle)
-        kernel, table = built.kernel(), built.loop.table
+        built, _ = build_extension(cocycle)
+        kernel, table = frozenset(range(cocycle.group.size)), built.table
         assert any(table[u][v] not in kernel for u in kernel for v in kernel)
         for report in (verify_cocycle(cocycle), extension_report(cocycle)):
             assert not report.passed
