@@ -9,7 +9,6 @@ admit strongly linear inverse-property extensions.
 
 from .abelian import (
     AbelianGroup,
-    Automorphism,
     AutomorphismGroup,
     DEFAULT_SIZE_CAP,
     enumerate_automorphisms,

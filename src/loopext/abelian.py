@@ -4,8 +4,9 @@ automorphism groups in a canonical order.
 Elements are plain integers ``0..size-1`` encoding residue tuples in mixed
 radix (first factor most significant); index 0 is the zero element, and the
 generator ``e_j`` of factor j has index ``n_{j+1} * ... * n_k``, so the
-generator of the last factor is index 1.  Groups and automorphisms are
-immutable after construction and safe to share between threads; an
+generator of the last factor is index 1.  An automorphism is its image
+table, a tuple whose entry a is the image of a.  Groups are immutable after
+construction and safe to share between threads; an
 :class:`AutomorphismGroup` only adds entries to its memos.
 
 The index algebra of Aut(A) is two capped memos (``_Memo``) on each
@@ -32,6 +33,7 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import InputError, InternalError
@@ -42,9 +44,6 @@ DEFAULT_SIZE_CAP = 64
 # inverses) and at most _MEMBER_MEMO_CAP members.
 _COMPOSE_MEMO_CAP = 1 << 16
 _MEMBER_MEMO_CAP = 1 << 12
-
-GroupElement = int
-
 
 def parse_group_spec(spec: str) -> tuple[int, ...]:
     """Parse a comma-separated factor-order string such as ``"2,2"`` or ``"4"``."""
@@ -137,29 +136,6 @@ def make_group(orders: Sequence[int]) -> AbelianGroup:
     return AbelianGroup(orders)
 
 
-class Automorphism:
-    """Additive bijection of an :class:`AbelianGroup`, stored as an image table."""
-
-    __slots__ = ("group", "table")
-
-    def __init__(self, group: AbelianGroup, table: Sequence[int]):
-        table = tuple(table)
-        _validate_automorphism(group, table)
-        self.group = group
-        self.table = table
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.group == other.group and self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash((self.group.orders, self.table))
-
-    def __repr__(self) -> str:
-        return f"Automorphism({list(self.table)})"
-
-
 def _validate_automorphism(group: AbelianGroup, table: tuple[int, ...]) -> None:
     """Raise ``InputError`` unless ``table`` is an additive permutation.
 
@@ -188,7 +164,9 @@ def _validate_automorphism(group: AbelianGroup, table: tuple[int, ...]) -> None:
 
 class AutomorphismGroup:
     """Aut(A) in canonical order, as a lazy view: members are ranked and
-    unranked from their generator images, never listed.
+    unranked from their generator images, never listed.  A member is its
+    image table, validated as it is unranked; ``index_of`` validates a table
+    before it ranks it.
 
     The canonical order is load-bearing: cocycle files reference automorphisms
     by their index in it.  It is the lexicographic order of the image tables,
@@ -260,19 +238,24 @@ class AutomorphismGroup:
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i: int) -> Automorphism:
+    def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._members[i]
 
-    def __iter__(self) -> Iterator[Automorphism]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return map(self._unrank, range(self._count))
 
-    def index_of(self, aut: Automorphism) -> int:
-        if aut.group != self.group:
-            raise InputError("automorphism belongs to a different group")
+    def index_of(self, table: Sequence[int]) -> int:
+        """Canonical index of the automorphism with image table ``table``;
+        ``InputError`` unless the table is an automorphism of the group."""
+        try:  # index, not int: a float entry is refused, not truncated
+            table = tuple(map(index, table))
+        except TypeError as error:
+            raise InputError(f"automorphism table entry is not an integer: {error}") from None
+        _validate_automorphism(self.group, table)
         try:
-            return self._rank(tuple(aut.table[e] for e in self._generators))
+            return self._rank(tuple(table[e] for e in self._generators))
         except ValueError:
-            raise InputError("automorphism is not a member of this enumeration") from None
+            raise InternalError(f"automorphism {list(table)} has no rank") from None
 
     def compose_indices(self, i: int, j: int) -> int:
         """Canonical index of member i after member j: ``products[i][j]``."""
@@ -282,23 +265,23 @@ class AutomorphismGroup:
         """Canonical index of the inverse of member i: ``inverses[i]``."""
         return self.inverses[i]
 
-    def _member(self, i: int) -> Automorphism:
+    def _member(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self._count:
             raise IndexError(f"automorphism index {i} out of range 0..{self._count - 1}")
         return self._unrank(i)
 
     def _product_row(self, i: int) -> "_Memo":
         """Row i of ``products``; ``self`` is the group's proxy."""
-        return _Memo(partial(AutomorphismGroup._product, self, self[i].table),
+        return _Memo(partial(AutomorphismGroup._product, self, self[i]),
                      self.products.budget)
 
     def _product(self, table: tuple[int, ...], j: int) -> int:
         """Index of the member with image table ``table`` after member j."""
-        ht = self[j].table
+        ht = self[j]
         return self._rank(tuple(table[ht[e]] for e in self._generators))
 
     def _inverse(self, i: int) -> int:
-        table = self[i].table
+        table = self[i]
         return self._rank(tuple(table.index(e) for e in self._generators))
 
     def _extendable(self, images: tuple[int, ...]) -> tuple[int, ...]:
@@ -341,7 +324,7 @@ class AutomorphismGroup:
         return sum(self._extendable(images[:t]).index(g) * w
                    for t, (g, w) in enumerate(zip(images, self._weights)))
 
-    def _unrank(self, i: int) -> Automorphism:
+    def _unrank(self, i: int) -> tuple[int, ...]:
         images: tuple[int, ...] = ()
         table = [0]
         for w, n in zip(self._weights, self._orders):
@@ -349,7 +332,9 @@ class AutomorphismGroup:
             g = self._extendable(images)[digit]
             images += (g,)
             table = _extend(self.group.add_table, table, g, n)
-        return Automorphism(self.group, table)
+        table = tuple(table)
+        _validate_automorphism(self.group, table)
+        return table
 
 
 class _Memo(dict):
@@ -441,8 +426,8 @@ def enumerate_automorphisms(group: AbelianGroup) -> AutomorphismGroup:
     """Aut(A) for a finite abelian group A, as a view in canonical order.
 
     Members are ranked and unranked on demand (see
-    :class:`AutomorphismGroup`), and each one handed out is validated through
-    :class:`Automorphism`; the per-step counts must multiply to
+    :class:`AutomorphismGroup`), and each image table handed out is
+    validated; the per-step counts must multiply to
     :func:`automorphism_count`.  It lists no members, so it refuses no
     |Aut(A)|; |A| is bounded by ``DEFAULT_SIZE_CAP`` when the group is made.
     """

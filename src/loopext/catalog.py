@@ -18,10 +18,6 @@ from .errors import InputError
 from .loops import FiniteLoop, make_loop
 
 
-def trivial_loop() -> FiniteLoop:
-    return make_loop([[0]])
-
-
 def abelian_group_loop(orders: list[int]) -> FiniteLoop:
     """The loop underlying a finite abelian group (its addition table)."""
     group = make_group(orders)

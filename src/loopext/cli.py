@@ -80,8 +80,8 @@ def cmd_aut(args) -> int:
     print(f"group: {','.join(str(n) for n in group.orders)}")
     print(f"size: {group.size}")
     print(f"automorphisms: {len(autgroup)}")
-    for i, aut in enumerate(autgroup):
-        print(f"{i}: {' '.join(str(v) for v in aut.table)}")
+    for i, table in enumerate(autgroup):
+        print(f"{i}: {' '.join(str(v) for v in table)}")
     return 0
 
 

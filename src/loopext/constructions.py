@@ -335,7 +335,7 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     naut, ident = len(autgroup), autgroup.identity_index
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
-    ptable, qtable = _id_tables(loop.size, ident, decomposition.sigma)
+    ptable, qtable = _id_tables(loop.size, ident, sigma_set(loop))
     codes = iter(decomposition._codes)
     for orbit in zip(*[codes] * 6):
         of_two = orbit[0] == orbit[4]  # phi*psi fixes the representative

@@ -143,7 +143,7 @@ def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
     autgroup = cocycle.autgroup
     ptable, qtable = cocycle.ptable, cocycle.qtable
     used = set().union(*ptable, *qtable)
-    images = {i: autgroup[i].table for i in used}
+    images = {i: autgroup[i] for i in used}
     readers = {i: itemgetter(*images[i]) for i in used}
     n = cocycle.group.size
     add = cocycle.group.add_table

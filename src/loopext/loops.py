@@ -5,8 +5,8 @@ column 0 are the identity permutation.  Elements are plain integers.  Loops
 are immutable after validation, apart from what :func:`kept` keeps: the
 report of ``properties()``, the one home of the loop's inverse facts (the
 LIP and RIP witnesses, the first inverse mismatch and the two-sided inverse
-map), the first non-commuting pair and the orbit decompositions of
-``loopext.orbits``.  Every predicate here is a pure function.  Of the
+map), the first non-commuting pair, and Sigma and the orbit decompositions
+of ``loopext.orbits``.  Every predicate here is a pure function.  Of the
 divisions only e/x and x\\e are kept, as the two inverse maps; no library
 path divides general elements.
 """
@@ -24,14 +24,10 @@ from .errors import (
     UndefinedPropertyError,
 )
 
-LoopElement = int
-
-
 class FiniteLoop:
-    """Cayley-table loop: the validated table and its two inverse maps.
-
-    Nothing else of size l^2 is kept.
-    """
+    """Cayley-table loop: the validated table, its two inverse maps and the
+    facts :func:`kept` keeps: its property report, first non-commuting pair,
+    Sigma and orbit decompositions."""
 
     __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_kept")
 
@@ -50,7 +46,7 @@ class FiniteLoop:
         # left-inverse map is the inverse permutation of the right one
         right = self._right_inverse = tuple(row.index(0) for row in rows)
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
-        self._kept = {}  # "report", "noncommuting" and each orbit mode -> its fact, see kept
+        self._kept = {}  # "report", "noncommuting", "sigma" and each orbit mode -> its fact
 
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""

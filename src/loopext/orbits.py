@@ -12,10 +12,10 @@ automorphism pairs).
 The LIP, RIP and IP orbits are one walk of the complement under the
 subgroups {id, phi}, {id, psi} and the whole group: ``phi_orbits``,
 ``psi_orbits`` and ``gamma_orbits`` each check their precondition on every
-call and walk a loop once: the walker builds Sigma once, refuses any orbit
-that is not a fresh block of complement cells closed under its generators,
-and returns the decomposition packed as the cell codes x*l + y of its
-members, which the loop keeps (:func:`loopext.loops.kept`) for later calls.
+call and walk a loop once: the walker reads Sigma, which the loop keeps,
+refuses any orbit that is not a fresh block of complement cells closed under
+its generators, and returns the decomposition packed as the cell codes
+x*l + y of its members, which the loop keeps (:func:`loopext.loops.kept`).
 A cell (x, x) with x*x = x^{-1} has stabiliser {id, phi*psi, psi*phi}, so
 its S3 orbit, {(x, x), (x^{-1}, x^{-1})}, lists each cell three times.
 """
@@ -33,14 +33,19 @@ Cell = tuple[int, int]
 
 def sigma_set(loop: FiniteLoop) -> frozenset[Cell]:
     """The 3l - 2 cells of Sigma in a loop with two-sided inverses: identity
-    row, identity column and inverse diagonal; the complement is the rest."""
+    row, identity column and inverse diagonal; the complement is the rest.
+    The precondition is checked on every call; the set is kept on the loop."""
     report = loop.properties()
     if not report.two_sided_inverses_coincide:
         raise PreconditionError(
             "Sigma is undefined: left and right inverses of the loop do not coincide"
         )
-    elements, e = range(loop.size), [0] * loop.size
-    return frozenset([*zip(elements, e), *zip(e, elements), *zip(report.inverse_map, elements)])
+    return kept(loop, "sigma", _sigma, loop.size, report.inverse_map)
+
+
+def _sigma(l: int, inverse_map: Sequence[int]) -> frozenset[Cell]:
+    elements, e = range(l), [0] * l
+    return frozenset([*zip(elements, e), *zip(e, elements), *zip(inverse_map, elements)])
 
 
 # The six elements of the group, each spelled in the generators with the
@@ -73,12 +78,10 @@ class OrbitDecomposition:
     representative first, the images under ``symmetries`` in that order.
     They are packed as the codes x*l + y, len(``symmetries``) per orbit."""
 
-    __slots__ = ("mode", "sigma", "symmetries", "_l", "_codes")
+    __slots__ = ("symmetries", "_l", "_codes")
 
-    def __init__(self, mode: str, symmetries: tuple[str, ...], l: int, codes: array,
-                 sigma: frozenset[Cell]):
-        self.mode, self.symmetries, self.sigma = mode, symmetries, sigma
-        self._l, self._codes = l, codes
+    def __init__(self, symmetries: tuple[str, ...], l: int, codes: array):
+        self.symmetries, self._l, self._codes = symmetries, l, codes
 
     def __len__(self) -> int:
         return len(self._codes) // len(self.symmetries)
@@ -102,12 +105,11 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     otherwise the maps do not partition the complement.  One flag per cell
     marks Sigma and the cells met.
     """
-    sigma = sigma_set(loop)
     table, l = loop.table, loop.size
     maps = [CELL_MAPS[name] for name in names]
     generators = [(name, CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
     met = bytearray(l * l)
-    for x, y in sigma:
+    for x, y in sigma_set(loop):
         met[x * l + y] = 1
     codes = array("q")
     cell = met.find(0)
@@ -125,7 +127,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
             met[code] = 1
         codes.extend(block)
         cell = met.find(0, cell + 1)
-    return OrbitDecomposition(mode, names, l, codes, sigma)
+    return OrbitDecomposition(names, l, codes)
 
 
 def phi_orbits(loop: FiniteLoop) -> OrbitDecomposition:

@@ -5,12 +5,11 @@ the cocycle and via a definition-level scan of the built extension; a report
 line records each outcome, and the agreement and property lines gate every
 construction too.  Failing checks carry the first counterexample, as element
 indices of the built extension, so failures can be replayed.  Report text is
-byte-identical for identical inputs; ``elapsed_ms``, the checks' time, is apart.
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
-import time
 from operator import itemgetter, ne
 from typing import Optional
 
@@ -42,13 +41,12 @@ class CheckOutcome:
 
 
 class VerificationReport:
-    __slots__ = ("kind", "fingerprints", "outcomes", "elapsed_ms")
+    __slots__ = ("kind", "fingerprints", "outcomes")
 
     def __init__(self, kind: str, fingerprints: Optional[dict[str, str]] = None):
         self.kind = kind
         self.fingerprints = dict(fingerprints or {})
         self.outcomes: list[CheckOutcome] = []
-        self.elapsed_ms: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -97,8 +95,8 @@ def _check_inverse_formulas(cocycle: LoopCocycle, ext: FiniteLoop) -> Optional[t
     negated = [tuple(base + c for c in cocycle.group.neg_table)
                for base in range(0, ext.size, n)]
     for x, (lx, rx) in enumerate(zip(loop._left_inverse, loop._right_inverse)):
-        left = aut[products[inverses[pt[lx][x]]][qt[lx][x]]].table
-        right = aut[products[inverses[qt[x][rx]]][pt[x][rx]]].table
+        left = aut[products[inverses[pt[lx][x]]][qt[lx][x]]]
+        right = aut[products[inverses[qt[x][rx]]][pt[x][rx]]]
         start = x * n
         closed = (itemgetter(*left)(negated[lx]), itemgetter(*right)(negated[rx]))
         found = (lefts[start:start + n], rights[start:start + n])
@@ -193,19 +191,15 @@ def verify_cocycle(cocycle: LoopCocycle, *, mode: str = "all",
         raise PreconditionError(f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}")
     if mode != "all" and not getattr(cocycle.loop.properties(), f"has_{mode}"):
         raise PreconditionError(f"cannot assert {mode}: base loop lacks the property")
-    start = time.perf_counter()
     report = VerificationReport("verify", fingerprints)
     if (ext := _add_consistency(report, cocycle)) is not None:
         _add_agreement(report, cocycle, ext, mode)
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
 def extension_report(cocycle: LoopCocycle,
                      fingerprints: Optional[dict[str, str]] = None) -> VerificationReport:
     """Consistency report of the extension a cocycle builds."""
-    start = time.perf_counter()
     report = VerificationReport("extend", fingerprints)
     _add_consistency(report, cocycle)
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

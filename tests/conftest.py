@@ -8,7 +8,6 @@ from loopext.catalog import (
     ip_loop8,
     klein_loop,
     lip_only_loop,
-    trivial_loop,
 )
 
 GROUP_ORDERS = {
@@ -37,5 +36,5 @@ def loops():
     out["ip8"] = ip_loop8()
     out["lip_only"] = lip_only_loop()
     out["mismatch"] = inverse_mismatch_loop()
-    out["trivial"] = trivial_loop()
+    out["trivial"] = cyclic_loop(1)
     return out

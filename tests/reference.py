@@ -7,7 +7,6 @@ none of them uses a loop's cached inverse maps, and the automorphism
 helpers work on image tables, not on canonical indices.
 """
 
-from loopext.abelian import Automorphism
 from loopext.orbits import CELL_MAPS
 
 MASK64 = (1 << 64) - 1
@@ -83,8 +82,8 @@ def inverse_formula_mismatch(cocycle, table):
         x, a = divmod(index, n)
         lx = [r[x] for r in base].index(0)
         rx = base[x].index(0)
-        left = lx * n + neg[invert(aut[pt[lx][x]]).table[aut[qt[lx][x]].table[a]]]
-        right = rx * n + neg[invert(aut[qt[x][rx]]).table[aut[pt[x][rx]].table[a]]]
+        left = lx * n + neg[invert(aut[pt[lx][x]])[aut[qt[lx][x]][a]]]
+        right = rx * n + neg[invert(aut[qt[x][rx]])[aut[pt[x][rx]][a]]]
         if (left, right) != ([r[index] for r in table].index(0), row.index(0)):
             return (index,)
     return None
@@ -117,21 +116,21 @@ class ScalarChoiceSource:
 
 
 def identity(group):
-    """The identity automorphism of ``group``."""
-    return Automorphism(group, range(group.size))
+    """The image table of the identity automorphism of ``group``."""
+    return tuple(range(group.size))
 
 
 def compose(f, h):
-    """f after h: ``compose(f, h)(a) == f(h(a))``."""
-    return Automorphism(f.group, tuple(f.table[x] for x in h.table))
+    """f after h, on image tables: ``compose(f, h)[a] == f[h[a]]``."""
+    return tuple(f[x] for x in h)
 
 
 def invert(f):
-    """Inverse permutation of an automorphism."""
-    out = [0] * len(f.table)
-    for i, x in enumerate(f.table):
+    """The inverse permutation of an image table."""
+    out = [0] * len(f)
+    for i, x in enumerate(f):
         out[x] = i
-    return Automorphism(f.group, out)
+    return tuple(out)
 
 
 def ip_conditions_hold(cocycle):

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from loopext import abelian
 from loopext.abelian import (
-    Automorphism,
     AutomorphismGroup,
     automorphism_count,
     enumerate_automorphisms,
@@ -198,7 +197,7 @@ class TestEnumeration:
         autgroup = enumerate_automorphisms(group)
         assert len(autgroup) == count
         oracle = brute_force_automorphism_tables(group)
-        assert [aut.table for aut in autgroup] == oracle
+        assert list(autgroup) == oracle
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_prime_counts(self, p):
@@ -208,9 +207,11 @@ class TestEnumeration:
     def test_members_valid(self):
         for orders in [(3,), (2, 2), (4, 2), (12,)]:
             group = make_group(list(orders))
-            for aut in enumerate_automorphisms(group):
-                Automorphism(group, aut.table)  # re-runs full validation
-                assert aut.table[0] == 0
+            autgroup = enumerate_automorphisms(group)
+            for i, table in enumerate(autgroup):
+                assert type(table) is tuple
+                assert autgroup.index_of(table) == i  # re-runs full validation
+                assert table[0] == 0
 
     def test_closure(self, groups, autgroups):
         for name in ("z3", "z4", "z2xz2"):
@@ -224,15 +225,15 @@ class TestEnumeration:
     def test_canonical_order_stable(self):
         first = enumerate_automorphisms(make_group([2, 2]))
         second = enumerate_automorphisms(make_group([2, 2]))
-        assert [a.table for a in first] == [a.table for a in second]
-        tables = [a.table for a in first]
+        assert list(first) == list(second)
+        tables = list(first)
         assert tables == sorted(tables)
         assert len(set(tables)) == len(tables)
 
     def test_identity_is_member_zero(self, autgroups):
         for autgroup in autgroups.values():
             assert autgroup.identity_index == 0
-            assert autgroup[0] == identity(autgroup[0].group)
+            assert autgroup[0] == identity(autgroup.group)
 
     def test_cap(self):
         # |A| is bounded where the group is made; the enumeration bounds only
@@ -293,10 +294,12 @@ class TestRanking:
             group = make_group(orders)
             autgroup = AutomorphismGroup(group)
             members = list(autgroup)
-            assert [aut.table for aut in members] == reference_automorphism_tables(group), orders
-            assert all(autgroup.index_of(aut) == i for i, aut in enumerate(members)), orders
+            reference = reference_automorphism_tables(group)
+            assert members == reference, orders
+            assert all(autgroup.index_of(t) == i for i, t in enumerate(members)), orders
             for i in range(0, len(members), 97):
-                assert autgroup[i] == members[i]
+                assert type(autgroup[i]) is tuple
+                assert autgroup[i] == reference[i]
 
     def test_largest_admitted_group_sampled(self):
         group = make_group([2, 2, 4, 4])
@@ -307,10 +310,8 @@ class TestRanking:
         add = group.add_table
         tables = []
         for i in picks:
-            aut = autgroup[i]
-            assert autgroup.index_of(aut) == i
-            Automorphism(group, aut.table)  # re-runs full validation
-            t = aut.table
+            t = autgroup[i]
+            assert autgroup.index_of(t) == i  # re-runs full validation
             assert all(t[add[a][b]] == add[t[a]][t[b]] for a in range(64) for b in range(64))
             tables.append(t)
         assert tables[0] == tuple(range(64))
@@ -320,24 +321,30 @@ class TestRanking:
         from loopext.constructions import ChoiceSource, construct_ip_cocycle
         from loopext.verification import verify_cocycle
 
-        built = []
-        init = Automorphism.__init__
+        validated = []
+        validate = abelian._validate_automorphism
 
-        def counting(self, *args, **kwargs):
-            built.append(args[1])
-            init(self, *args, **kwargs)
+        def counting(group, table):
+            validated.append(table)
+            validate(group, table)
 
-        monkeypatch.setattr(Automorphism, "__init__", counting)
+        monkeypatch.setattr(abelian, "_validate_automorphism", counting)
         group = make_group([2, 2, 2, 2])
         enumerate_automorphisms.cache_clear()  # a fresh view, none of its members made
         autgroup = enumerate_automorphisms(group)
-        assert built == []
+        assert validated == []
         assert autgroup[5] is autgroup[5]
-        assert len(built) == 1
+        assert validated == [autgroup[5]]
         cocycle = construct_ip_cocycle(loops["klein"], group, ChoiceSource(3))
         assert cocycle.autgroup is autgroup
         assert verify_cocycle(cocycle, mode="ip").passed
-        assert len(built) < 100  # of 20160 members
+        # each member handed out is validated once, as it is unranked
+        members = autgroup._members
+        assert len(validated) == len(members) < 100  # of 20160 members
+        assert sorted(validated) == sorted(members.values())
+        small = AutomorphismGroup(make_group([2, 2]))
+        del validated[:]
+        assert list(small) == validated and len(validated) == 6
 
     def test_step_counts_checked_against_closed_form(self, monkeypatch):
         extendable = AutomorphismGroup._extendable
@@ -346,6 +353,15 @@ class TestRanking:
         group = make_group([2, 2])
         with pytest.raises(InternalError, match="closed form gives 6"):
             AutomorphismGroup(group)
+
+    def test_unrankable_table_is_internal_error(self, monkeypatch):
+        # index_of validates first, so a table it cannot rank is a fault of
+        # the ranking, not of the input
+        autgroup = AutomorphismGroup(make_group([2, 2]))
+        last = autgroup[len(autgroup) - 1]
+        monkeypatch.setattr(AutomorphismGroup, "_extendable", lambda self, images: ())
+        with pytest.raises(InternalError, match="has no rank"):
+            autgroup.index_of(last)
 
     def test_index_out_of_range(self, autgroups):
         autgroup = autgroups["z2xz2"]
@@ -365,7 +381,7 @@ class TestRanking:
             for i in range(n):
                 assert autgroup.products[i][autgroup.inverses[i]] == autgroup.identity_index
                 assert autgroup.products[i][n - 1 - i] == autgroup.compose_indices(i, n - 1 - i)
-            assert autgroup[n - 1].table == list(autgroup)[n - 1].table
+            assert autgroup[n - 1] == list(autgroup)[n - 1]
             del autgroup
             assert gc.collect() == 0
         finally:
@@ -383,13 +399,14 @@ class TestComposeInvert:
     def test_negation_involution(self):
         autgroup = enumerate_automorphisms(make_group([3]))
         neg = autgroup[1]
-        assert neg.table == (0, 2, 1)
-        assert compose(neg, neg) == identity(neg.group)
+        assert neg == (0, 2, 1)
+        assert compose(neg, neg) == identity(autgroup.group)
 
     def test_inverse_composes_to_identity(self, autgroups):
+        ident = identity(autgroups["z2xz2"].group)
         for f in autgroups["z2xz2"]:
-            assert compose(invert(f), f) == identity(f.group)
-            assert compose(f, invert(f)) == identity(f.group)
+            assert compose(invert(f), f) == ident
+            assert compose(f, invert(f)) == ident
 
     def test_composition_order(self):
         # compose(f, h) applies h first; Aut(Z2xZ2) is non-abelian, so the
@@ -397,7 +414,7 @@ class TestComposeInvert:
         autgroup = enumerate_automorphisms(make_group([2, 2]))
         f, h = autgroup[1], autgroup[2]
         fh = compose(f, h)
-        assert fh.table == tuple(f.table[x] for x in h.table)
+        assert fh == tuple(f[x] for x in h)
         assert fh != compose(h, f)
 
     def test_compose_memo_bounded(self, monkeypatch):
@@ -441,24 +458,28 @@ class TestComposeInvert:
 
 
 class TestAutomorphismValidation:
+    """``index_of`` validates the image table it is handed before it ranks it."""
+
     def test_not_a_permutation(self):
-        g = make_group([3])
-        with pytest.raises(InputError):
-            Automorphism(g, (0, 1, 1))
+        autgroup = enumerate_automorphisms(make_group([3]))
+        with pytest.raises(InputError, match="^automorphism table is not a permutation of the "
+                                             "group elements$"):
+            autgroup.index_of((0, 1, 1))
 
     def test_not_fixing_zero(self):
-        g = make_group([3])
-        with pytest.raises(InputError):
-            Automorphism(g, (1, 0, 2))
+        autgroup = enumerate_automorphisms(make_group([3]))
+        with pytest.raises(InputError, match="^automorphism does not fix the zero element$"):
+            autgroup.index_of((1, 0, 2))
 
     def test_not_additive(self):
-        g = make_group([4])
-        with pytest.raises(InputError):
-            Automorphism(g, (0, 2, 1, 3))
+        autgroup = enumerate_automorphisms(make_group([4]))
+        with pytest.raises(InputError, match=r"^map is not additive at \(1, 1\)$"):
+            autgroup.index_of((0, 2, 1, 3))
 
     @pytest.mark.parametrize("orders", [(2, 2), (4,), (2, 4), (4, 2), (6,), (2, 3)])
     def test_generator_check_matches_full_check(self, orders):
         g = make_group(orders)
+        autgroup = enumerate_automorphisms(g)
         n = g.size
         add = g.add_table
         for perm in itertools.permutations(range(1, n)):
@@ -466,7 +487,7 @@ class TestAutomorphismValidation:
             additive = all(table[add[i][j]] == add[table[i]][table[j]]
                            for i in range(n) for j in range(n))
             try:
-                Automorphism(g, table)
+                autgroup.index_of(table)
             except InputError:
                 accepted = False
             else:
@@ -479,12 +500,18 @@ class TestAutomorphismValidation:
 REFUSALS = {
     "index-of-short-tuple": (lambda: make_group([2, 3]).index_of((1,)), InputError,
                              "residue tuple has 1 entries, group has 2 factors"),
-    "automorphism-short-table": (lambda: Automorphism(make_group([3]), (0, 2)), InputError,
-                                 "automorphism table has 2 entries, group size is 3"),
+    "automorphism-short-table": (
+        lambda: enumerate_automorphisms(make_group([3])).index_of((0, 2)), InputError,
+        "automorphism table has 2 entries, group size is 3"),
+    "index-of-float-entry": (
+        lambda: enumerate_automorphisms(make_group([3])).index_of((0, 2.0, 1)), InputError,
+        "automorphism table entry is not an integer: "
+        "'float' object cannot be interpreted as an integer"),
+    # an automorphism of Z4 handed to Aut(Z3)
     "index-of-foreign-automorphism": (
         lambda: enumerate_automorphisms(make_group([3])).index_of(
-            Automorphism(make_group([4]), (0, 3, 2, 1))),
-        InputError, "automorphism belongs to a different group"),
+            enumerate_automorphisms(make_group([4]))[1]),
+        InputError, "automorphism table has 4 entries, group size is 3"),
 }
 
 

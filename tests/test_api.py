@@ -17,9 +17,6 @@ PUBLIC_API = [
     "AbelianGroup.orders",
     "AbelianGroup.size",
     "AbelianGroup.tuple_of",
-    "Automorphism",
-    "Automorphism.group",
-    "Automorphism.table",
     "AutomorphismGroup",
     "AutomorphismGroup.compose_indices",
     "AutomorphismGroup.group",
@@ -65,9 +62,7 @@ PUBLIC_API = [
     "LoopPropertyReport.rip_witness",
     "LoopPropertyReport.two_sided_inverses_coincide",
     "OrbitDecomposition",
-    "OrbitDecomposition.mode",
     "OrbitDecomposition.orbits",
-    "OrbitDecomposition.sigma",
     "OrbitDecomposition.symmetries",
     "PAIR_MAPS",
     "analyze_properties",

@@ -14,7 +14,7 @@ from loopext.errors import InputError, PreconditionError
 from loopext.extension import build_extension
 from loopext.fileio import emit_loop_file
 from loopext.loops import analyze_properties
-from loopext.orbits import gamma_orbits
+from loopext.orbits import gamma_orbits, sigma_set
 from loopext.verification import verify_cocycle
 from reference import complement
 
@@ -89,7 +89,7 @@ class TestOrbitCrossCheck:
         loop = loops[name]
         l = loop.size
         decomposition = gamma_orbits(loop)
-        assert len(complement(decomposition.sigma, l)) == l * l - 3 * l + 2
+        assert len(complement(sigma_set(loop), l)) == l * l - 3 * l + 2
         assert len(decomposition.orbits) == feasible_cardinality(l).k
 
     def test_requires_ip(self, loops):

@@ -344,6 +344,37 @@ class TestOrbits:
         assert out.endswith("orbit 0: id:(1,1) phi:(2,2) psi:(2,2) phi*psi*phi:(2,2) "
                             "phi*psi:(1,1) psi*phi:(1,1)\n")
 
+    def test_sigma_built_once(self, capsys, loop_files, monkeypatch):
+        # the sigma-size line and the walk read one Sigma, kept on the loop
+        from loopext import cli, orbits
+
+        built = []
+        original = orbits.sigma_set
+
+        def keeping(loop):
+            built.append(original(loop))
+            return built[-1]
+
+        monkeypatch.setattr(orbits, "sigma_set", keeping)
+        monkeypatch.setattr(cli, "sigma_set", keeping)
+        code, out, _ = run(capsys, "orbits", "--loop", loop_files["ip7"], "--mode", "gamma")
+        assert code == 0
+        assert "sigma-size: 19" in out.splitlines()
+        assert built and all(sigma is built[0] for sigma in built)
+
+    @pytest.mark.parametrize("mode", ["phi", "psi", "gamma"])
+    def test_mismatched_inverses_refused(self, capsys, tmp_path, mode):
+        # Sigma is undefined, and that refusal comes first in every mode
+        from loopext.catalog import inverse_mismatch_loop
+
+        path = tmp_path / "m.loop"
+        emit_loop_file(inverse_mismatch_loop(), path)
+        code, out, err = run(capsys, "orbits", "--loop", str(path), "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: Sigma is undefined: left and right inverses of the loop "
+                       "do not coincide\n")
+
     @pytest.mark.parametrize("mode", ["phi", "psi", "gamma"])
     def test_no_cell_tuple_built(self, capsys, loop_files, monkeypatch, mode):
         # the sizes come from Sigma and the packed codes, and the orbit lines

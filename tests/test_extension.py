@@ -207,8 +207,7 @@ class TestExtensionRows:
             # (x, a)(y, b) = (x*y, P(x,y)a + Q(x,y)b), one cell at a time
             reference = [
                 tuple(loop.table[x][y] * n
-                      + add[aut[cocycle.ptable[x][y]].table[a]]
-                           [aut[cocycle.qtable[x][y]].table[b]]
+                      + add[aut[cocycle.ptable[x][y]][a]][aut[cocycle.qtable[x][y]][b]]
                       for y in range(loop.size) for b in range(n))
                 for x in range(loop.size) for a in range(n)
             ]

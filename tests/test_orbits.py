@@ -65,7 +65,7 @@ class TestSigma:
 class TestPhiPsiOrbits:
     def test_z4_phi_orbits(self, loops):
         decomposition = phi_orbits(loops["z4"])
-        assert decomposition.mode == "phi"
+        assert decomposition.symmetries == ("id", "phi")
         assert list(decomposition.orbits) == [
             ((1, 1), (3, 2)),
             ((1, 2), (3, 3)),
@@ -179,6 +179,17 @@ class TestKeptDecompositions:
             monkeypatch.setitem(CELL_MAPS, key, no_walk)
         monkeypatch.setattr(orbits, "sigma_set", no_walk)
         assert walk(loop) is first
+
+    def test_sigma_kept_and_checked_on_every_call(self, loops):
+        # the walk reads the kept Sigma; a refused loop is refused each time
+        loop = make_loop(loops["ip7"].table)
+        sigma = sigma_set(loop)
+        gamma_orbits(loop)
+        assert sigma_set(loop) is sigma
+        mismatch = make_loop(loops["mismatch"].table)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="Sigma is undefined"):
+                sigma_set(mismatch)
 
     def test_preconditions_checked_on_every_call(self, loops):
         loop = make_loop(loops["lip_only"].table)
