@@ -33,10 +33,9 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
-from operator import index
 from typing import Iterator, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, integers
 
 # Largest |A| that a group may have.
 DEFAULT_SIZE_CAP = 64
@@ -247,10 +246,7 @@ class AutomorphismGroup:
     def index_of(self, table: Sequence[int]) -> int:
         """Canonical index of the automorphism with image table ``table``;
         ``InputError`` unless the table is an automorphism of the group."""
-        try:  # index, not int: a float entry is refused, not truncated
-            table = tuple(map(index, table))
-        except TypeError as error:
-            raise InputError(f"automorphism table entry is not an integer: {error}") from None
+        table = integers(table, "automorphism table entry")
         _validate_automorphism(self.group, table)
         try:
             return self._rank(tuple(table[e] for e in self._generators))

@@ -134,11 +134,12 @@ def cmd_extend(args) -> int:
     start = time.perf_counter()
     loop = parse_loop_file(args.loop)
     cocycle = parse_cocycle_file(args.cocycle, loop)
+    fingerprints = _fingerprints(args)  # of the files read, before --out may overwrite one
     ext, _ = build_extension(cocycle)
     if ext is not None:
         emit_loop_file(ext, args.out, comments=extension_comments(cocycle))
         print(f"wrote: {args.out}")
-    return _emit_report(extension_report(cocycle, _fingerprints(args)), start)
+    return _emit_report(extension_report(cocycle, fingerprints), start)
 
 
 def cmd_verify(args) -> int:

@@ -6,6 +6,8 @@ The CLI maps every ``LoopextError`` except ``InternalError``, and every
 allowed to propagate as a crash.
 """
 
+from operator import index
+
 
 class LoopextError(Exception):
     """Base class for all errors raised by loopext."""
@@ -23,18 +25,6 @@ class StructureError(InputError):
         self.index = index
         self.axis = axis
         super().__init__(message)
-
-
-class IdentityPositionError(StructureError):
-    """Row 0 or column 0 of a loop table is not the identity permutation."""
-
-
-class CocycleNormalizationError(InputError):
-    """A cocycle table violates the required identity boundary."""
-
-
-class NotNormalError(InputError):
-    """Quotient requested by a subloop that is not normal."""
 
 
 class ParseError(InputError):
@@ -61,9 +51,15 @@ class PreconditionError(LoopextError):
     """
 
 
-class UndefinedPropertyError(PreconditionError):
-    """A property flag was read on a loop where it is undefined."""
-
-
 class InternalError(LoopextError):
     """A library invariant failed; indicates a bug, not a caller mistake."""
+
+
+def integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints by ``operator.index``, the one door for
+    outside integers: a float or str entry is an ``InputError`` "<what> is
+    not an integer: ...", never truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as error:
+        raise InputError(f"{what} is not an integer: {error}") from None

@@ -19,17 +19,11 @@ this convention verbatim.
 from __future__ import annotations
 
 from itertools import chain
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
-from .errors import (
-    CocycleNormalizationError,
-    InputError,
-    PreconditionError,
-    ResourceError,
-    StructureError,
-)
+from .errors import InputError, PreconditionError, ResourceError, StructureError, integers
 from .loops import FiniteLoop, kept, validate_table
 from .orbits import PAIR_MAPS, gamma_orbits
 
@@ -87,10 +81,7 @@ def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopC
     naut = len(autgroup)
 
     def norm(table, name):
-        try:  # index, not int: a float or str entry is refused, not truncated
-            rows = tuple(tuple(map(index, row)) for row in table)
-        except TypeError as error:
-            raise InputError(f"{name} table entry is not an integer: {error}") from None
+        rows = tuple(integers(row, f"{name} table entry") for row in table)
         if len(rows) != l or any(len(row) != l for row in rows):
             raise InputError(f"{name} table must be {l}x{l}")
         for row in rows:
@@ -106,10 +97,10 @@ def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopC
     ident = autgroup.identity_index
     for x in range(l):
         if prows[x][0] != ident:
-            raise CocycleNormalizationError(f"P({x}, e) must be the identity automorphism")
+            raise InputError(f"P({x}, e) must be the identity automorphism")
     for y in range(l):
         if qrows[0][y] != ident:
-            raise CocycleNormalizationError(f"Q(e, {y}) must be the identity automorphism")
+            raise InputError(f"Q(e, {y}) must be the identity automorphism")
     return LoopCocycle(loop, group, autgroup, prows, qrows)
 
 

@@ -23,8 +23,9 @@ from .loops import FiniteLoop, make_loop
 
 
 def _content_lines(text: str):
-    """Yield (1-based line number, stripped content) skipping comments/blanks."""
-    for number, raw in enumerate(text.splitlines(), start=1):
+    """Yield (1-based line number, stripped content) skipping comments/blanks;
+    a line ends at a line feed only, as :func:`_read_text` counts lines."""
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -72,8 +73,8 @@ def loads_loop(text: str, *, source: str = "<string>") -> FiniteLoop:
 
 def _loop_lines(loop: FiniteLoop, comments: Iterable[str]):
     """The lines of a loop file, each ending in a newline, the rows one at a
-    time.  A comment holding a line break, which the parser would split, is
-    an ``InputError`` before any line is handed out."""
+    time.  A comment holding any line break of ``str.splitlines`` is an
+    ``InputError`` before any line is handed out."""
     head = [f"# {c}\n" for c in comments] + [f"loop {loop.size}\n"]
     for line in head:
         if len(line.splitlines()) > 1:

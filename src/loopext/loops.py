@@ -13,16 +13,10 @@ path divides general elements.
 
 from __future__ import annotations
 
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    IdentityPositionError,
-    InputError,
-    NotNormalError,
-    StructureError,
-    UndefinedPropertyError,
-)
+from .errors import InputError, PreconditionError, StructureError, integers
 
 class FiniteLoop:
     """Cayley-table loop: the validated table, its two inverse maps and the
@@ -35,10 +29,7 @@ class FiniteLoop:
         if _checked:
             rows = tuple(map(tuple, table))
         else:
-            try:  # index, not int: a float or str entry is refused, not truncated
-                rows = tuple(tuple(map(index, row)) for row in table)
-            except TypeError as error:
-                raise InputError(f"loop table entry is not an integer: {error}") from None
+            rows = tuple(integers(row, "loop table entry") for row in table)
             validate_table(rows)
         self.size = len(rows)
         self.table = rows
@@ -130,11 +121,10 @@ def validate_table(rows: Sequence[Sequence[int]]) -> None:
                                  axis="column")
     identity = tuple(range(l))
     if tuple(rows[0]) != identity:
-        raise IdentityPositionError("row 0 is not the identity permutation", index=0,
-                                     axis="row")
+        raise StructureError("row 0 is not the identity permutation", index=0, axis="row")
     if tuple(row[0] for row in rows) != identity:
-        raise IdentityPositionError("column 0 is not the identity permutation", index=0,
-                                     axis="column")
+        raise StructureError("column 0 is not the identity permutation", index=0,
+                             axis="column")
 
 
 def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
@@ -153,7 +143,7 @@ class LoopPropertyReport:
     maps p(x) = P(x^{-1}, x) and q(x) = Q(x^{-1}, x) of a cocycle are read
     off it.  ``has_order3_element`` (x != e with x*x = x^{-1}) is only
     defined in the coinciding case and raises
-    :class:`UndefinedPropertyError` otherwise.
+    :class:`PreconditionError` otherwise.
     """
 
     __slots__ = ("lip_witness", "rip_witness", "inverse_mismatch", "has_lip", "has_rip",
@@ -175,7 +165,7 @@ class LoopPropertyReport:
     @property
     def has_order3_element(self) -> bool:
         if self._order3 is None:
-            raise UndefinedPropertyError(
+            raise PreconditionError(
                 "order-3 elements are undefined: left and right inverses do not coincide"
             )
         return self._order3
@@ -329,10 +319,10 @@ def quotient_loop(loop: FiniteLoop, members: Iterable[int]) -> FiniteLoop:
     """Factor loop on the cosets of a normal subloop.
 
     Cosets are labeled canonically by ascending minimal element, so the
-    identity coset is element 0.  Raises NotNormalError when the subloop is
+    identity coset is element 0.  Raises InputError when the subloop is
     not normal, after the same single pass as :func:`is_normal_subloop`.
     """
     table = _quotient_table(loop, frozenset(members))
     if table is None:
-        raise NotNormalError("cannot form quotient: subloop is not normal")
+        raise InputError("cannot form quotient: subloop is not normal")
     return make_loop(table)

@@ -127,7 +127,7 @@ def _add_consistency(report: VerificationReport, cocycle: LoopCocycle) -> Option
     report.add("inverse-formulas", witness is None, witness)
     try:
         quotient = quotient_loop(ext, range(cocycle.group.size))
-    except InputError:  # NotNormalError, or a kernel that is no subloop at all
+    except InputError:  # a kernel that is not normal, or no subloop at all
         report.add("kernel-normal", False)
         report.add("quotient-reconstructs-base", False, note="kernel not normal")
     else:

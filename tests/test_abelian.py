@@ -119,6 +119,12 @@ class TestMakeGroup:
         with pytest.raises(InputError, match="exceeds the size cap 64"):
             make_group([2] * 7)
 
+    def test_repr_and_equality(self):
+        assert repr(make_group([2, 4])) == "AbelianGroup([2, 4])"
+        assert make_group([2, 4]) == make_group([2, 4]) != make_group([4, 2])
+        assert make_group([2]).__eq__(1) is NotImplemented
+        assert (make_group([2]) == 1) is False
+
     def test_spec_string(self):
         assert parse_group_spec("2,2") == (2, 2)
         assert parse_group_spec("4") == (4,)

@@ -10,7 +10,13 @@ from loopext.catalog import abelian_group_loop, bundled_corpus, cyclic_loop
 from loopext.cli import main
 from loopext.constructions import ChoiceSource, random_cocycle
 from loopext.extension import build_extension
-from loopext.fileio import emit_cocycle_file, emit_loop_file, parse_cocycle_file, parse_loop_file
+from loopext.fileio import (
+    emit_cocycle_file,
+    emit_loop_file,
+    file_sha256,
+    parse_cocycle_file,
+    parse_loop_file,
+)
 from loopext.loops import analyze_properties
 
 
@@ -444,6 +450,21 @@ class TestConstructVerifyExtend:
                          "--out", str(tmp_path / "f.loop"))
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("overwritten", ["loop", "cocycle"])
+    def test_extend_fingerprints_the_files_it_read(self, capsys, loop_files, tmp_path,
+                                                   overwritten):
+        # --out may name an input file; the report's digest is of what was parsed
+        paths = {"loop": str(tmp_path / "base.loop"), "cocycle": str(tmp_path / "c.coc")}
+        emit_loop_file(parse_loop_file(loop_files["klein"]), paths["loop"])
+        run(capsys, "construct", "--loop", paths["loop"], "--group", "2", "--mode", "ip",
+            "--seed", "1", "--out", paths["cocycle"])
+        before = file_sha256(paths[overwritten])
+        code, out, _ = run(capsys, "extend", "--loop", paths["loop"], "--cocycle",
+                           paths["cocycle"], "--out", paths[overwritten])
+        assert code == 0
+        assert f"{overwritten}-sha256: {before}" in out.splitlines()
+        assert file_sha256(paths[overwritten]) != before
 
     def test_extend_runs_one_normality_pass(self, capsys, loop_files, tmp_path, monkeypatch):
         # the kernel-normal and quotient lines share one pass (three at the

@@ -1,4 +1,5 @@
 import itertools
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,7 @@ from loopext.constructions import (
     construct_rip_cocycle,
     random_cocycle,
 )
-from loopext.errors import InputError, InternalError, PreconditionError
+from loopext.errors import InputError, InternalError, PreconditionError, ResourceError
 from loopext.extension import (
     build_extension,
     check_ip_conditions,
@@ -34,6 +35,15 @@ from reference import Replay, ScalarChoiceSource, compose, invert
 
 
 class TestChoiceSource:
+    def test_non_integer_seed_and_count_refused(self):
+        # refused, not truncated; bools are ints and pass
+        with pytest.raises(InputError, match="^choice seed is not an integer: "):
+            ChoiceSource(1.5)
+        with pytest.raises(InputError, match="^number of alternatives is not an integer: "):
+            ChoiceSource(0).pick(3.0)
+        assert ChoiceSource(True).seed == 1 and type(ChoiceSource(True).seed) is int
+        assert ChoiceSource(0).pick(True) == 0
+
     def test_reference_vector(self):
         # first three outputs of the mixing recurrence for seed 0
         source = ChoiceSource(0)
@@ -174,6 +184,33 @@ class TestConstructPq:
     def test_requires_coinciding_inverses(self, loops, autgroups):
         with pytest.raises(PreconditionError):
             construct_pq(loops["mismatch"], autgroups["z2"], ChoiceSource(0))
+
+    def test_free_fixed_points_refused_above_cap(self, loops):
+        # klein has three self-inverse x != e and |Aut(Z2^5)| = 9999360
+        autgroup = enumerate_automorphisms(make_group([2] * 5))
+        source = ChoiceSource(0)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=r"^free fixed points refused: 3 \* \|Aut\(A\)\| "
+                           "= 29998080 candidates exceed the cap 32768$"):
+            construct_pq(loops["klein"], autgroup, source, free_fixed_points=True)
+        assert time.perf_counter() - start < 1.0
+        assert source.count == 0
+
+    def test_free_walk_cap_boundary(self, loops, autgroups, monkeypatch):
+        # klein with Aut(Z2^2) tests 3 * 6 candidates
+        monkeypatch.setattr(constructions, "FREE_WALK_CAP", 18)
+        construct_pq(loops["klein"], autgroups["z2xz2"], ChoiceSource(0), free_fixed_points=True)
+        monkeypatch.setattr(constructions, "FREE_WALK_CAP", 17)
+        with pytest.raises(ResourceError):
+            construct_pq(loops["klein"], autgroups["z2xz2"], ChoiceSource(0),
+                         free_fixed_points=True)
+
+    def test_default_mode_admits_large_aut(self, loops):
+        # only free mode walks Aut(A)
+        autgroup = enumerate_automorphisms(make_group([2] * 5))
+        pmap, qmap = construct_pq(loops["klein"], autgroup, ChoiceSource(0))
+        inv = loops["klein"].properties().inverse_map
+        assert coincidence_condition_holds(autgroup, inv, pmap, qmap)
 
 
 class TestLipConstruction:

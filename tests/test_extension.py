@@ -10,12 +10,7 @@ from loopext.constructions import (
     construct_pq,
     random_cocycle,
 )
-from loopext.errors import (
-    CocycleNormalizationError,
-    InputError,
-    PreconditionError,
-    ResourceError,
-)
+from loopext.errors import InputError, PreconditionError, ResourceError
 from loopext.extension import (
     build_extension,
     check_cip,
@@ -70,13 +65,13 @@ class TestMakeCocycle:
     def test_p_boundary_enforced(self, loops, groups):
         p, q = identity_tables(2)
         p[1][0] = 1
-        with pytest.raises(CocycleNormalizationError):
+        with pytest.raises(InputError, match=r"^P\(1, e\) must be the identity automorphism$"):
             make_cocycle(loops["z2"], groups["z3"], p, q)
 
     def test_q_boundary_enforced(self, loops, groups):
         p, q = identity_tables(2)
         q[0][1] = 1
-        with pytest.raises(CocycleNormalizationError):
+        with pytest.raises(InputError, match=r"^Q\(e, 1\) must be the identity automorphism$"):
             make_cocycle(loops["z2"], groups["z3"], p, q)
 
     def test_bad_index(self, loops, groups):
@@ -110,6 +105,12 @@ class TestMakeCocycle:
         p[2] = [0, 1, 1]
         with pytest.raises(InputError, match=r"^Q table entry -4 is not a valid "):
             make_cocycle(loops["z3"], groups["z3"], p, q)
+
+    def test_repr_and_equality(self, loops, groups):
+        cocycle = trivial_cocycle(loops["z4"], groups["z2xz2"])
+        assert repr(cocycle) == "LoopCocycle(l=4, group=[2, 2], aut=6)"
+        assert cocycle.__eq__(1) is NotImplemented
+        assert (cocycle == 1) is False
 
     def test_bad_shape(self, loops, groups):
         with pytest.raises(InputError):

@@ -49,6 +49,17 @@ class TestLoopFormat:
         text = "# a comment\n\nloop 2\n# another\n0 1\n\n1 0\n"
         assert loads_loop(text).size == 2
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_lines_end_at_line_feed_only(self, brk):
+        # a comment holding another line break of str.splitlines is one line
+        assert loads_loop(f"loop 2\n# a{brk}b\n0 1\n1 0\n") == loads_loop(Z2_TEXT)
+        with pytest.raises(ParseError, match="non-integer entry") as err:
+            loads_loop(f"loop 2\n# a{brk}b\n0 1\n1 x\n")
+        assert err.value.line == 4
+
+    def test_crlf_lines(self):
+        assert loads_loop(Z2_TEXT.replace("\n", "\r\n")) == loads_loop(Z2_TEXT)
+
     def test_file_round_trip(self, loops, tmp_path):
         path = tmp_path / "klein.loop"
         emit_loop_file(loops["klein"], path, comments=("bundled",))
@@ -237,8 +248,9 @@ class TestHashesAndComments:
 
 
 class TestCommentLineBreaks:
-    """A comment holding a line break of ``str.splitlines`` would be split by
-    the parser, so both emitters refuse it, before any file is touched."""
+    """Both emitters refuse a comment holding any line break of
+    ``str.splitlines``, before any file is touched, although the parser
+    splits at a line feed only."""
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
     def test_dumps_loop_refuses(self, brk):

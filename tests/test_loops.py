@@ -3,13 +3,7 @@ import itertools
 
 import pytest
 
-from loopext.errors import (
-    IdentityPositionError,
-    InputError,
-    NotNormalError,
-    StructureError,
-    UndefinedPropertyError,
-)
+from loopext.errors import InputError, PreconditionError, StructureError
 from loopext.catalog import bundled_corpus
 from loopext.loops import (
     first_inverse_mismatch,
@@ -49,10 +43,14 @@ class TestMakeLoop:
         assert caught.value.index == 2
 
     def test_identity_position(self):
-        with pytest.raises(IdentityPositionError):
+        with pytest.raises(StructureError,
+                           match="^row 0 is not the identity permutation$") as caught:
             make_loop([[1, 0], [0, 1]])
-        with pytest.raises(IdentityPositionError):
+        assert (caught.value.index, caught.value.axis) == (0, "row")
+        with pytest.raises(StructureError,
+                           match="^column 0 is not the identity permutation$") as caught:
             make_loop([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+        assert (caught.value.index, caught.value.axis) == (0, "column")
 
     def test_ragged_rejected(self):
         with pytest.raises(StructureError):
@@ -158,7 +156,8 @@ class TestProperties:
         report = loops["mismatch"].properties()
         assert not report.two_sided_inverses_coincide
         assert report.inverse_map is None
-        with pytest.raises(UndefinedPropertyError):
+        with pytest.raises(PreconditionError, match="^order-3 elements are undefined: "
+                           "left and right inverses do not coincide$"):
             report.has_order3_element
 
     def test_counterexamples_replay(self, loops):
@@ -211,6 +210,18 @@ class TestEqualityAndHash:
         assert loops["z4"] != loops["klein"]
         assert loops["lip_only"] != loops["lip_only"].opposite()
         assert len({loops["z4"], loops["klein"], make_loop(loops["z4"].table)}) == 2
+
+    def test_other_types_are_not_implemented(self, loops):
+        assert loops["klein"].__eq__(1) is NotImplemented
+        assert (loops["klein"] == 1) is False
+
+
+def test_reprs(loops):
+    assert repr(loops["klein"]) == "FiniteLoop(size=4)"
+    assert repr(loops["ip7"].properties()) == (
+        "LoopPropertyReport(lip=True, rip=True, ip=True, coincide=True, order3=True)")
+    assert repr(loops["mismatch"].properties()) == (
+        "LoopPropertyReport(lip=False, rip=False, ip=False, coincide=False, order3=undefined)")
 
 
 def reference_rip_scan(loop, iota=None):
@@ -398,7 +409,7 @@ def assert_matches_reference(loop, members):
     verdict, rows = reference_normality(loop, members)
     assert is_normal_subloop(loop, members) == (verdict == "normal")
     if rows is None:
-        with pytest.raises(NotNormalError):
+        with pytest.raises(InputError, match="^cannot form quotient: subloop is not normal$"):
             quotient_loop(loop, members)
     else:
         assert quotient_loop(loop, members) == make_loop(rows)
@@ -436,7 +447,7 @@ class TestNormality:
             for y in members:
                 assert ip7.table[x][y] in members
         assert not is_normal_subloop(ip7, members)
-        with pytest.raises(NotNormalError):
+        with pytest.raises(InputError, match="^cannot form quotient: subloop is not normal$"):
             quotient_loop(ip7, members)
 
     def test_product_closure_implies_division_closure(self, loops):
