@@ -28,7 +28,6 @@ from .fileio import (
     emit_cocycle_file,
     emit_loop_file,
     extension_comments,
-    file_sha256,
     parse_cocycle_file,
     parse_loop_file,
     text_sha256,
@@ -55,9 +54,9 @@ def _yes(flag: bool) -> str:
 
 
 def cmd_check(args) -> int:
-    loop = parse_loop_file(args.loop)
+    loop, digest = parse_loop_file(args.loop)
     report = analyze_properties(loop)
-    print(f"loop-sha256: {file_sha256(args.loop)}")
+    print(f"loop-sha256: {digest}")
     print(f"size: {loop.size}")
     print(f"lip: {_yes(report.has_lip)}")
     print(f"rip: {_yes(report.has_rip)}")
@@ -91,10 +90,10 @@ def _orbit_line(i: int, orbit, symmetries) -> str:
 
 
 def cmd_orbits(args) -> int:
-    loop = parse_loop_file(args.loop)
+    loop, digest = parse_loop_file(args.loop)
     sigma = sigma_set(loop)
     decomposition = _ORBIT_MODES[args.mode](loop)
-    print(f"loop-sha256: {file_sha256(args.loop)}")
+    print(f"loop-sha256: {digest}")
     print(f"mode: {args.mode}")
     print(f"sigma-size: {len(sigma)}")
     print(f"complement-size: {loop.size * loop.size - len(sigma)}")
@@ -105,7 +104,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    loop = parse_loop_file(args.loop)
+    loop, _ = parse_loop_file(args.loop)
     group = make_group(parse_group_spec(args.group))
     cocycle = _CONSTRUCTORS[args.mode](loop, group, ChoiceSource(args.seed))
     text = emit_cocycle_file(cocycle, args.out)
@@ -120,8 +119,11 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _fingerprints(args) -> dict[str, str]:
-    return {"loop": file_sha256(args.loop), "cocycle": file_sha256(args.cocycle)}
+def _read_cocycle(args):
+    """The cocycle of ``--cocycle`` over ``--loop`` and each file's parsed-bytes digest."""
+    loop, loop_digest = parse_loop_file(args.loop)
+    cocycle, cocycle_digest = parse_cocycle_file(args.cocycle, loop)
+    return cocycle, {"loop": loop_digest, "cocycle": cocycle_digest}
 
 
 def _emit_report(report, start: float) -> int:
@@ -132,9 +134,7 @@ def _emit_report(report, start: float) -> int:
 
 def cmd_extend(args) -> int:
     start = time.perf_counter()
-    loop = parse_loop_file(args.loop)
-    cocycle = parse_cocycle_file(args.cocycle, loop)
-    fingerprints = _fingerprints(args)  # of the files read, before --out may overwrite one
+    cocycle, fingerprints = _read_cocycle(args)
     ext, _ = build_extension(cocycle)
     if ext is not None:
         emit_loop_file(ext, args.out, comments=extension_comments(cocycle))
@@ -144,9 +144,8 @@ def cmd_extend(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    loop = parse_loop_file(args.loop)
-    cocycle = parse_cocycle_file(args.cocycle, loop)
-    report = verify_cocycle(cocycle, mode=args.mode, fingerprints=_fingerprints(args))
+    cocycle, fingerprints = _read_cocycle(args)
+    report = verify_cocycle(cocycle, mode=args.mode, fingerprints=fingerprints)
     return _emit_report(report, start)
 
 

@@ -87,19 +87,21 @@ def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:
     return "".join(_loop_lines(loop, comments))
 
 
-def _read_text(path: Path) -> str:
-    """The UTF-8 text of a file; undecodable bytes are a ParseError at their line."""
+def _read_text(path: Path) -> tuple[str, str]:
+    """The UTF-8 text of a file and the SHA-256 of its bytes, from one read;
+    undecodable bytes are a ParseError at their line."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", source=str(path),
                          line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def parse_loop_file(path) -> FiniteLoop:
-    path = Path(path)
-    return loads_loop(_read_text(path), source=str(path))
+def parse_loop_file(path) -> tuple[FiniteLoop, str]:
+    """The loop in ``path`` and the SHA-256 of the bytes it was parsed from."""
+    text, digest = _read_text(path := Path(path))
+    return loads_loop(text, source=str(path)), digest
 
 
 def emit_loop_file(loop: FiniteLoop, path, comments: Iterable[str] = ()) -> None:
@@ -168,9 +170,10 @@ def dumps_cocycle(cocycle: LoopCocycle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cocycle_file(path, loop: FiniteLoop) -> LoopCocycle:
-    path = Path(path)
-    return loads_cocycle(_read_text(path), loop, source=str(path))
+def parse_cocycle_file(path, loop: FiniteLoop) -> tuple[LoopCocycle, str]:
+    """The cocycle in ``path`` over ``loop`` and the SHA-256 of its parsed bytes."""
+    text, digest = _read_text(path := Path(path))
+    return loads_cocycle(text, loop, source=str(path)), digest
 
 
 def emit_cocycle_file(cocycle: LoopCocycle, path) -> str:
@@ -188,10 +191,6 @@ def extension_comments(cocycle: LoopCocycle) -> list[str]:
         f"extension of group {spec} by a loop of size {cocycle.loop.size}",
         f"pair encoding: (x, a) -> x*{n} + a",
     ]
-
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def text_sha256(text: str) -> str:

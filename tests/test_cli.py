@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import re
 import sys
 import time
@@ -13,7 +15,6 @@ from loopext.extension import build_extension
 from loopext.fileio import (
     emit_cocycle_file,
     emit_loop_file,
-    file_sha256,
     parse_cocycle_file,
     parse_loop_file,
 )
@@ -416,7 +417,7 @@ class TestConstructVerifyExtend:
         code, out, _ = run(capsys, "extend", "--loop", loop_files["klein"],
                            "--cocycle", out_path, "--out", ext_path)
         assert code == 0
-        built = parse_loop_file(ext_path)
+        built, _ = parse_loop_file(ext_path)
         assert built.size == 12
         assert analyze_properties(built).has_ip
 
@@ -456,15 +457,15 @@ class TestConstructVerifyExtend:
                                                    overwritten):
         # --out may name an input file; the report's digest is of what was parsed
         paths = {"loop": str(tmp_path / "base.loop"), "cocycle": str(tmp_path / "c.coc")}
-        emit_loop_file(parse_loop_file(loop_files["klein"]), paths["loop"])
+        emit_loop_file(bundled_corpus()["klein"], paths["loop"])
         run(capsys, "construct", "--loop", paths["loop"], "--group", "2", "--mode", "ip",
             "--seed", "1", "--out", paths["cocycle"])
-        before = file_sha256(paths[overwritten])
+        before = hashlib.sha256(Path(paths[overwritten]).read_bytes()).hexdigest()
         code, out, _ = run(capsys, "extend", "--loop", paths["loop"], "--cocycle",
                            paths["cocycle"], "--out", paths[overwritten])
         assert code == 0
         assert f"{overwritten}-sha256: {before}" in out.splitlines()
-        assert file_sha256(paths[overwritten]) != before
+        assert hashlib.sha256(Path(paths[overwritten]).read_bytes()).hexdigest() != before
 
     def test_extend_runs_one_normality_pass(self, capsys, loop_files, tmp_path, monkeypatch):
         # the kernel-normal and quotient lines share one pass (three at the
@@ -535,7 +536,8 @@ class TestConstructVerifyExtend:
         # replay through the library: the left-inverse law fails at (x, y)
         from loopext.extension import build_extension
 
-        built, _ = build_extension(parse_cocycle_file(path, cyclic_loop(4)))
+        cocycle, _ = parse_cocycle_file(path, cyclic_loop(4))
+        built, _ = build_extension(cocycle)
         iota = built.left_inverse(x)
         assert built.table[iota][built.table[x][y]] != y
 
@@ -624,6 +626,68 @@ class TestConstructVerifyExtend:
                            "--cocycle", out_path, "--mode", mode)
         assert code == 0
         assert "check agreement-ip: pass (condition=no)" in out.splitlines()
+
+
+class TestOneReadPerInput:
+    """check, orbits, extend and verify read each input file once, and each
+    ``*-sha256`` line they print is the digest of the bytes that read gave."""
+
+    @pytest.fixture()
+    def commands(self, capsys, loop_files, tmp_path):
+        """command -> (argv, {input kind: path}) over klein and an ip cocycle."""
+        loop, coc = loop_files["klein"], str(tmp_path / "c.coc")
+        run(capsys, "construct", "--loop", loop, "--group", "3", "--mode", "ip",
+            "--seed", "7", "--out", coc)
+        both = {"loop": loop, "cocycle": coc}
+        return {
+            "check": (["check", "--loop", loop], {"loop": loop}),
+            "orbits": (["orbits", "--loop", loop, "--mode", "gamma"], {"loop": loop}),
+            "extend": (["extend", "--loop", loop, "--cocycle", coc,
+                        "--out", str(tmp_path / "f.loop")], both),
+            "verify": (["verify", "--loop", loop, "--cocycle", coc, "--mode", "ip"], both),
+        }
+
+    @pytest.mark.parametrize("command", ["check", "orbits", "extend", "verify"])
+    def test_each_input_read_once(self, capsys, monkeypatch, tmp_path, commands, command):
+        argv, inputs = commands[command]
+        reads = []
+        read_bytes, builtin_open = Path.read_bytes, builtins.open
+
+        def counting_read_bytes(self):
+            reads.append(str(self))
+            return read_bytes(self)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                reads.append(str(file))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert sorted(r for r in reads if r.startswith(str(tmp_path))) == sorted(inputs.values())
+
+    @pytest.mark.parametrize("command", ["check", "orbits", "extend", "verify"])
+    def test_digest_is_of_the_bytes_parsed(self, capsys, monkeypatch, commands, command):
+        # each file is replaced on disk right after its bytes are taken
+        argv, inputs = commands[command]
+        parsed = {}
+        read_bytes = Path.read_bytes
+
+        def read_then_replace(self):
+            data = read_bytes(self)
+            parsed.setdefault(str(self), data)
+            self.write_bytes(b"replaced after it was read\n")
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        for kind, path in inputs.items():
+            assert f"{kind}-sha256: {hashlib.sha256(parsed[path]).hexdigest()}" in lines
+        assert command in ("check", "orbits") or "result: pass" in lines
 
 
 class TestExtensionOrderCap:

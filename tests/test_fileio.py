@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -18,7 +19,6 @@ from loopext.fileio import (
     emit_cocycle_file,
     emit_loop_file,
     extension_comments,
-    file_sha256,
     loads_cocycle,
     loads_loop,
     parse_cocycle_file,
@@ -63,7 +63,8 @@ class TestLoopFormat:
     def test_file_round_trip(self, loops, tmp_path):
         path = tmp_path / "klein.loop"
         emit_loop_file(loops["klein"], path, comments=("bundled",))
-        assert parse_loop_file(path) == loops["klein"]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert parse_loop_file(path) == (loops["klein"], digest)
         assert path.read_text().startswith("# bundled\nloop 4\n")
 
     def test_missing_header(self):
@@ -188,7 +189,7 @@ class TestCocycleFormat:
         path = tmp_path / "c.coc"
         text = emit_cocycle_file(cocycle, path)
         assert text == path.read_text(encoding="utf-8") == dumps_cocycle(cocycle)
-        assert parse_cocycle_file(path, loop) == cocycle
+        assert parse_cocycle_file(path, loop) == (cocycle, text_sha256(text))
 
     def test_size_mismatch(self, sample, loops):
         _, cocycle = sample
@@ -243,8 +244,9 @@ class TestHashesAndComments:
     def test_sha_stability(self, tmp_path):
         path = tmp_path / "x.loop"
         path.write_text(Z2_TEXT)
-        assert file_sha256(path) == text_sha256(Z2_TEXT)
-        assert len(file_sha256(path)) == 64
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == text_sha256(Z2_TEXT) == parse_loop_file(path)[1]
+        assert len(digest) == 64
 
 
 class TestCommentLineBreaks:
