@@ -39,7 +39,6 @@ from .extension import (
     is_commutative_extension,
     is_strongly_linear,
     make_cocycle,
-    opposite_cocycle,
 )
 from .loops import (
     FiniteLoop,

@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
-from .errors import InputError, InternalError, integers
+from .errors import InputError, InternalError, decimals, integers
 
 # Largest |A| that a group may have.
 DEFAULT_SIZE_CAP = 64
@@ -50,7 +50,7 @@ def parse_group_spec(spec: str) -> tuple[int, ...]:
     if not parts or any(p == "" for p in parts):
         raise InputError(f"bad group spec {spec!r}: expected comma-separated integers")
     try:
-        orders = tuple(int(p) for p in parts)
+        orders = tuple(decimals(parts))
     except ValueError:
         raise InputError(f"bad group spec {spec!r}: expected comma-separated integers") from None
     return orders
@@ -66,12 +66,10 @@ class AbelianGroup:
     __slots__ = ("orders", "size", "_strides", "add_table", "neg_table", "element_orders")
 
     def __init__(self, orders: Sequence[int]):
-        orders = tuple(orders)
+        orders = integers(orders, "cyclic factor order")
         if not orders:
             raise InputError("group needs at least one cyclic factor")
         for n in orders:
-            if not isinstance(n, int):  # a float or str order is refused, not truncated
-                raise InputError(f"cyclic factor order must be an integer, got {n!r}")
             if n < 2:
                 raise InputError(f"cyclic factor order must be >= 2, got {n}")
         size = math.prod(orders)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, integers
 
 # Largest max order that enumerate_feasible admits; the work and the output
 # grow linearly with it (10^5 takes about 0.5 s and 36 MB).
@@ -36,7 +36,8 @@ def feasible_cardinality(l: int) -> CardinalityCertificate:
     """Whether 6 | (l-1)(l-2), as for every IP loop of order l with no x*x = x^{-1}.
     With 6k = l^2 - 3l + 2 and h = |2l - 3|, h^2 = 4(l^2 - 3l + 2) + 1 = 24k + 1
     for every l, so the certificate needs no check."""
-    if not isinstance(l, int) or l < 1:
+    (l,) = integers((l,), "loop order")
+    if l < 1:
         raise InputError(f"loop order must be an integer >= 1, got {l!r}")
     complement = l * l - 3 * l + 2
     if complement % 6:
@@ -47,7 +48,8 @@ def feasible_cardinality(l: int) -> CardinalityCertificate:
 def enumerate_feasible(max_l: int) -> list[CardinalityCertificate]:
     """Feasible orders 2..max_l in ascending order; raises ``ResourceError``
     before any work when max_l exceeds ``MAX_FEASIBLE_ORDER``."""
-    if not isinstance(max_l, int) or max_l < 2:
+    (max_l,) = integers((max_l,), "max order")
+    if max_l < 2:
         raise InputError(f"max order must be an integer >= 2, got {max_l!r}")
     if max_l > MAX_FEASIBLE_ORDER:
         raise ResourceError(f"max order {max_l} exceeds the cap {MAX_FEASIBLE_ORDER}")

@@ -190,42 +190,27 @@ def construct_pq(loop: FiniteLoop, autgroup: AutomorphismGroup, choice: ChoiceSo
     return tuple(pmap), tuple(qmap)
 
 
-def _empty_tables(l: int):
-    """Unassigned P and Q tables, flat: cell (x, y) at its orbit code x*l + y."""
-    return [None] * (l * l), [None] * (l * l)
-
-
-def _id_tables(l: int, ident: int, cells):
-    """P and Q tables holding Id on ``cells`` and unassigned elsewhere."""
-    ptable, qtable = _empty_tables(l)
+def _tables(l: int, ident: int, cells=()):
+    """Flat P and Q tables (cell (x, y) at its orbit code x*l + y): Id on the
+    boundary P(x, e) = Q(e, y) and on ``cells``, unassigned elsewhere."""
+    ptable, qtable = [None] * (l * l), [None] * (l * l)
+    for x in range(l):
+        ptable[x * l] = qtable[x] = ident
     for x, y in cells:
         ptable[x * l + y] = qtable[x * l + y] = ident
     return ptable, qtable
 
 
-def _pinned_tables(loop, autgroup, pmap, qmap):
-    """P and Q tables holding Id on the cocycle boundary and p, q on the
-    inverse diagonal, unassigned elsewhere."""
-    inv, l = loop.properties().inverse_map, loop.size
-    ptable, qtable = _empty_tables(l)
-    for x in range(l):
-        ptable[x * l] = qtable[x] = autgroup.identity_index
-        ptable[inv[x] * l + x], qtable[inv[x] * l + x] = pmap[x], qmap[x]
-    return ptable, qtable
-
-
-def _cocycle(loop, group, ptable, qtable) -> LoopCocycle:
-    rows = range(0, loop.size * loop.size, loop.size)
-    return make_cocycle(loop, group, [ptable[i:i + loop.size] for i in rows],
-                        [qtable[i:i + loop.size] for i in rows])
-
-
 def _finish(loop, group, ptable, qtable) -> LoopCocycle:
+    """The cocycle of the flat tables, sliced into rows; none may be unassigned."""
+    l = loop.size
     for name, table in (("P", ptable), ("Q", qtable)):
         if None in table:
-            x, y = divmod(table.index(None), loop.size)
+            x, y = divmod(table.index(None), l)
             raise InternalError(f"construction left {name}({x}, {y}) unassigned")
-    return _cocycle(loop, group, ptable, qtable)
+    rows = range(0, l * l, l)
+    return make_cocycle(loop, group, [ptable[i:i + l] for i in rows],
+                        [qtable[i:i + l] for i in rows])
 
 
 def _gated(cocycle: LoopCocycle, mode: str) -> LoopCocycle:
@@ -269,7 +254,9 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     products, inverses = autgroup.products, autgroup.inverses
 
     pmap, qmap = construct_pq(loop, autgroup, choice)
-    ptable, qtable = _pinned_tables(loop, autgroup, pmap, qmap)
+    ptable, qtable = _tables(l, autgroup.identity_index)
+    for x, ix in enumerate(report.inverse_map):
+        ptable[ix * l + x], qtable[ix * l + x] = pmap[x], qmap[x]
     for x in range(1, l):
         qtable[x * l] = inverses[qmap[x]]
     for y in range(1, l):
@@ -313,7 +300,9 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     products, inverses = autgroup.products, autgroup.inverses
 
     pmap, qmap = construct_pq(loop, autgroup, choice)
-    ptable, qtable = _pinned_tables(loop, autgroup, pmap, qmap)
+    ptable, qtable = _tables(l, autgroup.identity_index)
+    for x, ix in enumerate(inv):
+        ptable[ix * l + x], qtable[ix * l + x] = pmap[x], qmap[x]
     for x in range(1, l):
         qtable[x * l] = choice.pick(naut)
     for y in range(1, l):
@@ -347,7 +336,7 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     naut, ident = len(autgroup), autgroup.identity_index
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
-    ptable, qtable = _id_tables(loop.size, ident, sigma_set(loop))
+    ptable, qtable = _tables(loop.size, ident, sigma_set(loop))
     codes = iter(decomposition._codes)
     for orbit in zip(*[codes] * 6):
         of_two = orbit[0] == orbit[4]  # phi*psi fixes the representative
@@ -371,19 +360,12 @@ def random_cocycle(loop: FiniteLoop, group: AbelianGroup, choice: ChoiceSource,
     """
     refuse_oversized_extension(loop, group)
     autgroup = enumerate_automorphisms(group)
-    l = loop.size
-    naut = len(autgroup)
-    ident = autgroup.identity_index
-    if strongly_linear:
-        ptable, qtable = _id_tables(l, ident, sigma_set(loop))
-    else:
-        ptable, qtable = _empty_tables(l)
-        for x in range(l):
-            ptable[x * l] = ident
-            qtable[x] = ident
+    l, naut = loop.size, len(autgroup)
+    pinned = sigma_set(loop) if strongly_linear else ()
+    ptable, qtable = _tables(l, autgroup.identity_index, pinned)
     for cell in range(l * l):
         if ptable[cell] is None:
             ptable[cell] = choice.pick(naut)
         if qtable[cell] is None:
             qtable[cell] = choice.pick(naut)
-    return _cocycle(loop, group, ptable, qtable)
+    return _finish(loop, group, ptable, qtable)

@@ -63,3 +63,13 @@ def integers(values, what: str) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError as error:
         raise InputError(f"{what} is not an integer: {error}") from None
+
+
+def decimals(tokens) -> list[int]:
+    """The ints of text ``tokens``, each an optional ``-`` then ASCII digits,
+    else ``ValueError``; ``int`` alone also takes ``_``, ``+`` and non-ASCII
+    digits, and refuses a ``-`` anywhere but first."""
+    digits = "".join(tokens).replace("-", "")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not ASCII decimals: {tokens!r}")
+    return [int(token) for token in tokens]

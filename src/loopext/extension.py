@@ -202,8 +202,8 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
     Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y) P(y,y^{-1})^{-1} Q(y,y^{-1}).
     Requires the base loop to have the right inverse property.
 
-    These are the LIP conditions of the opposite cocycle (see
-    :func:`opposite_cocycle`), checked on the transposed tables.
+    These are the LIP conditions of the opposite extension: the LIP kernel
+    runs on the transposed loop table, with Q transposed as P and P as Q.
     """
     report = cocycle.loop.properties()
     if not report.has_rip:
@@ -289,12 +289,3 @@ def _equivariance_holds(cocycle: LoopCocycle) -> bool:
                 return False
     return True
 
-
-def opposite_cocycle(cocycle: LoopCocycle) -> LoopCocycle:
-    """Cocycle of the opposite extension: over the opposite loop, with
-    P'(x, y) = Q(y, x) and Q'(x, y) = P(y, x)."""
-    l = cocycle.loop.size
-    pt, qt = cocycle.ptable, cocycle.qtable
-    new_p = tuple(tuple(qt[y][x] for y in range(l)) for x in range(l))
-    new_q = tuple(tuple(pt[y][x] for y in range(l)) for x in range(l))
-    return make_cocycle(cocycle.loop.opposite(), cocycle.group, new_p, new_q)

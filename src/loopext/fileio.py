@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .abelian import make_group, parse_group_spec
-from .errors import InputError, ParseError, StructureError
+from .errors import InputError, ParseError, StructureError, decimals
 from .extension import LoopCocycle, make_cocycle
 from .loops import FiniteLoop, make_loop
 
@@ -38,7 +38,7 @@ def _parse_row(line: str, number: int, expected: int, what: str, source: str) ->
         raise ParseError(f"{what} row has {len(parts)} entries, expected {expected}",
                          line=number, source=source)
     try:
-        return [int(p) for p in parts]
+        return decimals(parts)
     except ValueError:
         raise ParseError(f"{what} row contains a non-integer entry",
                          line=number, source=source) from None
@@ -54,7 +54,7 @@ def loads_loop(text: str, *, source: str = "<string>") -> FiniteLoop:
         raise ParseError(f"expected header 'loop <l>', got {header!r}",
                          line=number, source=source)
     try:
-        l = int(parts[1])
+        (l,) = decimals(parts[1:])
     except ValueError:
         raise ParseError(f"bad loop size {parts[1]!r}", line=number, source=source) from None
     if l < 1:
@@ -132,7 +132,7 @@ def loads_cocycle(text: str, loop: FiniteLoop, *, source: str = "<string>") -> L
         raise ParseError(f"header must carry exactly 'l' and 'group', got {sorted(fields)}",
                          line=number, source=source)
     try:
-        l = int(fields["l"])
+        (l,) = decimals([fields["l"]])
     except ValueError:
         raise ParseError(f"bad size {fields['l']!r}", line=number, source=source) from None
     if l != loop.size:

@@ -49,10 +49,6 @@ class FiniteLoop:
         self._check(x)
         return self._right_inverse[x]
 
-    def opposite(self) -> "FiniteLoop":
-        """Loop with reversed multiplication (transposed table)."""
-        return FiniteLoop(tuple(zip(*self.table)), _checked=True)
-
     def is_commutative(self) -> bool:
         return noncommuting_pair(self) is None
 

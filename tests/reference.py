@@ -7,6 +7,8 @@ none of them uses a loop's cached inverse maps, and the automorphism
 helpers work on image tables, not on canonical indices.
 """
 
+from loopext.extension import make_cocycle
+from loopext.loops import make_loop
 from loopext.orbits import CELL_MAPS
 
 MASK64 = (1 << 64) - 1
@@ -22,8 +24,20 @@ def right_div(loop, x, y):
     return [row[y] for row in loop.table].index(x)
 
 
+def opposite_loop(loop):
+    """The loop with reversed multiplication: the transposed table."""
+    return make_loop(zip(*loop.table))
+
+
+def opposite_cocycle(cocycle):
+    """Cocycle of the opposite extension: over the opposite loop, with
+    P'(x, y) = Q(y, x) and Q'(x, y) = P(y, x)."""
+    return make_cocycle(opposite_loop(cocycle.loop), cocycle.group,
+                        zip(*cocycle.qtable), zip(*cocycle.ptable))
+
+
 def exhaustive_iota(loop):
-    """Any bijection iota witnessing LIP, else None (RIP: pass ``loop.opposite()``).
+    """Any bijection iota witnessing LIP, else None (RIP: pass ``opposite_loop(loop)``).
 
     For each x the witness value is forced pointwise by each y, so the search
     reduces to checking that the forced value is constant in y and that the
@@ -131,6 +145,40 @@ def invert(f):
     for i, x in enumerate(f):
         out[x] = i
     return tuple(out)
+
+
+def gauge(cocycle, tau):
+    """The gauge image of ``cocycle`` under ``tau``, one automorphism index per
+    element of L:
+        P'(x, y) = tau(x*y) P(x, y) tau(x)^{-1},
+        Q'(x, y) = tau(x*y) Q(x, y) tau(y)^{-1},
+    composed on image tables and ranked back by ``index_of``.  The boundary
+    P(x, e) = Q(e, y) = Id is kept, and ``gauge_map`` is an isomorphism from
+    the extension of ``cocycle`` onto that of its image."""
+    aut = cocycle.autgroup
+    images = [aut[t] for t in tau]
+
+    def moved(table, inner):
+        return [[aut.index_of(compose(compose(images[xy], aut[table[x][y]]),
+                                      invert(images[inner(x, y)])))
+                 for y, xy in enumerate(row)] for x, row in enumerate(cocycle.loop.table)]
+
+    return make_cocycle(cocycle.loop, cocycle.group, moved(cocycle.ptable, lambda x, y: x),
+                        moved(cocycle.qtable, lambda x, y: y))
+
+
+def gauge_map(cocycle, tau):
+    """Phi(x, a) = (x, tau(x)a) on the pair indices x*|A| + a."""
+    n, aut = cocycle.group.size, cocycle.autgroup
+    return tuple(x * n + aut[t][a] for x, t in enumerate(tau) for a in range(n))
+
+
+def is_isomorphism(phi, source, target):
+    """Whether the bijection ``phi`` carries the table of the loop ``source``
+    onto that of ``target``, cell by cell: phi(u*v) = phi(u)*phi(v)."""
+    return sorted(phi) == list(range(target.size)) and all(
+        target.table[phi[u]][phi[v]] == phi[uv]
+        for u, row in enumerate(source.table) for v, uv in enumerate(row))
 
 
 def ip_conditions_hold(cocycle):

@@ -110,7 +110,7 @@ class TestMakeGroup:
     def test_non_integer_order_rejected(self):
         # refused, not truncated to Z2
         for order in (2.9, 2.0, "2"):
-            with pytest.raises(InputError, match="^cyclic factor order must be an integer, got "):
+            with pytest.raises(InputError, match="^cyclic factor order is not an integer: "):
                 make_group([order])
         assert make_group([2, 3]).orders == (2, 3)
 

@@ -35,7 +35,6 @@ from loopext.extension import (
     check_rip_conditions,
     is_commutative_extension,
     make_cocycle,
-    opposite_cocycle,
 )
 from loopext.loops import (
     first_inverse_mismatch,
@@ -45,7 +44,7 @@ from loopext.loops import (
     quotient_loop,
 )
 from loopext.orbits import gamma_orbits, phi_orbits, sigma_set
-from reference import Replay, complement, inverse_formula_mismatch
+from reference import Replay, complement, inverse_formula_mismatch, opposite_cocycle
 
 SOUNDNESS_LOOPS = ["z2", "klein", "z4", "z5", "ip7"]
 SOUNDNESS_ORDERS = [(2,), (3,), (4,), (2, 2)]

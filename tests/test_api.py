@@ -4,6 +4,7 @@ parameters of each public function, class and method, one per line, so that
 any later addition or removal shows as a one-line diff of this file."""
 
 import inspect
+import pathlib
 import types
 
 import loopext
@@ -40,7 +41,6 @@ PUBLIC_API = [
     "FiniteLoop.is_associative",
     "FiniteLoop.is_commutative",
     "FiniteLoop.left_inverse",
-    "FiniteLoop.opposite",
     "FiniteLoop.properties",
     "FiniteLoop.right_inverse",
     "FiniteLoop.size",
@@ -86,7 +86,6 @@ PUBLIC_API = [
     "make_cocycle",
     "make_group",
     "make_loop",
-    "opposite_cocycle",
     "parse_group_spec",
     "phi_orbits",
     "psi_orbits",
@@ -145,3 +144,17 @@ def keyword_parameters():
 
 def test_keyword_parameters_are_frozen():
     assert keyword_parameters() == KEYWORD_PARAMETERS
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    # the fenced block under "## Library example", run as written, so the
+    # example cannot drift from the API it names
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, f"{README}:Library example", "exec"), namespace)
+    assert namespace["ext"].size == 12 and namespace["defect"] is None
+    assert "lip=True, rip=True, ip=True" in capsys.readouterr().out.splitlines()[0]

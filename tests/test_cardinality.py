@@ -49,6 +49,14 @@ class TestFeasibleCardinality:
         with pytest.raises(InputError):
             feasible_cardinality(-3)
 
+    @pytest.mark.parametrize("bad", [3.0, "7"])
+    def test_non_integer_refused(self, bad):
+        # refused, not truncated, by the one conversion of outside integers
+        with pytest.raises(InputError, match="^loop order is not an integer: "):
+            feasible_cardinality(bad)
+        with pytest.raises(InputError, match="^max order is not an integer: "):
+            enumerate_feasible(bad)
+
     def test_range_invariants(self):
         for l in range(2, 1001):
             cert = feasible_cardinality(l)

@@ -26,12 +26,11 @@ from loopext.extension import (
     coincidence_condition_holds,
     is_strongly_linear,
     make_cocycle,
-    opposite_cocycle,
 )
 from loopext.fileio import dumps_cocycle, emit_loop_file
 from loopext.loops import analyze_properties, make_loop
 from loopext.orbits import PAIR_MAPS, gamma_orbits, phi_orbits
-from reference import Replay, ScalarChoiceSource, compose, invert
+from reference import Replay, ScalarChoiceSource, compose, invert, opposite_cocycle, opposite_loop
 
 
 class TestChoiceSource:
@@ -286,7 +285,7 @@ class TestRipConstruction:
     @pytest.mark.parametrize("seed", range(25))
     def test_rip_only_base(self, loops, seed):
         # the opposite of the LIP-only loop has RIP but not LIP
-        loop = loops["lip_only"].opposite()
+        loop = opposite_loop(loops["lip_only"])
         cocycle = construct_rip_cocycle(loop, make_group([3]), ChoiceSource(seed))
         report = analyze_properties(build_extension(cocycle)[0])
         assert report.has_rip and not report.has_lip

@@ -167,6 +167,39 @@ class TestParseRefusals:
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+# Tokens that ``int`` takes and the formats do not: an underscore, a plus
+# sign, a non-ASCII digit.  Each used to parse (``loop 0_2`` as size 2,
+# ``--group 1_6`` as Z16); each is now refused with the message of a token
+# that is no integer at all.
+ASCII_DECIMAL_REFUSALS = [
+    ("loop", "loop 2\n0 1\n1 0_0\n", "non-integer entry"),
+    ("loop", "loop 2\n0 1\n1 +0\n", "non-integer entry"),
+    ("loop", "loop 2\n0 \u0661\n1 0\n", "non-integer entry"),
+    ("loop", "loop 0_2\n0 1\n1 0\n", "bad loop size '0_2'"),
+    ("loop", "loop +2\n0 1\n1 0\n", "bad loop size '+2'"),
+    ("cocycle", "cocycle l=2 group=3\nP\n0 0\n0 +0\nQ\n0 0\n0 0\n", "non-integer entry"),
+    ("cocycle", "cocycle l=2 group=3\nP\n0 0\n0 0\nQ\n0 0\n0 0_0\n", "non-integer entry"),
+    ("cocycle", "cocycle l=\u0662 group=3\n" + COCYCLE_BODY, "bad size"),
+    ("cocycle", "cocycle l=2 group=1_6\n" + COCYCLE_BODY, "bad group spec '1_6'"),
+    ("group", "1_6", "bad group spec '1_6'"),
+    ("group", "2,+2", "bad group spec '2,+2'"),
+]
+
+
+@pytest.mark.parametrize("kind, text, fragment", ASCII_DECIMAL_REFUSALS)
+def test_tokens_are_ascii_decimals(loops, capsys, kind, text, fragment):
+    if kind == "group":  # the --group option of the CLI
+        assert main(["aut", "--group", text]) == 2
+        assert fragment in capsys.readouterr().err
+        return
+    with pytest.raises(ParseError) as err:
+        if kind == "loop":
+            loads_loop(text)
+        else:
+            loads_cocycle(text, loops["z2"])
+    assert fragment in str(err.value)
+
+
 class TestCocycleFormat:
     @pytest.fixture()
     def sample(self, loops, groups):
