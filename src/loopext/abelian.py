@@ -47,13 +47,10 @@ _MEMBER_MEMO_CAP = 1 << 12
 def parse_group_spec(spec: str) -> tuple[int, ...]:
     """Parse a comma-separated factor-order string such as ``"2,2"`` or ``"4"``."""
     parts = [p.strip() for p in spec.split(",")]
-    if not parts or any(p == "" for p in parts):
-        raise InputError(f"bad group spec {spec!r}: expected comma-separated integers")
     try:
-        orders = tuple(decimals(parts))
+        return tuple(decimals(parts))
     except ValueError:
         raise InputError(f"bad group spec {spec!r}: expected comma-separated integers") from None
-    return orders
 
 
 class AbelianGroup:
@@ -320,13 +317,10 @@ class AutomorphismGroup:
 
     def _unrank(self, i: int) -> tuple[int, ...]:
         images: tuple[int, ...] = ()
-        table = [0]
-        for w, n in zip(self._weights, self._orders):
+        for w in self._weights:
             digit, i = divmod(i, w)
-            g = self._extendable(images)[digit]
-            images += (g,)
-            table = _extend(self.group.add_table, table, g, n)
-        table = tuple(table)
+            images += (self._extendable(images)[digit],)
+        table = tuple(self._table(images))
         _validate_automorphism(self.group, table)
         return table
 

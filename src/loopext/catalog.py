@@ -127,19 +127,21 @@ def _complete_loop(
     return solve(0)
 
 
-def search_ip_loop(l: int, *, forbid_order3: bool = True) -> Optional[FiniteLoop]:
-    """Search for a non-associative inverse-property loop of order l,
-    smallest table first."""
-    points = tuple(range(1, l))
-    for inv_rest in _involutions(points):
-        inv = {0: 0, **inv_rest}
-        found = _complete_loop(
-            l, inv, lip=True, rip=True, forbid_order3=forbid_order3,
-            predicate=lambda L: not L.is_associative(),
-        )
+def _first_over_inverse_maps(l: int, **constraints) -> Optional[FiniteLoop]:
+    """First loop of order l that :func:`_complete_loop` accepts under
+    ``constraints``, over the involutive inverse maps in ``_involutions`` order."""
+    for rest in _involutions(tuple(range(1, l))):
+        found = _complete_loop(l, {0: 0, **rest}, **constraints)
         if found is not None:
             return found
     return None
+
+
+def search_ip_loop(l: int, *, forbid_order3: bool = True) -> Optional[FiniteLoop]:
+    """Search for a non-associative inverse-property loop of order l,
+    smallest table first."""
+    return _first_over_inverse_maps(l, lip=True, rip=True, forbid_order3=forbid_order3,
+                                    predicate=lambda L: not L.is_associative())
 
 
 @lru_cache(maxsize=None)
@@ -171,15 +173,10 @@ def ip_loop8() -> FiniteLoop:
 def lip_only_loop() -> FiniteLoop:
     """Smallest searched loop with the left but not the right inverse property."""
     for l in (5, 6):
-        points = tuple(range(1, l))
-        for inv_rest in _involutions(points):
-            inv = {0: 0, **inv_rest}
-            found = _complete_loop(
-                l, inv, lip=True,
-                predicate=lambda L: not L.properties().has_rip,
-            )
-            if found is not None:
-                return found
+        found = _first_over_inverse_maps(l, lip=True,
+                                         predicate=lambda L: not L.properties().has_rip)
+        if found is not None:
+            return found
     raise InputError("no LIP-only loop of order 5 or 6 was found")
 
 

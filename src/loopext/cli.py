@@ -22,7 +22,7 @@ from .constructions import (
     construct_lip_cocycle,
     construct_rip_cocycle,
 )
-from .errors import InternalError, LoopextError, ResourceError
+from .errors import InternalError, LoopextError, ResourceError, decimals
 from .extension import build_extension
 from .fileio import (
     emit_cocycle_file,
@@ -160,6 +160,9 @@ def cmd_feasible(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def decimal(text: str) -> int:  # an integer option is ASCII decimal, as file tokens are
+        return decimals([text])[0]
+
     parser = argparse.ArgumentParser(
         prog="loopext",
         description="Construct and verify linear abelian extensions of groups by loops.",
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--mode", required=True, choices=sorted(_CONSTRUCTORS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=decimal, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true", help="also print the orbit table")
     p.set_defaults(func=cmd_construct)
@@ -202,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible",
                        help="orders l with 6 | (l-1)(l-2), as in IP loops with no x*x = x^-1")
-    p.add_argument("--max-l", type=int, required=True)
+    p.add_argument("--max-l", type=decimal, required=True)
     p.set_defaults(func=cmd_feasible)
 
     return parser
@@ -218,7 +221,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (LoopextError, OSError) as exc:  # an OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

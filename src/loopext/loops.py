@@ -3,12 +3,12 @@
 A loop of size l is an l x l Latin square over ``0..l-1`` whose row 0 and
 column 0 are the identity permutation.  Elements are plain integers.  Loops
 are immutable after validation, apart from what :func:`kept` keeps: the
-report of ``properties()``, the one home of the loop's inverse facts (the
-LIP and RIP witnesses, the first inverse mismatch and the two-sided inverse
-map), the first non-commuting pair, and Sigma and the orbit decompositions
-of ``loopext.orbits``.  Every predicate here is a pure function.  Of the
-divisions only e/x and x\\e are kept, as the two inverse maps; no library
-path divides general elements.
+report of ``properties()``, computed from the loop and the one home of its
+inverse facts (LIP and RIP witnesses, first inverse mismatch, two-sided
+inverse map), the first non-commuting pair, and Sigma and the orbit
+decompositions of ``loopext.orbits``.  Every predicate here is a pure
+function.  Of the divisions only e/x and x\\e are kept, as the two inverse
+maps; no library path divides general elements.
 """
 
 from __future__ import annotations
@@ -129,34 +129,36 @@ def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
 
 
 class LoopPropertyReport:
-    """Inverse-property flags of a loop, with the scan witnesses behind them.
+    """Inverse-property flags of a loop, with the scan witnesses behind them,
+    computed from the loop alone by ``LoopPropertyReport(loop)``.
 
     ``lip_witness``, ``rip_witness`` and ``inverse_mismatch`` are the first
     finds of :func:`first_lip_counterexample`,
     :func:`first_rip_counterexample` and :func:`first_inverse_mismatch`, or
-    None when the property holds.  ``inverse_map`` is the two-sided inverse
-    table when left and right inverses coincide, else None; the diagonal
-    maps p(x) = P(x^{-1}, x) and q(x) = Q(x^{-1}, x) of a cocycle are read
-    off it.  ``has_order3_element`` (x != e with x*x = x^{-1}) is only
-    defined in the coinciding case and raises
-    :class:`PreconditionError` otherwise.
+    None when the property holds.  Both laws are scanned with e/x as x^{-1},
+    the only choice: at y = e the LIP law forces e/x, the RIP law x\\e, equal
+    under RIP.  ``inverse_map`` is the two-sided inverse table when left and
+    right inverses coincide, else None; the diagonal maps p(x) = P(x^{-1}, x)
+    and q(x) = Q(x^{-1}, x) of a cocycle are read off it.
+    ``has_order3_element`` (x != e with x*x = x^{-1}) is only defined in the
+    coinciding case and raises :class:`PreconditionError` otherwise.
     """
 
     __slots__ = ("lip_witness", "rip_witness", "inverse_mismatch", "has_lip", "has_rip",
                  "has_ip", "two_sided_inverses_coincide", "inverse_map", "_order3")
 
-    def __init__(self, *, lip_witness: Optional[tuple[int, int]],
-                 rip_witness: Optional[tuple[int, int]], inverse_mismatch: Optional[int],
-                 inverse_map: Optional[tuple[int, ...]], order3: Optional[bool]):
-        self.lip_witness = lip_witness
-        self.rip_witness = rip_witness
-        self.inverse_mismatch = inverse_mismatch
-        self.has_lip = lip_witness is None
-        self.has_rip = rip_witness is None
+    def __init__(self, loop: FiniteLoop):
+        self.lip_witness = first_lip_counterexample(loop)
+        self.rip_witness = first_rip_counterexample(loop)
+        self.inverse_mismatch = first_inverse_mismatch(loop)
+        self.has_lip = self.lip_witness is None
+        self.has_rip = self.rip_witness is None
         self.has_ip = self.has_lip and self.has_rip
-        self.two_sided_inverses_coincide = inverse_mismatch is None
-        self.inverse_map = inverse_map
-        self._order3 = order3
+        self.two_sided_inverses_coincide = self.inverse_mismatch is None
+        self.inverse_map = self._order3 = None
+        if self.two_sided_inverses_coincide:
+            inverse_map = self.inverse_map = loop._left_inverse
+            self._order3 = any(row[x] == inverse_map[x] for x, row in enumerate(loop.table) if x)
 
     @property
     def has_order3_element(self) -> bool:
@@ -231,21 +233,8 @@ def noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
 
 
 def analyze_properties(loop: FiniteLoop) -> LoopPropertyReport:
-    """Compute the inverse-property report of a loop.
-
-    LIP and RIP are tested with the left-inverse map, the only possible
-    witness: at y = e the LIP law forces e/x, the RIP law x\\e, equal under RIP.
-    """
-    lip_witness = first_lip_counterexample(loop)
-    rip_witness = first_rip_counterexample(loop)
-    mismatch = first_inverse_mismatch(loop)
-    inverse_map = order3 = None
-    if mismatch is None:
-        inverse_map = loop._left_inverse
-        order3 = any(row[x] == inverse_map[x] for x, row in enumerate(loop.table) if x)
-    return LoopPropertyReport(lip_witness=lip_witness, rip_witness=rip_witness,
-                              inverse_mismatch=mismatch, inverse_map=inverse_map,
-                              order3=order3)
+    """The inverse-property report of a loop, ``LoopPropertyReport(loop)``."""
+    return LoopPropertyReport(loop)
 
 
 def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:

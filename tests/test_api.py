@@ -117,11 +117,6 @@ KEYWORD_PARAMETERS = [
     "CardinalityCertificate(k)",
     "CardinalityCertificate(h)",
     "ChoiceSource(seed)",
-    "LoopPropertyReport(lip_witness)",
-    "LoopPropertyReport(rip_witness)",
-    "LoopPropertyReport(inverse_mismatch)",
-    "LoopPropertyReport(inverse_map)",
-    "LoopPropertyReport(order3)",
     "construct_pq(free_fixed_points)",
     "random_cocycle(strongly_linear)",
 ]

@@ -57,3 +57,30 @@ def test_tracer_records_normal_quotient_span(monkeypatch):
     names = [record[0] for record in tracer.spans]
     assert "loops.normal_quotient" in names
     assert tracer.job_metrics([None])[0]["loops.normal_quotient_s"] > 0
+
+
+def test_tracer_records_report_scans(monkeypatch):
+    # the report runs its three scans through the loops module's globals, and
+    # properties() goes through analyze_properties, or the bench's
+    # loops.analyze_* and loops.scan_* metrics would silently read 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import loopext.cli  # noqa: F401
+    from loopext import catalog, loops
+
+    import tracing
+
+    loop = loops.make_loop(catalog.ip_loop7().table)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = loop.properties()
+    finally:
+        tracer.uninstall()
+    assert report.has_ip
+    spans = tracer.spans
+    analyze = [i for i, record in enumerate(spans) if record[0] == "loops.analyze"]
+    assert len(analyze) == 1
+    scans = [record for record in spans if record[0] == "loops.scan"]
+    assert len(scans) == 3 and all(record[3] == analyze[0] for record in scans)
+    assert tracer.job_metrics([None])[0]["loops.analyze_calls"] == 1

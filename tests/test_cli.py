@@ -168,6 +168,22 @@ def test_unreadable_file_exits_2(capsys, loop_files, tmp_path, command, bad):
         assert f"{path}:2: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("option", ["--seed", "--max-l"])
+@pytest.mark.parametrize("value", ["\u0661_6", "1_0", "+3"])
+def test_integer_options_are_ascii_decimals(capsys, loop_files, tmp_path, option, value):
+    # int() takes an underscore, a plus sign and non-ASCII digits; the file
+    # formats and --group refuse them, and so do the integer options
+    out = tmp_path / "c.coc"
+    argv = {"--seed": ["construct", "--loop", loop_files["klein"], "--group", "3",
+                       "--mode", "ip", "--out", str(out)],
+            "--max-l": ["feasible"]}[option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid decimal value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAut:
     def test_klein_group(self, capsys):
         code, out, _ = run(capsys, "aut", "--group", "2,2")

@@ -170,7 +170,8 @@ class TestParseRefusals:
 # Tokens that ``int`` takes and the formats do not: an underscore, a plus
 # sign, a non-ASCII digit.  Each used to parse (``loop 0_2`` as size 2,
 # ``--group 1_6`` as Z16); each is now refused with the message of a token
-# that is no integer at all.
+# that is no integer at all.  A group spec with an empty or bare ``-`` part
+# gets the same message.
 ASCII_DECIMAL_REFUSALS = [
     ("loop", "loop 2\n0 1\n1 0_0\n", "non-integer entry"),
     ("loop", "loop 2\n0 1\n1 +0\n", "non-integer entry"),
@@ -183,6 +184,10 @@ ASCII_DECIMAL_REFUSALS = [
     ("cocycle", "cocycle l=2 group=1_6\n" + COCYCLE_BODY, "bad group spec '1_6'"),
     ("group", "1_6", "bad group spec '1_6'"),
     ("group", "2,+2", "bad group spec '2,+2'"),
+    ("group", "2,,2", "bad group spec '2,,2'"),
+    ("group", "2,", "bad group spec '2,'"),
+    ("group", ",", "bad group spec ','"),
+    ("group", "-", "bad group spec '-'"),
 ]
 
 
