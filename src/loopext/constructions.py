@@ -237,7 +237,9 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     On each phi-orbit the representative is free and the partner cell
     (x^{-1}, x*y) is forced by
         Q(x^{-1}, x*y) = Q(x,y)^{-1},
-        P(x^{-1}, x*y) = Q(x,y)^{-1} P(x,y) Q(x^{-1},x)^{-1} P(x^{-1},x).
+        P(x^{-1}, x*y) = Q(x,y)^{-1} P(x,y) Q(x^{-1},x)^{-1} P(x^{-1},x),
+    the phi pair map of (P(x,y), Q(x,y)) with the row tail
+    Q(x^{-1},x)^{-1} P(x^{-1},x) entering P.
 
     The image need not be every LIP cocycle.  At a self-inverse element
     x != e, :func:`construct_pq` takes p(x) = q(x), although the property
@@ -264,12 +266,12 @@ def construct_lip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     # q(x)^{-1} p(x) = Q(x^{-1},x)^{-1} P(x^{-1},x) per element
     tails = [products[inverses[q]][p] for p, q in zip(pmap, qmap)]
 
-    codes = iter(phi_orbits(loop)._codes)
-    for cell, partner in zip(codes, codes):
+    phi = PAIR_MAPS["phi"]
+    for cell, partner in phi_orbits(loop).blocks():
         ptable[cell] = pr = choice.pick(naut)
         qtable[cell] = qr = choice.pick(naut)
-        qtable[partner] = vq = inverses[qr]
-        ptable[partner] = products[vq][products[pr][tails[cell // l]]]
+        ptable[partner], qtable[partner] = phi(products, inverses,
+                                               products[pr][tails[cell // l]], qr)
 
     return _gated(_finish(loop, group, ptable, qtable), "lip")
 
@@ -284,7 +286,9 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     P(e, x) = p(x^{-1})^{-1}; Q(x, e) is the free boundary map instead.
     Partner cells (x*y, y^{-1}) are forced by
         P(x*y, y^{-1}) = P(x,y)^{-1},
-        Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y) P(y,y^{-1})^{-1} Q(y,y^{-1}).
+        Q(x*y, y^{-1}) = P(x,y)^{-1} Q(x,y) P(y,y^{-1})^{-1} Q(y,y^{-1}),
+    the psi pair map of (P(x,y), Q(x,y)) with the column tail
+    P(y,y^{-1})^{-1} Q(y,y^{-1}) entering Q.
 
     As for LIP, p(x) = q(x) at a self-inverse x != e, so the image need not
     be every RIP cocycle: 4 of the 8 on L = Z2 with A = Z3.
@@ -311,12 +315,12 @@ def construct_rip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     tails = [products[inverses[ptable[y * l + iy]]][qtable[y * l + iy]]
              for y, iy in enumerate(inv)]
 
-    codes = iter(psi_orbits(loop)._codes)
-    for cell, partner in zip(codes, codes):
+    psi = PAIR_MAPS["psi"]
+    for cell, partner in psi_orbits(loop).blocks():
         ptable[cell] = pr = choice.pick(naut)
         qtable[cell] = qr = choice.pick(naut)
-        ptable[partner] = vp = inverses[pr]
-        qtable[partner] = products[vp][products[qr][tails[cell % l]]]
+        ptable[partner], qtable[partner] = psi(products, inverses,
+                                               pr, products[qr][tails[cell % l]])
 
     return _gated(_finish(loop, group, ptable, qtable), "rip")
 
@@ -328,8 +332,8 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     Requires an inverse-property loop.  Sigma is Id; each orbit
     representative draws a free automorphism pair (P, Q), and every other
     orbit member receives the pair transformed by the symmetry carrying the
-    representative there.  An orbit of two, whose representative is its own
-    phi*psi image, gets (Id, Id), which its stabiliser fixes, and no draw.
+    representative there.  An orbit of two, which lists each of its cells
+    three times, gets (Id, Id), which its stabiliser fixes, and no draw.
     """
     refuse_oversized_extension(loop, group)
     autgroup = enumerate_automorphisms(group)
@@ -337,11 +341,11 @@ def construct_ip_cocycle(loop: FiniteLoop, group: AbelianGroup,
     products, inverses = autgroup.products, autgroup.inverses
     decomposition = gamma_orbits(loop)
     ptable, qtable = _tables(loop.size, ident, sigma_set(loop))
-    codes = iter(decomposition._codes)
-    for orbit in zip(*[codes] * 6):
-        of_two = orbit[0] == orbit[4]  # phi*psi fixes the representative
+    moves = [PAIR_MAPS[name] for name in decomposition.symmetries]
+    for block in decomposition.blocks():
+        of_two = len(set(block)) < len(block)  # an orbit of two lists its cells thrice
         pr, qr = (ident, ident) if of_two else (choice.pick(naut), choice.pick(naut))
-        for pair_map, code in zip(PAIR_MAPS.values(), orbit):
+        for pair_map, code in zip(moves, block):
             ptable[code], qtable[code] = pair_map(products, inverses, pr, qr)
     cocycle = _finish(loop, group, ptable, qtable)
     if not is_strongly_linear(cocycle):

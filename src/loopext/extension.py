@@ -41,17 +41,36 @@ def refuse_oversized_extension(loop: FiniteLoop, group: AbelianGroup) -> None:
 
 
 class LoopCocycle:
-    """Validated pair of automorphism-index tables over a loop and a group."""
+    """Pair of automorphism-index tables over a loop and a group, validated
+    (shape, range, identity boundary) against the Aut(A) it enumerates."""
 
     __slots__ = ("loop", "group", "autgroup", "ptable", "qtable", "_kept")
 
-    def __init__(self, loop: FiniteLoop, group: AbelianGroup, autgroup: AutomorphismGroup,
-                 ptable, qtable):
-        self.loop = loop
-        self.group = group
-        self.autgroup = autgroup
-        self.ptable = ptable
-        self.qtable = qtable
+    def __init__(self, loop: FiniteLoop, group: AbelianGroup, ptable, qtable):
+        refuse_oversized_extension(loop, group)  # before Aut(A)
+        self.loop, self.group = loop, group
+        self.autgroup = autgroup = enumerate_automorphisms(group)
+        l, naut = loop.size, len(autgroup)
+
+        def norm(table, name):
+            rows = tuple(integers(row, f"{name} table entry") for row in table)
+            if len(rows) != l or any(len(row) != l for row in rows):
+                raise InputError(f"{name} table must be {l}x{l}")
+            for row in rows:
+                if min(row) < 0 or max(row) >= naut:
+                    v = next(v for v in row if not 0 <= v < naut)
+                    raise InputError(f"{name} table entry {v} is not a valid "
+                                     f"automorphism index (0..{naut - 1})")
+            return rows
+
+        self.ptable, self.qtable = prows, qrows = norm(ptable, "P"), norm(qtable, "Q")
+        ident = autgroup.identity_index
+        for x in range(l):
+            if prows[x][0] != ident:
+                raise InputError(f"P({x}, e) must be the identity automorphism")
+        for y in range(l):
+            if qrows[0][y] != ident:
+                raise InputError(f"Q(e, {y}) must be the identity automorphism")
         # see kept: "built" -> build_extension's (loop, defect), which holds
         # nothing of the cocycle; "lip", "rip", "equivariance" -> closed-form verdict
         self._kept = {}
@@ -73,35 +92,8 @@ class LoopCocycle:
 
 
 def make_cocycle(loop: FiniteLoop, group: AbelianGroup, ptable, qtable) -> LoopCocycle:
-    """Validate index tables (shape, range, identity boundary) into a cocycle;
-    refuse an oversized extension first."""
-    refuse_oversized_extension(loop, group)
-    autgroup = enumerate_automorphisms(group)
-    l = loop.size
-    naut = len(autgroup)
-
-    def norm(table, name):
-        rows = tuple(integers(row, f"{name} table entry") for row in table)
-        if len(rows) != l or any(len(row) != l for row in rows):
-            raise InputError(f"{name} table must be {l}x{l}")
-        for row in rows:
-            if min(row) < 0 or max(row) >= naut:
-                v = next(v for v in row if not 0 <= v < naut)
-                raise InputError(
-                    f"{name} table entry {v} is not a valid automorphism index (0..{naut - 1})"
-                )
-        return rows
-
-    prows = norm(ptable, "P")
-    qrows = norm(qtable, "Q")
-    ident = autgroup.identity_index
-    for x in range(l):
-        if prows[x][0] != ident:
-            raise InputError(f"P({x}, e) must be the identity automorphism")
-    for y in range(l):
-        if qrows[0][y] != ident:
-            raise InputError(f"Q(e, {y}) must be the identity automorphism")
-    return LoopCocycle(loop, group, autgroup, prows, qrows)
+    """The validated cocycle ``LoopCocycle(loop, group, ptable, qtable)``."""
+    return LoopCocycle(loop, group, ptable, qtable)
 
 
 def build_extension(
@@ -280,12 +272,11 @@ def check_equivariance(cocycle: LoopCocycle) -> bool:
 def _equivariance_holds(cocycle: LoopCocycle) -> bool:
     pt, qt = list(chain.from_iterable(cocycle.ptable)), list(chain.from_iterable(cocycle.qtable))
     products, inverses = cocycle.autgroup.products, cocycle.autgroup.inverses
-    moves = list(PAIR_MAPS.values())[1:]  # member 0 is the representative, under "id"
-    codes = iter(gamma_orbits(cocycle.loop)._codes)
-    for rep, *members in zip(*[codes] * 6):
-        p, q = pt[rep], qt[rep]
-        for pair_map, code in zip(moves, members):
+    decomposition = gamma_orbits(cocycle.loop)
+    moves = [PAIR_MAPS[name] for name in decomposition.symmetries]
+    for block in decomposition.blocks():
+        p, q = pt[block[0]], qt[block[0]]
+        for pair_map, code in zip(moves, block):
             if (pt[code], qt[code]) != pair_map(products, inverses, p, q):
                 return False
     return True
-

@@ -76,7 +76,8 @@ PAIR_MAPS: dict[str, Callable] = {
 class OrbitDecomposition:
     """The orbits on Sigma's complement, each the tuple of its member cells,
     representative first, the images under ``symmetries`` in that order.
-    They are packed as the codes x*l + y, len(``symmetries``) per orbit."""
+    They are packed as the codes x*l + y, len(``symmetries``) per orbit;
+    :meth:`blocks` is the one reader of the packing."""
 
     __slots__ = ("symmetries", "_l", "_codes")
 
@@ -86,9 +87,13 @@ class OrbitDecomposition:
     def __len__(self) -> int:
         return len(self._codes) // len(self.symmetries)
 
+    def blocks(self) -> Iterator[tuple[int, ...]]:
+        """Each orbit as the codes x*l + y of its members, in orbit order."""
+        codes = iter(self._codes)
+        return zip(*[codes] * len(self.symmetries))
+
     def __iter__(self) -> Iterator[tuple[Cell, ...]]:
-        cells = (divmod(code, self._l) for code in self._codes)
-        return zip(*[cells] * len(self.symmetries))
+        return (tuple(divmod(code, self._l) for code in block) for block in self.blocks())
 
     @property
     def orbits(self) -> tuple[tuple[Cell, ...], ...]:

@@ -62,6 +62,7 @@ PUBLIC_API = [
     "LoopPropertyReport.rip_witness",
     "LoopPropertyReport.two_sided_inverses_coincide",
     "OrbitDecomposition",
+    "OrbitDecomposition.blocks",
     "OrbitDecomposition.orbits",
     "OrbitDecomposition.symmetries",
     "PAIR_MAPS",

@@ -4,7 +4,10 @@ removal of any of them fail the test suite instead of the traced bench run.
 The test only imports from ``perfbench/`` and writes nothing there."""
 
 import sys
+import traceback
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -84,3 +87,36 @@ def test_tracer_records_report_scans(monkeypatch):
     scans = [record for record in spans if record[0] == "loops.scan"]
     assert len(scans) == 3 and all(record[3] == analyze[0] for record in scans)
     assert tracer.job_metrics([None])[0]["loops.analyze_calls"] == 1
+
+
+def test_tracer_records_cocycle_validation(monkeypatch):
+    # LoopCocycle validates inside make_cocycle's span, or the bench's
+    # extension.make_cocycle_s would move into another layer
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import loopext.cli  # noqa: F401
+    from loopext import abelian, catalog, extension, fileio
+    from loopext.errors import InputError
+
+    import tracing
+
+    loop, group = catalog.klein_loop(), abelian.make_group([3])
+    ptable, qtable = [[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)]
+    text = fileio.dumps_cocycle(extension.make_cocycle(loop, group, ptable, qtable))
+    ptable[1][1] = 7
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fileio.loads_cocycle(text, loop)
+        parsed = len(tracer.spans)
+        with pytest.raises(InputError, match="^P table entry 7 ") as raised:
+            extension.make_cocycle(loop, group, ptable, qtable)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    made = [i for i, record in enumerate(spans[:parsed]) if record[0] == "extension.make_cocycle"]
+    assert len(made) == 1 and spans[spans[made[0]][3]][0] == "fileio.parse"
+    assert spans[parsed][0] == "extension.make_cocycle" and spans[parsed][3] == -1
+    assert all(record[3] >= parsed for record in spans[parsed + 1:])
+    frames = [frame.name for frame in traceback.extract_tb(raised.value.__traceback__)]
+    assert frames[-4:-1] == ["wrapper", "make_cocycle", "__init__"]

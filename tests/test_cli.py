@@ -184,6 +184,19 @@ def test_integer_options_are_ascii_decimals(capsys, loop_files, tmp_path, option
     assert not out.exists()
 
 
+def test_seed_is_taken_modulo_2_64(capsys, loop_files, tmp_path):
+    # the README's CLI section promises these two pairs of equal files
+    def construct(seed):
+        out = tmp_path / f"{seed}.coc"
+        code, _, _ = run(capsys, "construct", "--loop", loop_files["klein"], "--group", "3",
+                         "--mode", "ip", "--seed", seed, "--out", str(out))
+        assert code == 0
+        return out.read_bytes()
+
+    assert construct("18446744073709551616") == construct("0")
+    assert construct("-1") == construct("18446744073709551615") != construct("0")
+
+
 class TestAut:
     def test_klein_group(self, capsys):
         code, out, _ = run(capsys, "aut", "--group", "2,2")

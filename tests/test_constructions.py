@@ -472,8 +472,8 @@ def built_from_another_cocycle(monkeypatch):
 
 
 def last_orbit_dropped(monkeypatch):
-    monkeypatch.setattr(constructions, "phi_orbits",
-                        lambda loop: SimpleNamespace(_codes=phi_orbits(loop)._codes[:-2]))
+    monkeypatch.setattr(constructions, "phi_orbits", lambda loop: SimpleNamespace(
+        blocks=lambda: list(phi_orbits(loop).blocks())[:-1]))
 
 
 def coincidence_refused(monkeypatch):

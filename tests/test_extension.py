@@ -1,8 +1,9 @@
+import inspect
 import itertools
 
 import pytest
 
-from loopext.abelian import make_group
+from loopext.abelian import enumerate_automorphisms, make_group
 from loopext.catalog import abelian_group_loop, cyclic_loop, ip_loop8, klein_loop
 from loopext.constructions import (
     ChoiceSource,
@@ -12,6 +13,7 @@ from loopext.constructions import (
 )
 from loopext.errors import InputError, PreconditionError, ResourceError
 from loopext.extension import (
+    LoopCocycle,
     build_extension,
     check_cip,
     check_equivariance,
@@ -63,6 +65,10 @@ def cocycle_with(loop, group, p_cells=(), q_cells=()):
     return make_cocycle(loop, group, p, q)
 
 
+# the two ways to build a cocycle, which refuse the same inputs alike
+ENTRY_POINTS = (make_cocycle, LoopCocycle)
+
+
 class TestMakeCocycle:
     def test_all_identity_valid(self, loops, groups):
         trivial_cocycle(loops["z4"], groups["z3"])
@@ -70,60 +76,81 @@ class TestMakeCocycle:
     def test_p_boundary_enforced(self, loops, groups):
         p, q = identity_tables(2)
         p[1][0] = 1
-        with pytest.raises(InputError, match=r"^P\(1, e\) must be the identity automorphism$"):
-            make_cocycle(loops["z2"], groups["z3"], p, q)
+        for build in ENTRY_POINTS:
+            with pytest.raises(InputError,
+                               match=r"^P\(1, e\) must be the identity automorphism$"):
+                build(loops["z2"], groups["z3"], p, q)
 
     def test_q_boundary_enforced(self, loops, groups):
         p, q = identity_tables(2)
         q[0][1] = 1
-        with pytest.raises(InputError, match=r"^Q\(e, 1\) must be the identity automorphism$"):
-            make_cocycle(loops["z2"], groups["z3"], p, q)
+        for build in ENTRY_POINTS:
+            with pytest.raises(InputError,
+                               match=r"^Q\(e, 1\) must be the identity automorphism$"):
+                build(loops["z2"], groups["z3"], p, q)
 
     def test_bad_index(self, loops, groups):
         p, q = identity_tables(2)
         p[1][1] = 5
-        with pytest.raises(InputError):
-            make_cocycle(loops["z2"], groups["z3"], p, q)
+        for build in ENTRY_POINTS:
+            with pytest.raises(InputError):
+                build(loops["z2"], groups["z3"], p, q)
 
     def test_non_integer_entry_rejected(self, loops, groups):
         # refused, not truncated to indices 0 and 1; bools are ints and pass
-        p, q = identity_tables(2)
-        p[1][1], q[1][1] = 0.7, 1.2
-        with pytest.raises(InputError, match="^P table entry is not an integer: "):
-            make_cocycle(loops["z2"], groups["z3"], p, q)
-        p[1][1] = 1
-        with pytest.raises(InputError, match="^Q table entry is not an integer: "):
-            make_cocycle(loops["z2"], groups["z3"], p, q)
-        q[1][1] = True
-        cocycle = make_cocycle(loops["z2"], groups["z3"], p, q)
-        assert cocycle.qtable == ((0, 0), (0, 1)) and type(cocycle.qtable[1][1]) is int
+        for build in ENTRY_POINTS:
+            p, q = identity_tables(2)
+            p[1][1], q[1][1] = 0.7, 1.2
+            with pytest.raises(InputError, match="^P table entry is not an integer: "):
+                build(loops["z2"], groups["z3"], p, q)
+            p[1][1] = 1
+            with pytest.raises(InputError, match="^Q table entry is not an integer: "):
+                build(loops["z2"], groups["z3"], p, q)
+            q[1][1] = True
+            cocycle = build(loops["z2"], groups["z3"], p, q)
+            assert cocycle.qtable == ((0, 0), (0, 1)) and type(cocycle.qtable[1][1]) is int
 
     def test_bad_index_names_first_bad_entry(self, loops, groups):
         # Aut(Z3) has 2 members; rows are scanned in order, entries left to right
-        p, q = identity_tables(3)
-        p[2] = [0, 9, -1]
-        q[1] = [0, -4, 7]
-        with pytest.raises(InputError) as raised:
-            make_cocycle(loops["z3"], groups["z3"], p, q)
-        assert type(raised.value) is InputError
-        assert str(raised.value) == "P table entry 9 is not a valid automorphism index (0..1)"
-        p[2] = [0, 1, 1]
-        with pytest.raises(InputError, match=r"^Q table entry -4 is not a valid "):
-            make_cocycle(loops["z3"], groups["z3"], p, q)
+        for build in ENTRY_POINTS:
+            p, q = identity_tables(3)
+            p[2] = [0, 9, -1]
+            q[1] = [0, -4, 7]
+            with pytest.raises(InputError) as raised:
+                build(loops["z3"], groups["z3"], p, q)
+            assert type(raised.value) is InputError
+            assert str(raised.value) == "P table entry 9 is not a valid automorphism index (0..1)"
+            p[2] = [0, 1, 1]
+            with pytest.raises(InputError, match=r"^Q table entry -4 is not a valid "):
+                build(loops["z3"], groups["z3"], p, q)
 
     def test_repr_and_equality(self, loops, groups):
         cocycle = trivial_cocycle(loops["z4"], groups["z2xz2"])
         assert repr(cocycle) == "LoopCocycle(l=4, group=[2, 2], aut=6)"
         assert cocycle.__eq__(1) is NotImplemented
         assert (cocycle == 1) is False
+        p, q = identity_tables(4)
+        assert LoopCocycle(loops["z4"], groups["z2xz2"], p, q) == cocycle
 
     def test_bad_shape(self, loops, groups):
-        with pytest.raises(InputError):
-            make_cocycle(loops["z2"], groups["z3"], [[0, 0]], [[0, 0], [0, 0]])
+        for build in ENTRY_POINTS:
+            with pytest.raises(InputError, match=r"^P table must be 2x2$"):
+                build(loops["z2"], groups["z3"], [[0, 0]], [[0, 0], [0, 0]])
+
+    def test_aut_group_is_derived(self, loops, groups):
+        # Aut(A) is worked out from the group, so no caller can pass one that
+        # the tables do not index: an entry 7 over Aut(Z3) is refused up front
+        assert "autgroup" not in inspect.signature(LoopCocycle).parameters
+        assert LoopCocycle(loops["z2"], groups["z3"], *identity_tables(2)).autgroup == (
+            enumerate_automorphisms(groups["z3"]))
+        p, q = identity_tables(4)
+        p[1][1] = 7
+        with pytest.raises(InputError, match=r"^P table entry 7 is not a valid .*\(0\.\.1\)$"):
+            LoopCocycle(loops["klein"], groups["z3"], p, q)
 
     def test_extension_order_cap(self, monkeypatch):
         # N = l * |A| = 4096 is admitted; one more element of L is refused by
-        # make_cocycle and by random_cocycle before Aut(A) or any draw
+        # make_cocycle, LoopCocycle and random_cocycle before Aut(A) or any draw
         from loopext import constructions, extension
 
         refuse_oversized_extension(cyclic_loop(64), make_group([64]))
@@ -133,8 +160,9 @@ class TestMakeCocycle:
             monkeypatch.setattr(module, "enumerate_automorphisms", None)
         p, q = identity_tables(65)
         message = "^extension order N = 65 \\* 64 = 4160 exceeds the cap 4096$"
-        with pytest.raises(ResourceError, match=message):
-            make_cocycle(big, group, p, q)
+        for build in ENTRY_POINTS:
+            with pytest.raises(ResourceError, match=message):
+                build(big, group, p, q)
         with pytest.raises(ResourceError, match=message):
             random_cocycle(big, group, None)
 

@@ -1,3 +1,4 @@
+import pathlib
 import tracemalloc
 
 import pytest
@@ -261,6 +262,32 @@ class TestPackedWalk:
         first = decomposition.orbits
         assert first is not decomposition.orbits
         assert first == decomposition.orbits
+
+    @pytest.mark.parametrize("name", ["klein", "ip7", "ip8", "lip_only"])
+    def test_blocks_are_the_packed_orbits(self, loops, name):
+        # ip7 has orbits of two, each cell listed three times in its block
+        loop = loops[name]
+        report = loop.properties()
+        applies = {"phi": report.has_lip, "psi": report.has_rip, "gamma": report.has_ip}
+        walked = [mode for mode in WALKS if applies[mode]]
+        assert walked == (["phi"] if name == "lip_only" else list(WALKS))
+        for mode in walked:
+            decomposition = WALKS[mode][0](loop)
+            blocks = list(decomposition.blocks())
+            assert len(blocks) == len(decomposition)
+            assert all(len(block) == len(decomposition.symmetries) for block in blocks)
+            assert [tuple(divmod(code, loop.size) for code in block)
+                    for block in blocks] == list(decomposition.orbits)
+            twos = [block for block in blocks if len(set(block)) < len(block)]
+            assert bool(twos) == ((name, mode) == ("ip7", "gamma"))
+            assert all(len(set(block)) == 2 for block in twos)
+
+    def test_only_orbits_reads_the_packing(self):
+        # every other module reads a decomposition through blocks()
+        source = pathlib.Path(orbits.__file__).parent
+        readers = [path.name for path in sorted(source.glob("*.py"))
+                   if "._codes" in path.read_text(encoding="utf-8")]
+        assert readers == ["orbits.py"]
 
 
 class TestWalkerChecks:
