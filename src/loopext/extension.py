@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import InputError, PreconditionError, ResourceError, StructureError, integers
-from .loops import FiniteLoop, kept, validate_table
+from .loops import FiniteLoop, kept
 from .orbits import PAIR_MAPS, gamma_orbits
 
 # Largest extension order N = l * |A| admitted; cyclic_loop(64) with A = Z64
@@ -110,10 +110,9 @@ def build_extension(
 def _build(cocycle: LoopCocycle):
     rows = _extension_rows(cocycle)
     try:
-        validate_table(rows)
+        return FiniteLoop(rows, _checked=True), None
     except StructureError as defect:
         return None, defect.with_traceback(None)
-    return FiniteLoop(rows, _checked=True), None
 
 
 def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:

@@ -9,6 +9,12 @@ inverse map), the first non-commuting pair, and Sigma and the orbit
 decompositions of ``loopext.orbits``.  Every predicate here is a pure
 function.  Of the divisions only e/x and x\\e are kept, as the two inverse
 maps; no library path divides general elements.
+
+A table of order l <= 256 is also kept packed, one byte per cell at
+x*l + y, so a row is a slice and a column a strided slice.  The Latin check,
+the LIP and RIP scans and the quotient check test each such line whole by
+``bytes.translate``; only a failing line is scanned cell by cell, so every
+witness and error is the row path's.
 """
 
 from __future__ import annotations
@@ -19,18 +25,17 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError, PreconditionError, StructureError, integers
 
 class FiniteLoop:
-    """Cayley-table loop: the validated table, its two inverse maps and the
-    facts :func:`kept` keeps: its property report, first non-commuting pair,
-    Sigma and orbit decompositions."""
+    """Cayley-table loop: the validated table, packed (None above order 256),
+    its two inverse maps and the facts :func:`kept` keeps: its property
+    report, first non-commuting pair, Sigma and orbit decompositions.
+    ``_checked`` (entries are ints already) skips only ``integers``."""
 
-    __slots__ = ("size", "table", "_left_inverse", "_right_inverse", "_kept")
+    __slots__ = ("size", "table", "_packed", "_left_inverse", "_right_inverse", "_kept")
 
     def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
-        if _checked:
-            rows = tuple(map(tuple, table))
-        else:
-            rows = tuple(integers(row, "loop table entry") for row in table)
-            validate_table(rows)
+        rows = (tuple(map(tuple, table)) if _checked
+                else tuple(integers(row, "loop table entry") for row in table))
+        self._packed = validate_table(rows)
         self.size = len(rows)
         self.table = rows
         # x\e is where row x holds e; e/z = x exactly when x\e = z, so the
@@ -92,11 +97,25 @@ def kept(owner, key, compute, *args):
     return facts[key]
 
 
-def validate_table(rows: Sequence[Sequence[int]]) -> None:
-    """Raise StructureError unless ``rows`` is a loop table with identity 0:
-    one pass over the rows (length, range, permutation), one over the
-    columns, then the identity row and column."""
+def validate_table(rows: Sequence[Sequence[int]]) -> Optional[bytes]:
+    """Raise StructureError unless ``rows`` is a loop table with identity 0;
+    return it packed when l <= 256, else None.  A packed table passes when
+    row and column 0 are 0..l-1 and each row and column holds all of
+    ``bytes(range(l))``; any other, or one that fails, takes the row path,
+    which names the defect: one pass over the rows (length, range,
+    permutation), one over the columns, then the identity row and column."""
     l = len(rows)
+    try:
+        packed = (b"".join(map(bytes, rows))
+                  if 0 < l <= 256 and all(len(row) == l for row in rows) else None)
+    except (TypeError, ValueError):  # an entry outside 0..255: the row path names it
+        packed = None
+    if packed is not None:
+        full = bytes(range(l))
+        if (packed[:l] == full == packed[::l]
+                and not any(full.translate(None, packed[i:i + l]) for i in range(0, l * l, l))
+                and not any(full.translate(None, packed[j::l]) for j in range(l))):
+            return packed
     if l < 1:
         raise StructureError("loop table must have at least one row")
     full = set(range(l))
@@ -190,14 +209,18 @@ def first_lip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     scanned cell by cell for its witness.  At size 1 ``itemgetter`` returns a
     scalar, so that row takes the cell scan, which finds nothing.
     """
-    t = loop.table
-    identity = tuple(range(loop.size))
-    for x, (row, ix) in enumerate(zip(t, loop._left_inverse)):
-        left = t[ix]
-        if itemgetter(*row)(left) != identity:
-            for y, xy in enumerate(row):
-                if left[xy] != y:
-                    return (x, y)
+    t, l, packed, inverse = loop.table, loop.size, loop._packed, loop._left_inverse
+    if packed is None:
+        identity = tuple(range(l))
+        rows = ((x, row) for x, (row, ix) in enumerate(zip(t, inverse))
+                if itemgetter(*row)(t[ix]) != identity)
+    else:
+        rows = _failing_lines([packed[i:i + l] for i in range(0, l * l, l)], inverse)
+    for x, row in rows:
+        left = t[inverse[x]]
+        for y, xy in enumerate(row):
+            if left[xy] != y:
+                return (x, y)
     return None
 
 
@@ -206,15 +229,28 @@ def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
 
     This is the LIP law of the opposite loop, but not its row scan: the
     columns of the table (the rows of the opposite loop) are taken one at a
-    time and scanned cell by cell, in the same (x, y) order, so an early
-    witness costs only the columns before it, not a full transpose.
+    time, in the same (x, y) order, so an early witness costs only the
+    columns before it, not a full transpose.  Packed, each column is checked
+    whole first, and only the first failing one is scanned cell by cell.
     """
-    t = loop.table
-    for x, (column, ix) in enumerate(zip(zip(*t), loop._left_inverse)):
+    t, l, packed, inverse = loop.table, loop.size, loop._packed, loop._left_inverse
+    columns = (enumerate(zip(*t)) if packed is None
+               else _failing_lines([packed[j::l] for j in range(l)], inverse))
+    for x, column in columns:
+        ix = inverse[x]
         for y, yx in enumerate(column):
             if t[yx][ix] != y:
                 return (x, y)
     return None
+
+
+def _failing_lines(lines: list[bytes], inverse: Sequence[int]):
+    """``(x, lines[x])`` for each x, ascending, whose packed line read
+    through line ``inverse[x]`` by one ``translate`` is not 0..l-1; the
+    256-byte table pads that line with bytes no entry below l reaches."""
+    pad, identity = bytes(256 - len(lines)), bytes(range(len(lines)))
+    return ((x, lines[x]) for x, ix in enumerate(inverse)
+            if lines[x].translate(lines[ix] + pad) != identity)
 
 
 def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
@@ -263,7 +299,8 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
     canonical ascending-least-element ones, with the identity coset at 0.
     The table is read off the representatives and every row of the loop is
     then checked against it, the classes of a whole row read by one
-    ``itemgetter`` gather, which proves coset multiplication well defined.
+    ``itemgetter`` gather (of a packed table, by one ``translate``), which
+    proves coset multiplication well defined.
     That also gives Nv = vN: take u = n in N, then n*v lies in the class of
     e*v = v, so Nv is inside the class of v, and |Nv| = |N| = |vN|.
     """
@@ -280,9 +317,14 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
             coset_of[u] = len(reps)
         reps.append(x)
     table = [[coset_of[t[a][b]] for b in reps] for a in reps]
-    # row u must read, at each v, the class of (class of u)*(class of v); both
-    # sides are gathers of l indices, so at l = 1 both are scalars
-    classes = tuple(coset_of)
+    # row u must read, at each v, the class of (class of u)*(class of v)
+    classes, packed = tuple(coset_of), loop._packed
+    if packed is not None:
+        labels = bytes(classes)
+        spread = [labels.translate(bytes(row).ljust(256, b"\0")) for row in table]
+        read = packed.translate(labels.ljust(256, b"\0"))
+        return table if read == b"".join(map(spread.__getitem__, classes)) else None
+    # both sides are gathers of l indices, so at l = 1 both are scalars
     spread = list(map(itemgetter(*classes), table))
     for row, cu in zip(t, classes):
         if itemgetter(*row)(classes) != spread[cu]:

@@ -814,6 +814,60 @@ class TestBrokenBuild:
         assert not (tmp_path / "x.coc").exists()
 
 
+@pytest.mark.parametrize("fault", ["column", "row"])
+@pytest.mark.parametrize("base,spec,n", [("klein", "3", 12), ("z2^5", "3,3", 288)])
+def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, spec, n, fault):
+    # FiniteLoop Latin-checks every built extension, packed at N <= 256 and
+    # on rows above; either way a table that fails is the kept defect, with
+    # the row path's text, and frees without the collector
+    import gc
+
+    from loopext import extension
+
+    loop = bundled_corpus()["klein"] if base == "klein" else abelian_group_loop([2] * 5)
+    loop_path, coc_path = str(tmp_path / "base.loop"), str(tmp_path / "c.coc")
+    emit_loop_file(loop, loop_path)
+    code, _, _ = run(capsys, "construct", "--loop", loop_path, "--group", spec, "--mode", "ip",
+                     "--seed", "7", "--out", coc_path)
+    assert code == 0
+    original = extension._extension_rows
+
+    def broken(cocycle):
+        rows = original(cocycle)
+        row = list(rows[1])
+        if fault == "column":  # rows stay permutations, columns 2 and 3 do not
+            row[2], row[3] = row[3], row[2]
+        else:
+            row[2] = row[3]
+        rows[1] = tuple(row)
+        return rows
+
+    monkeypatch.setattr(extension, "_extension_rows", broken)
+    index = 2 if fault == "column" else 1
+    message = f"{fault} {index} is not a permutation of 0..{n - 1}"
+    gc.collect()
+    gc.disable()
+    try:
+        cocycle = random_cocycle(loop, make_group(map(int, spec.split(","))), ChoiceSource(0))
+        ext, defect = build_extension(cocycle)
+        assert ext is None
+        assert (str(defect), defect.index, defect.axis) == (message, index, fault)
+        assert defect.__traceback__ is None and defect.__context__ is None
+        del cocycle, defect
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    code, out, _ = run(capsys, "verify", "--loop", loop_path, "--cocycle", coc_path,
+                       "--mode", "ip")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if "extension-latin" in line] == [
+        f"check extension-latin: fail ({message})",
+        f"counterexample extension-latin: {index}",
+    ]
+    assert lines[-1] == "result: fail"
+
+
 # sha256 of the construct -> extend -> verify transcript of each chain below,
 # recorded before the right-hand checks were derived from the left-hand ones;
 # the klein lip, rip and random digests were recorded again when verify began

@@ -396,6 +396,15 @@ def s3_loop():
     return make_loop([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms])
 
 
+def ill_defined_quotient_loop():
+    """The first table of catalog._complete_loop(8) whose subloop {0, 1} has
+    disjoint left cosets and Nx = xN for every x, but products of cosets
+    that are not well defined."""
+    rows = ("01234567", "10325476", "23016745", "32107654",
+            "45670123", "54761230", "67452301", "76543012")
+    return make_loop([[int(c) for c in row] for row in rows])
+
+
 def product_closed_subsets(loop):
     """Every set of elements that holds 0 and is closed under products."""
     for k in range(loop.size):
@@ -477,14 +486,8 @@ class TestNormality:
         assert verdicts == {"normal": 45, "overlap": 9, "nx": 6}
 
     def test_well_definedness_alone_fails(self):
-        # the first table of catalog._complete_loop(8) whose subloop {0, 1}
-        # has disjoint left cosets and Nx = xN for every x, but products of
-        # cosets that are not well defined (no loop of order 6 has such a
-        # subloop)
-        rows = ("01234567", "10325476", "23016745", "32107654",
-                "45670123", "54761230", "67452301", "76543012")
-        loop = make_loop([[int(c) for c in row] for row in rows])
-        assert assert_matches_reference(loop, {0, 1}) == "product"
+        # no loop of order 6 has such a subloop
+        assert assert_matches_reference(ill_defined_quotient_loop(), {0, 1}) == "product"
 
 
 # (table, exception type, exact message) of each make_loop refusal that no other
@@ -501,3 +504,127 @@ def test_refusals(case):
         make_loop(table)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def unpacked(loop):
+    """A copy of ``loop`` without its packed table, so every scan and the
+    quotient check take the row path."""
+    copy = make_loop(loop.table)
+    copy._packed = None
+    return copy
+
+
+def closed_subsets(loop):
+    """Product-closed subsets of a small loop; of a large one, the chain of
+    kernels {0..k-1} that are subloops."""
+    if loop.size <= 8:
+        return list(product_closed_subsets(loop))
+    return [set(range(k)) for k in range(1, loop.size + 1)
+            if loop.size % k == 0 and all(loop.table[x][y] < k for x in range(k) for y in range(k))]
+
+
+@pytest.fixture(scope="module")
+def packed_corpus(loops):
+    """The corpus, the opposite of lip_only, two loops whose first
+    non-normal verdict comes from the whole-row check (s3's {0, 1}, and a
+    subloop whose coset products are ill defined), cyclic_loop(256), and at
+    order 256 a LIP loop that is not RIP and a RIP loop that is not LIP."""
+    from loopext.abelian import make_group
+    from loopext.catalog import abelian_group_loop, cyclic_loop
+    from loopext.constructions import ChoiceSource, construct_lip_cocycle, construct_rip_cocycle
+    from loopext.extension import build_extension
+
+    out = {name: loops[name] for name in CORPUS}
+    out["rip_only"] = opposite_loop(loops["lip_only"])
+    out["s3"], out["ill_defined"] = s3_loop(), ill_defined_quotient_loop()
+    out["z256"] = cyclic_loop(256)
+    base, group = abelian_group_loop([2] * 5), make_group((2, 2, 2))
+    for name, construct in (("lip256", construct_lip_cocycle), ("rip256", construct_rip_cocycle)):
+        out[name] = build_extension(construct(base, group, ChoiceSource(1)))[0]
+    return out
+
+
+class TestPackedTable:
+    """A table of order l <= 256 is kept packed and every whole-line check
+    reads it; each must agree with the row path on every loop."""
+
+    def test_packed_slot(self):
+        from loopext.catalog import cyclic_loop
+
+        z256 = make_loop(cyclic_loop(256).table)
+        assert z256._packed == b"".join(map(bytes, z256.table))
+        assert make_loop(cyclic_loop(257).table)._packed is None
+
+    def test_big_cases_fail_one_law(self, packed_corpus):
+        lip256, rip256 = packed_corpus["lip256"], packed_corpus["rip256"]
+        assert lip256.size == rip256.size == 256
+        assert lip256._packed is not None and rip256._packed is not None
+        assert first_lip_counterexample(lip256) is None is not first_rip_counterexample(lip256)
+        assert first_rip_counterexample(rip256) is None is not first_lip_counterexample(rip256)
+
+    @pytest.mark.parametrize("name", [*CORPUS, "rip_only", "s3", "ill_defined", "z256", "lip256",
+                                      "rip256"])
+    def test_both_paths_agree(self, packed_corpus, name):
+        from loopext.loops import _quotient_table
+
+        loop = packed_corpus[name]
+        rows = unpacked(loop)
+        assert loop._packed is not None
+        assert first_lip_counterexample(loop) == first_lip_counterexample(rows)
+        assert first_rip_counterexample(loop) == first_rip_counterexample(rows)
+        assert first_lip_counterexample(loop) == reference_lip_scan(loop)
+        assert first_rip_counterexample(loop) == reference_rip_scan(loop)
+        subsets = closed_subsets(loop)
+        assert subsets
+        for members in subsets:
+            members = frozenset(members)
+            assert _quotient_table(loop, members) == _quotient_table(rows, members)
+            assert is_normal_subloop(loop, members) == is_normal_subloop(rows, members)
+
+
+def mutated(l, fault):
+    """The table of cyclic_loop(l) with one fault (None: none), as lists."""
+    rows = [[(x + y) % l for y in range(l)] for x in range(l)]
+    if fault == "repeated":
+        rows[1][2] = rows[1][3]
+    elif fault and fault.startswith("entry="):
+        rows[2][3] = int(fault[6:])
+    elif fault == "short-row":
+        rows[3].pop()
+    elif fault == "long-row":
+        rows[3].append(0)
+    elif fault == "column-only":  # rows stay permutations, columns 2 and 3 do not
+        rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+    elif fault == "identity-row":  # a Latin square whose row 0 is row 1
+        rows[0], rows[1] = rows[1], rows[0]
+    elif fault == "identity-column":  # row 0 stays, column 0 reads 0, 2, 1, ...
+        rows[1], rows[2] = rows[2], rows[1]
+    return rows
+
+
+FAULTS = ["repeated", "entry=l", "entry=255", "entry=256", "entry=-1", "short-row",
+          "long-row", "column-only", "identity-row", "identity-column"]
+
+
+@pytest.mark.parametrize("l", [4, 255, 256, 257])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_latin_faults_named_alike_packed_or_not(monkeypatch, l, fault):
+    # with ``bytes`` refused inside loopext.loops no table can be packed, so
+    # validate_table takes the row path; the error must be the same
+    from loopext import loops as loops_module
+    from loopext.loops import validate_table
+
+    def refused(*args):
+        raise ValueError("packing off")
+
+    sound, table = mutated(l, None), mutated(l, fault.replace("=l", f"={l}"))
+    errors = []
+    for packing in (True, False):
+        if not packing:
+            monkeypatch.setattr(loops_module, "bytes", refused, raising=False)
+        assert (validate_table(sound) is not None) == (packing and l <= 256)
+        with pytest.raises(StructureError) as caught:
+            validate_table(table)
+        errors.append((str(caught.value), caught.value.index, caught.value.axis))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == ("column" if fault in ("column-only", "identity-column") else "row")
