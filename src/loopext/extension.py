@@ -78,13 +78,13 @@ class LoopCocycle:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LoopCocycle):
             return NotImplemented
-        return (self.loop.table == other.loop.table
+        return (self.loop == other.loop
                 and self.group.orders == other.group.orders
                 and self.ptable == other.ptable
                 and self.qtable == other.qtable)
 
     def __hash__(self) -> int:
-        return hash((self.loop.table, self.group.orders, self.ptable, self.qtable))
+        return hash((self.loop, self.group.orders, self.ptable, self.qtable))
 
     def __repr__(self) -> str:
         return (f"LoopCocycle(l={self.loop.size}, "
@@ -108,38 +108,47 @@ def build_extension(
 
 
 def _build(cocycle: LoopCocycle):
-    rows = _extension_rows(cocycle)
+    table = _extension_table(cocycle)
     try:
-        return FiniteLoop(rows, _checked=True), None
+        return FiniteLoop(table, _checked=True), None
     except StructureError as defect:
         return None, defect.with_traceback(None)
 
 
-def _extension_rows(cocycle: LoopCocycle) -> list[tuple[int, ...]]:
-    """The multiplication table of the extension, row by row.
+def _extension_table(cocycle: LoopCocycle):
+    """The multiplication table of the extension: at order N = l * |A| <= 256
+    one ``bytes`` object, row after row, and above it a list of row tuples.
 
     Row (x, a) is l segments of n = |A| entries.  Segment y is
     (x*y)*n + (P(x,y)a + Q(x,y)b) for b in A: the block
     ``shifted[x*y][P(x,y)a]``, whose entry d is (x*y)*n + (P(x,y)a + d),
-    read at the positions Q(x,y)b by one ``itemgetter`` call."""
+    read at the positions Q(x,y)b.  Packed, a block is a 256-byte
+    ``translate`` table and the bytes of Q(x,y) are translated through it;
+    on rows, one ``itemgetter`` call reads it.  Entries below 256 fit a
+    byte, so the packed table is the row one, entry for entry."""
     autgroup = cocycle.autgroup
     ptable, qtable = cocycle.ptable, cocycle.qtable
     used = set().union(*ptable, *qtable)
     images = {i: autgroup[i] for i in used}
-    readers = {i: itemgetter(*images[i]) for i in used}
-    n = cocycle.group.size
-    add = cocycle.group.add_table
-    shifted = [tuple(tuple(base + d for d in row) for row in add)
-               for base in range(0, cocycle.loop.size * n, n)]
+    n, size = cocycle.group.size, cocycle.loop.size * cocycle.group.size
+    # how a block is made and read, and how a row grows and is sealed
+    if packed := size <= 256:
+        block, pad, grow, seal = bytes, bytes(256 - n), bytearray, bytes
+        readers = {i: bytes(images[i]).translate for i in used}
+    else:
+        block, pad, grow, seal = tuple, (), list, tuple
+        readers = {i: itemgetter(*images[i]) for i in used}
+    shifted = [[block([base + d for d in row]) + pad for row in cocycle.group.add_table]
+               for base in range(0, size, n)]
     rows = []
     for lrow, prow, qrow in zip(cocycle.loop.table, ptable, qtable):
         segments = [(shifted[z], images[p], readers[q]) for z, p, q in zip(lrow, prow, qrow)]
         for a in range(n):
-            row = []
-            for block, image, read in segments:
-                row += read(block[image[a]])
-            rows.append(tuple(row))
-    return rows
+            row = grow()
+            for blocks, image, read in segments:
+                row += read(blocks[image[a]])
+            rows.append(seal(row))
+    return b"".join(rows) if packed else rows
 
 
 def is_commutative_extension(cocycle: LoopCocycle) -> bool:

@@ -14,12 +14,15 @@ A table of order l <= 256 is also kept packed, one byte per cell at
 x*l + y, so a row is a slice and a column a strided slice.  The Latin check,
 the LIP and RIP scans and the quotient check test each such line whole by
 ``bytes.translate``; only a failing line is scanned cell by cell, so every
-witness and error is the row path's.
+witness and error is the row path's.  An extension of order <= 256 is born
+packed (:func:`loopext.extension.build_extension`): every scan it meets on
+the way to a verify report reads the packed table, and its rows are built
+only when ``table`` is first read.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, StructureError, integers
@@ -28,21 +31,41 @@ class FiniteLoop:
     """Cayley-table loop: the validated table, packed (None above order 256),
     its two inverse maps and the facts :func:`kept` keeps: its property
     report, first non-commuting pair, Sigma and orbit decompositions.
-    ``_checked`` (entries are ints already) skips only ``integers``."""
+    ``_checked`` (entries are ints already) skips only ``integers``; with it
+    the table may also be a packed ``bytes`` one, as an extension is built,
+    whose rows ``table`` builds on first read."""
 
-    __slots__ = ("size", "table", "_packed", "_left_inverse", "_right_inverse", "_kept")
+    __slots__ = ("size", "_table", "_packed", "_left_inverse", "_right_inverse", "_kept")
 
-    def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
-        rows = (tuple(map(tuple, table)) if _checked
-                else tuple(integers(row, "loop table entry") for row in table))
-        self._packed = validate_table(rows)
-        self.size = len(rows)
-        self.table = rows
+    def __init__(self, table: Sequence[Sequence[int]] | bytes, *, _checked: bool = False):
+        if _checked and isinstance(table, bytes):
+            # a square of at most 256**2 entries, whose float root is exact
+            self.size = l = int(len(table) ** 0.5)
+            if not is_packed_loop(table, l):
+                check_rows([table[i:i + l] for i in range(0, len(table), l)])
+            self._packed, self._table = table, None
+            right = tuple(table.index(0, i) - i for i in range(0, l * l, l))
+        else:
+            rows = (tuple(map(tuple, table)) if _checked
+                    else tuple(integers(row, "loop table entry") for row in table))
+            self._packed = validate_table(rows)
+            self.size = len(rows)
+            self._table = rows
+            right = tuple(row.index(0) for row in rows)
         # x\e is where row x holds e; e/z = x exactly when x\e = z, so the
         # left-inverse map is the inverse permutation of the right one
-        right = self._right_inverse = tuple(row.index(0) for row in rows)
+        self._right_inverse = right
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
         self._kept = {}  # "report", "noncommuting", "sigma" and each orbit mode -> its fact
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of the Cayley table, built from the packed table on first
+        read when the loop was born packed."""
+        if self._table is None:
+            packed, l = self._packed, self.size
+            self._table = tuple(tuple(packed[i:i + l]) for i in range(0, l * l, l))
+        return self._table
 
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""
@@ -69,6 +92,13 @@ class FiniteLoop:
         """Kept default property analysis (see :func:`analyze_properties`)."""
         return kept(self, "report", analyze_properties, self)
 
+    def _row(self, x: int) -> Sequence[int]:
+        """Row x: a slice of the packed table, else the row tuple."""
+        if self._packed is None:
+            return self.table[x]
+        l = self.size
+        return self._packed[x * l:x * l + l]
+
     def _check(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.size:
             raise InputError(f"element index {x!r} out of range for loop of size {self.size}")
@@ -76,10 +106,12 @@ class FiniteLoop:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteLoop):
             return NotImplemented
+        if self._packed is not None and other._packed is not None:
+            return self._packed == other._packed
         return self.table == other.table
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        return hash(self.table if self._packed is None else self._packed)
 
     def __repr__(self) -> str:
         return f"FiniteLoop(size={self.size})"
@@ -99,23 +131,36 @@ def kept(owner, key, compute, *args):
 
 def validate_table(rows: Sequence[Sequence[int]]) -> Optional[bytes]:
     """Raise StructureError unless ``rows`` is a loop table with identity 0;
-    return it packed when l <= 256, else None.  A packed table passes when
-    row and column 0 are 0..l-1 and each row and column holds all of
-    ``bytes(range(l))``; any other, or one that fails, takes the row path,
-    which names the defect: one pass over the rows (length, range,
-    permutation), one over the columns, then the identity row and column."""
+    return it packed when l <= 256, else None.  A table that cannot be
+    packed, or whose packed form fails :func:`is_packed_loop`, takes
+    :func:`check_rows`, which names the defect."""
     l = len(rows)
     try:
         packed = (b"".join(map(bytes, rows))
                   if 0 < l <= 256 and all(len(row) == l for row in rows) else None)
     except (TypeError, ValueError):  # an entry outside 0..255: the row path names it
         packed = None
-    if packed is not None:
-        full = bytes(range(l))
-        if (packed[:l] == full == packed[::l]
-                and not any(full.translate(None, packed[i:i + l]) for i in range(0, l * l, l))
-                and not any(full.translate(None, packed[j::l]) for j in range(l))):
-            return packed
+    if packed is not None and is_packed_loop(packed, l):
+        return packed
+    check_rows(rows)
+    return None
+
+
+def is_packed_loop(packed: bytes, l: int) -> bool:
+    """Whether a packed table is a loop table of order l with identity 0:
+    row and column 0 are 0..l-1 and each row and column holds all of
+    ``bytes(range(l))``."""
+    full = bytes(range(l))
+    return (packed[:l] == full == packed[::l]
+            and not any(full.translate(None, packed[i:i + l]) for i in range(0, l * l, l))
+            and not any(full.translate(None, packed[j::l]) for j in range(l)))
+
+
+def check_rows(rows: Sequence[Sequence[int]]) -> None:
+    """Raise StructureError naming the first defect of a table that is not a
+    loop table with identity 0: one pass over the rows (length, range,
+    permutation), one over the columns, then the identity row and column."""
+    l = len(rows)
     if l < 1:
         raise StructureError("loop table must have at least one row")
     full = set(range(l))
@@ -177,7 +222,10 @@ class LoopPropertyReport:
         self.inverse_map = self._order3 = None
         if self.two_sided_inverses_coincide:
             inverse_map = self.inverse_map = loop._left_inverse
-            self._order3 = any(row[x] == inverse_map[x] for x, row in enumerate(loop.table) if x)
+            l, packed = loop.size, loop._packed
+            diagonal = (packed[::l + 1] if packed is not None
+                        else [row[x] for x, row in enumerate(loop.table)])
+            self._order3 = any(map(eq, diagonal[1:], inverse_map[1:]))
 
     @property
     def has_order3_element(self) -> bool:
@@ -209,19 +257,16 @@ def first_lip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     scanned cell by cell for its witness.  At size 1 ``itemgetter`` returns a
     scalar, so that row takes the cell scan, which finds nothing.
     """
-    t, l, packed, inverse = loop.table, loop.size, loop._packed, loop._left_inverse
+    l, packed, inverse = loop.size, loop._packed, loop._left_inverse
     if packed is None:
+        lines = loop.table
         identity = tuple(range(l))
-        rows = ((x, row) for x, (row, ix) in enumerate(zip(t, inverse))
-                if itemgetter(*row)(t[ix]) != identity)
+        failing = ((x, row) for x, (row, ix) in enumerate(zip(lines, inverse))
+                   if itemgetter(*row)(lines[ix]) != identity)
     else:
-        rows = _failing_lines([packed[i:i + l] for i in range(0, l * l, l)], inverse)
-    for x, row in rows:
-        left = t[inverse[x]]
-        for y, xy in enumerate(row):
-            if left[xy] != y:
-                return (x, y)
-    return None
+        lines = [packed[i:i + l] for i in range(0, l * l, l)]
+        failing = _failing_lines(lines, inverse)
+    return _first_witness(failing, lines, inverse)
 
 
 def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
@@ -233,10 +278,12 @@ def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     columns before it, not a full transpose.  Packed, each column is checked
     whole first, and only the first failing one is scanned cell by cell.
     """
-    t, l, packed, inverse = loop.table, loop.size, loop._packed, loop._left_inverse
-    columns = (enumerate(zip(*t)) if packed is None
-               else _failing_lines([packed[j::l] for j in range(l)], inverse))
-    for x, column in columns:
+    l, packed, inverse = loop.size, loop._packed, loop._left_inverse
+    if packed is not None:
+        lines = [packed[j::l] for j in range(l)]
+        return _first_witness(_failing_lines(lines, inverse), lines, inverse)
+    t = loop.table
+    for x, column in enumerate(zip(*t)):
         ix = inverse[x]
         for y, yx in enumerate(column):
             if t[yx][ix] != y:
@@ -253,9 +300,29 @@ def _failing_lines(lines: list[bytes], inverse: Sequence[int]):
             if lines[x].translate(lines[ix] + pad) != identity)
 
 
+def _first_witness(failing, lines: Sequence[Sequence[int]],
+                   inverse: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (x, y), over the ``(x, line)`` pairs of ``failing``, with
+    ``lines[inverse[x]][line[y]] != y``: rows give the LIP witness, columns
+    the RIP one."""
+    for x, line in failing:
+        through = lines[inverse[x]]
+        for y, xy in enumerate(line):
+            if through[xy] != y:
+                return (x, y)
+    return None
+
+
 def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
+    l, packed = loop.size, loop._packed
+    if packed is not None:
+        for x in range(l):
+            row, column = packed[x * l:x * l + l], packed[x::l]
+            if row != column:
+                # rows and columns before x agree, so they differ first at a y > x
+                return (x, next(y for y in range(x + 1, l) if row[y] != column[y]))
+        return None
     t = loop.table
-    l = loop.size
     for x in range(l):
         for y in range(x + 1, l):
             if t[x][y] != t[y][x]:
@@ -285,8 +352,9 @@ def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:
     for x in members:
         loop._check(x)
     for x in members:
+        row = loop._row(x)
         for y in members:
-            if loop.table[x][y] not in members:
+            if row[y] not in members:
                 raise InputError(f"set is not closed under multiplication at ({x}, {y})")
 
 
@@ -305,18 +373,18 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
     e*v = v, so Nv is inside the class of v, and |Nv| = |N| = |vN|.
     """
     _validate_subloop(loop, members)
-    t = loop.table
     coset_of: list[Optional[int]] = [None] * loop.size
     reps: list[int] = []
     for x in range(loop.size):
         if coset_of[x] is not None:
             continue
-        for u in map(t[x].__getitem__, members):
-            if coset_of[u] is not None:
+        row = loop._row(x)
+        for m in members:
+            if coset_of[row[m]] is not None:
                 return None
-            coset_of[u] = len(reps)
+            coset_of[row[m]] = len(reps)
         reps.append(x)
-    table = [[coset_of[t[a][b]] for b in reps] for a in reps]
+    table = [[coset_of[row[b]] for b in reps] for row in map(loop._row, reps)]
     # row u must read, at each v, the class of (class of u)*(class of v)
     classes, packed = tuple(coset_of), loop._packed
     if packed is not None:
@@ -326,7 +394,7 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
         return table if read == b"".join(map(spread.__getitem__, classes)) else None
     # both sides are gathers of l indices, so at l = 1 both are scalars
     spread = list(map(itemgetter(*classes), table))
-    for row, cu in zip(t, classes):
+    for row, cu in zip(loop.table, classes):
         if itemgetter(*row)(classes) != spread[cu]:
             return None
     return table

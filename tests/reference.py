@@ -57,6 +57,39 @@ def exhaustive_iota(loop):
     return tuple(iota) if sorted(iota) == list(range(loop.size)) else None
 
 
+def extension_rows_by_cells(cocycle):
+    """Rows of the extension table, (x, a)(y, b) = (x*y, P(x,y)a + Q(x,y)b)
+    one cell at a time, on the indices (x, a) -> x*|A| + a."""
+    loop, aut, n = cocycle.loop, cocycle.autgroup, cocycle.group.size
+    add, pt, qt = cocycle.group.add_table, cocycle.ptable, cocycle.qtable
+    return [
+        tuple(loop.table[x][y] * n + add[aut[pt[x][y]][a]][aut[qt[x][y]][b]]
+              for y in range(loop.size) for b in range(n))
+        for x in range(loop.size) for a in range(n)
+    ]
+
+
+def noncommuting_pair_by_rows(loop):
+    """First (x, y), x < y, with x*y != y*x, cell by cell over the rows."""
+    t = loop.table
+    for x in range(loop.size):
+        for y in range(x + 1, loop.size):
+            if t[x][y] != t[y][x]:
+                return (x, y)
+    return None
+
+
+def edited_table(table, edit):
+    """An extension table as the builder returns it, packed ``bytes`` or a
+    list of row tuples, with ``edit`` applied to its list of row tuples; the
+    result is in the builder's container, packed again when it was packed."""
+    if not isinstance(table, bytes):
+        return edit(list(table))
+    l = round(len(table) ** 0.5)
+    rows = edit([tuple(table[i:i + l]) for i in range(0, len(table), l)])
+    return b"".join(map(bytes, rows))
+
+
 def quotient_table(loop, members):
     """Coset table of the subloop ``members``, cell by cell, or None when the
     left cosets overlap or the product of cosets is not well defined.  Cosets

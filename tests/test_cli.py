@@ -19,6 +19,7 @@ from loopext.fileio import (
     parse_loop_file,
 )
 from loopext.loops import analyze_properties
+from reference import edited_table
 
 
 @pytest.fixture()
@@ -469,13 +470,13 @@ class TestConstructVerifyExtend:
             "--mode", "ip", "--seed", "7", "--out", out_path)
         # the report reads the kept build of the table written to the file
         calls = []
-        original = extension._extension_rows
+        original = extension._extension_table
 
         def counting(cocycle):
             calls.append(cocycle)
             return original(cocycle)
 
-        monkeypatch.setattr(extension, "_extension_rows", counting)
+        monkeypatch.setattr(extension, "_extension_table", counting)
         code, _, _ = run(capsys, "extend", "--loop", loop_files["klein"], "--cocycle", out_path,
                          "--out", str(tmp_path / "f.loop"))
         assert code == 0
@@ -731,7 +732,7 @@ class TestExtensionOrderCap:
         def refuse(*args):
             raise AssertionError("work began before the size check")
 
-        monkeypatch.setattr(extension, "_extension_rows", refuse)
+        monkeypatch.setattr(extension, "_extension_table", refuse)
         monkeypatch.setattr(orbits, "_orbits", refuse)
         loop_path, coc_path = tmp_path / "z65.loop", tmp_path / "id.coc"
         emit_loop_file(cyclic_loop(65), loop_path)
@@ -776,16 +777,16 @@ class TestBrokenBuild:
         # swap two entries of row 1: rows stay permutations, columns 2 and 3 do not
         from loopext import extension
 
-        original = extension._extension_rows
+        original = extension._extension_table
 
-        def swapped(cocycle):
-            rows = original(cocycle)
+        def swap(rows):
             row = list(rows[1])
             row[2], row[3] = row[3], row[2]
             rows[1] = tuple(row)
             return rows
 
-        monkeypatch.setattr(extension, "_extension_rows", swapped)
+        monkeypatch.setattr(extension, "_extension_table",
+                            lambda cocycle: edited_table(original(cocycle), swap))
 
     @pytest.mark.parametrize("command", ["extend", "verify"])
     def test_latin_line_fails(self, capsys, loop_files, tmp_path, cocycle_path, broken_build,
@@ -817,9 +818,9 @@ class TestBrokenBuild:
 @pytest.mark.parametrize("fault", ["column", "row"])
 @pytest.mark.parametrize("base,spec,n", [("klein", "3", 12), ("z2^5", "3,3", 288)])
 def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, spec, n, fault):
-    # FiniteLoop Latin-checks every built extension, packed at N <= 256 and
-    # on rows above; either way a table that fails is the kept defect, with
-    # the row path's text, and frees without the collector
+    # FiniteLoop Latin-checks every built extension, born packed at N <= 256
+    # and as rows above; either way a table that fails is the kept defect,
+    # with the row path's text, and frees without the collector
     import gc
 
     from loopext import extension
@@ -830,10 +831,10 @@ def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, sp
     code, _, _ = run(capsys, "construct", "--loop", loop_path, "--group", spec, "--mode", "ip",
                      "--seed", "7", "--out", coc_path)
     assert code == 0
-    original = extension._extension_rows
+    original = extension._extension_table
+    containers = []
 
-    def broken(cocycle):
-        rows = original(cocycle)
+    def fault_row_1(rows):
         row = list(rows[1])
         if fault == "column":  # rows stay permutations, columns 2 and 3 do not
             row[2], row[3] = row[3], row[2]
@@ -842,7 +843,12 @@ def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, sp
         rows[1] = tuple(row)
         return rows
 
-    monkeypatch.setattr(extension, "_extension_rows", broken)
+    def broken(cocycle):
+        table = original(cocycle)
+        containers.append(type(table))
+        return edited_table(table, fault_row_1)
+
+    monkeypatch.setattr(extension, "_extension_table", broken)
     index = 2 if fault == "column" else 1
     message = f"{fault} {index} is not a permutation of 0..{n - 1}"
     gc.collect()
@@ -857,6 +863,7 @@ def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, sp
         assert gc.collect() == 0
     finally:
         gc.enable()
+    assert containers == [bytes if n <= 256 else list]  # the defect went in packed, or as rows
     code, out, _ = run(capsys, "verify", "--loop", loop_path, "--cocycle", coc_path,
                        "--mode", "ip")
     assert code == 1

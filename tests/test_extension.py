@@ -23,7 +23,7 @@ from loopext.extension import (
     is_commutative_extension,
     is_strongly_linear,
     make_cocycle,
-    _extension_rows,
+    _extension_table,
     refuse_oversized_extension,
 )
 from loopext.loops import (
@@ -39,6 +39,7 @@ from loopext.orbits import PAIR_MAPS, gamma_orbits
 from loopext.verification import _check_inverse_formulas
 from reference import (
     Replay,
+    extension_rows_by_cells,
     inverse_formula_mismatch,
     ip_conditions_hold,
     opposite_cocycle,
@@ -224,28 +225,34 @@ EXTENSION_ROW_BASES = {
     "z5": lambda: cyclic_loop(5),
     "ip8": ip_loop8,
     "ip8x2": lambda: product_loop(ip_loop8(), abelian_group_loop([2])),
+    "ip8x2^2": lambda: product_loop(ip_loop8(), abelian_group_loop([2, 2])),
 }
+
+EXTENSION_ROW_ORDERS = [(2,), (3,), (4,), (2, 2), (2, 2, 2), (5,)]
+
+# the grid (N <= 128), then N = 256, the fuzz workload's largest packed
+# build, and N = 288 on the row path
+EXTENSION_ROW_CASES = [
+    *[(base, orders, f"{base}-orders{i}") for i, orders in enumerate(EXTENSION_ROW_ORDERS)
+      for base in ("ip8", "ip8x2", "klein", "z5")],
+    ("ip8x2^2", (2, 2, 2), "ip8x2^2-z2^3"),
+    ("ip8x2^2", (3, 3), "ip8x2^2-z3^2"),
+]
 
 
 class TestExtensionRows:
-    @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (2, 2, 2), (5,)])
-    @pytest.mark.parametrize("base", sorted(EXTENSION_ROW_BASES))
+    @pytest.mark.parametrize("base,orders", [case[:2] for case in EXTENSION_ROW_CASES],
+                             ids=[case[2] for case in EXTENSION_ROW_CASES])
     def test_rows_match_cell_formula(self, base, orders):
         loop = EXTENSION_ROW_BASES[base]()
         group = make_group(orders)
-        n = group.size
-        add = group.add_table
         for seed in (1, 2):
             cocycle = random_cocycle(loop, group, ChoiceSource(seed))
-            aut = cocycle.autgroup
-            # (x, a)(y, b) = (x*y, P(x,y)a + Q(x,y)b), one cell at a time
-            reference = [
-                tuple(loop.table[x][y] * n
-                      + add[aut[cocycle.ptable[x][y]][a]][aut[cocycle.qtable[x][y]][b]]
-                      for y in range(loop.size) for b in range(n))
-                for x in range(loop.size) for a in range(n)
-            ]
-            assert _extension_rows(cocycle) == reference
+            reference = extension_rows_by_cells(cocycle)
+            # packed bytes, row after row, up to N = 256; row tuples above
+            expected = (b"".join(map(bytes, reference)) if loop.size * group.size <= 256
+                        else reference)
+            assert _extension_table(cocycle) == expected
 
 
 class TestCommutativity:

@@ -16,16 +16,22 @@ from loopext.constructions import (
     random_cocycle,
 )
 from loopext.errors import PreconditionError
-from loopext.extension import build_extension, make_cocycle
+from loopext.extension import build_extension, is_commutative_extension, make_cocycle
 from loopext.fileio import dumps_cocycle
-from loopext.loops import _quotient_table, make_loop
+from loopext.loops import _quotient_table, first_noncommuting_pair, make_loop
 from loopext.verification import (
     VerificationReport,
     _check_inverse_formulas,
     extension_report,
     verify_cocycle,
 )
-from reference import inverse_formula_mismatch, quotient_table
+from reference import (
+    edited_table,
+    extension_rows_by_cells,
+    inverse_formula_mismatch,
+    noncommuting_pair_by_rows,
+    quotient_table,
+)
 
 
 def identity_cocycle(loop, group):
@@ -160,12 +166,12 @@ class TestSinglePass:
 
         loops["z5"].properties()
         calls = count_scans(monkeypatch)
-        builds = count_calls(monkeypatch, extension_module, ["_extension_rows"])
+        builds = count_calls(monkeypatch, extension_module, ["_extension_table"])
         cocycle = construct_ip_cocycle(loops["z5"], groups["z2xz2"], ChoiceSource(1))
         report = verify_cocycle(cocycle, mode="ip")
         assert report.passed
         assert sorted(calls) == list(SCANS)
-        assert builds == ["_extension_rows"]
+        assert builds == ["_extension_table"]
 
     def test_commutativity_decided_once_per_loop(self, groups, monkeypatch):
         # the gate scans the base and the extension once each; verify and
@@ -229,18 +235,20 @@ class TestBuiltOnce:
         # swap two entries of row 1: rows stay permutations, columns 2 and 3 do not
         from loopext import extension
 
-        original = extension._extension_rows
+        original = extension._extension_table
         builds = []
 
-        def swapped(cocycle):
-            builds.append(cocycle)
-            rows = original(cocycle)
+        def swap(rows):
             row = list(rows[1])
             row[2], row[3] = row[3], row[2]
             rows[1] = tuple(row)
             return rows
 
-        monkeypatch.setattr(extension, "_extension_rows", swapped)
+        def swapped(cocycle):
+            builds.append(cocycle)
+            return edited_table(original(cocycle), swap)
+
+        monkeypatch.setattr(extension, "_extension_table", swapped)
         cocycle = identity_cocycle(loops["klein"], groups["z3"])
         first, second = (verify_cocycle(cocycle).to_text()
                          for _ in range(2))
@@ -283,16 +291,15 @@ def s3_loop():
     return make_loop([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms])
 
 
-def relabelled_rows(original, a, b):
-    """``_extension_rows`` of an isomorphic copy in which elements ``a`` and
+def relabelled_table(original, a, b):
+    """``_extension_table`` of an isomorphic copy in which elements ``a`` and
     ``b`` exchange names, so the table stays a loop but its inverses move."""
-    def rows(cocycle):
-        table = original(cocycle)
-        name = list(range(len(table)))
+    def rename(rows):
+        name = list(range(len(rows)))
         name[a], name[b] = b, a
-        return [tuple(name[table[u][v]] for v in name) for u in name]
+        return [tuple(name[rows[u][v]] for v in name) for u in name]
 
-    return rows
+    return lambda cocycle: edited_table(original(cocycle), rename)
 
 
 class TestGatheredKernels:
@@ -359,8 +366,8 @@ class TestGatheredKernels:
         else:
             made = CONSTRUCT[mode](loops[name], group, ChoiceSource(1))
             cocycle = make_cocycle(made.loop, made.group, made.ptable, made.qtable)
-        monkeypatch.setattr(extension, "_extension_rows",
-                            relabelled_rows(extension._extension_rows, a, b))
+        monkeypatch.setattr(extension, "_extension_table",
+                            relabelled_table(extension._extension_table, a, b))
         built, _ = build_extension(cocycle)
         witness = inverse_formula_mismatch(cocycle, built.table)
         assert witness is not None and witness[0] % group.size != 0
@@ -382,8 +389,8 @@ class TestKernelNotSubloop:
         # (1, 1) * (1, 1) = (0, 2) outside the kernel {0, 1, 2}
         from loopext import extension
 
-        monkeypatch.setattr(extension, "_extension_rows",
-                            relabelled_rows(extension._extension_rows, 2, 4))
+        monkeypatch.setattr(extension, "_extension_table",
+                            relabelled_table(extension._extension_table, 2, 4))
         return random_cocycle(loops["z2"], make_group([3]), ChoiceSource(0))
 
     def test_reports(self, cocycle):
@@ -456,20 +463,31 @@ def direct_product(left, right):
     ])
 
 
+FUZZ_GROUP_ORDERS = ((2,), (3,), (2, 2), (4,), (2, 2, 2), (5,))
+
+
+def fuzz_bases():
+    """The base loops of the fuzz grid."""
+    return [klein_loop(), cyclic_loop(5), cyclic_loop(7), ip_loop8(),
+            direct_product(ip_loop8(), abelian_group_loop([2]))]
+
+
+def fuzz_cocycle(loop, group, mode, choice):
+    """The fuzz job's cocycle: strongly linear at random, or constructed."""
+    if mode == "random":
+        return random_cocycle(loop, group, choice, strongly_linear=True)
+    return CONSTRUCT[mode](loop, group, choice)
+
+
 def test_frozen_fuzz_grid_text():
-    bases = [klein_loop(), cyclic_loop(5), cyclic_loop(7), ip_loop8(),
-             direct_product(ip_loop8(), abelian_group_loop([2]))]
-    groups = [make_group(orders) for orders in ((2,), (3,), (2, 2), (4,), (2, 2, 2), (5,))]
+    groups = [make_group(orders) for orders in FUZZ_GROUP_ORDERS]
     warm, cold = hashlib.sha256(), hashlib.sha256()
-    for loop in bases:
+    for loop in fuzz_bases():
         for group in groups:
             for mode in ("random", "lip", "rip", "ip"):
                 for seed in (0, 1):
                     choice = ChoiceSource(seed)
-                    if mode == "random":
-                        cocycle = random_cocycle(loop, group, choice, strongly_linear=True)
-                    else:
-                        cocycle = CONSTRUCT[mode](loop, group, choice)
+                    cocycle = fuzz_cocycle(loop, group, mode, choice)
                     remade = make_cocycle(make_loop(loop.table), group,
                                           cocycle.ptable, cocycle.qtable)
                     for digest, job in ((warm, cocycle), (cold, remade)):
@@ -479,3 +497,68 @@ def test_frozen_fuzz_grid_text():
                                       f"{report.to_text()}".encode())
     assert warm.hexdigest() == FUZZ_GRID_DIGEST
     assert cold.hexdigest() == FUZZ_GRID_DIGEST
+
+
+class TestPackedExtension:
+    """An extension of order N <= 256 is born packed; every scan on the way
+    to a verify report reads the packed table, never its rows."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        # the grid's bases and ip8x2^2, whose extension by Z2^3 is the fuzz
+        # workload's N = 256 job
+        return fuzz_bases() + [direct_product(ip_loop8(), abelian_group_loop([2, 2]))]
+
+    @pytest.mark.parametrize("mode", ["random", "lip", "rip", "ip"])
+    def test_verify_builds_no_rows(self, bases, mode):
+        for loop in bases:
+            for orders in FUZZ_GROUP_ORDERS:
+                cocycle = fuzz_cocycle(loop, make_group(orders), mode, ChoiceSource(0))
+                assert verify_cocycle(cocycle, mode="all" if mode == "random" else mode).passed
+                ext = build_extension(cocycle)[0]
+                assert ext.size <= 256 and ext._packed is not None
+                assert ext._table is None, (loop.size, orders, mode)
+                # == and hash read the packed table too
+                twin = build_extension(make_cocycle(loop, cocycle.group, cocycle.ptable,
+                                                    cocycle.qtable))[0]
+                assert twin is not ext and twin == ext and hash(twin) == hash(ext)
+                assert ext._table is None is twin._table
+                assert ext.table == tuple(extension_rows_by_cells(cocycle))
+                remade = make_loop(ext.table)
+                assert ext == remade and hash(ext) == hash(remade)
+
+    @pytest.mark.parametrize("mode", ["random", "lip", "rip", "ip"])
+    def test_noncommuting_witness_on_the_grid(self, bases, mode):
+        for loop in bases:
+            for orders in FUZZ_GROUP_ORDERS:
+                cocycle = fuzz_cocycle(loop, make_group(orders), mode, ChoiceSource(1))
+                ext = build_extension(cocycle)[0]
+                assert first_noncommuting_pair(ext) == noncommuting_pair_by_rows(ext)
+
+    def test_noncommuting_witness_under_relabeling(self, loops):
+        # every relabeling of the mismatch loop that keeps e at 0 moves the
+        # first non-commuting pair around the table
+        base, l = loops["mismatch"].table, loops["mismatch"].size
+        witnesses = set()
+        for rest in itertools.permutations(range(1, l)):
+            name = (0, *rest)
+            back = sorted(range(l), key=name.__getitem__)  # back[name[u]] = u
+            loop = make_loop([[name[base[back[x]][back[y]]] for y in range(l)]
+                              for x in range(l)])
+            assert loop._packed is not None
+            witness = first_noncommuting_pair(loop)
+            assert witness == noncommuting_pair_by_rows(loop) is not None
+            witnesses.add(witness)
+        assert len(witnesses) > 1
+
+    def test_commutative_extensions_have_no_witness(self, bases):
+        for loop in bases:
+            if not loop.is_commutative():
+                continue
+            for orders in FUZZ_GROUP_ORDERS:
+                # P = Q transposed over a commutative base: a commutative extension
+                made = random_cocycle(loop, make_group(orders), ChoiceSource(2))
+                cocycle = make_cocycle(loop, made.group, zip(*made.qtable), made.qtable)
+                assert is_commutative_extension(cocycle)
+                ext = build_extension(cocycle)[0]
+                assert first_noncommuting_pair(ext) is None is noncommuting_pair_by_rows(ext)
