@@ -191,8 +191,8 @@ def check_lip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_lip:
         raise PreconditionError("base loop does not have the left inverse property")
-    return kept(cocycle, "lip", _lip_conditions_hold, cocycle.loop.table, report.inverse_map,
-                cocycle.ptable, cocycle.qtable, cocycle.autgroup)
+    return kept(cocycle, "lip", _lip_conditions_hold, cocycle.loop._lines(0),
+                report.inverse_map, cocycle.ptable, cocycle.qtable, cocycle.autgroup)
 
 
 def check_rip_conditions(cocycle: LoopCocycle) -> bool:
@@ -203,13 +203,13 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
     Requires the base loop to have the right inverse property.
 
     These are the LIP conditions of the opposite extension: the LIP kernel
-    runs on the transposed loop table, with Q transposed as P and P as Q.
+    runs on the loop's columns, with Q transposed as P and P as Q.
     """
     report = cocycle.loop.properties()
     if not report.has_rip:
         raise PreconditionError("base loop does not have the right inverse property")
     return kept(cocycle, "rip", lambda: _lip_conditions_hold(
-        tuple(zip(*cocycle.loop.table)), report.inverse_map, tuple(zip(*cocycle.qtable)),
+        cocycle.loop._lines(1), report.inverse_map, tuple(zip(*cocycle.qtable)),
         tuple(zip(*cocycle.ptable)), cocycle.autgroup))
 
 

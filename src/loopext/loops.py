@@ -11,29 +11,32 @@ function.  Of the divisions only e/x and x\\e are kept, as the two inverse
 maps; no library path divides general elements.
 
 A table of order l <= 256 is also kept packed, one byte per cell at
-x*l + y, so a row is a slice and a column a strided slice.  The Latin check,
-the LIP and RIP scans and the quotient check test each such line whole by
-``bytes.translate``; only a failing line is scanned cell by cell, so every
-witness and error is the row path's.  An extension of order <= 256 is born
-packed (:func:`loopext.extension.build_extension`): every scan it meets on
-the way to a verify report reads the packed table, and its rows are built
-only when ``table`` is first read.
+x*l + y.  Only :class:`FiniteLoop` knows which container holds the table:
+``_lines`` hands out its rows or columns in that container (slices of the
+packed table, else the row tuples and a column view), and every scan here
+is written once over those lines.  A line is read through another by one
+``translate`` or one ``itemgetter`` gather (:func:`_read_through`), so a law
+is tested a whole line at a time and only a failing line is scanned cell by
+cell: every witness is the cell scan's.  An extension of order <= 256 is
+born packed (:func:`loopext.extension.build_extension`), and its rows are
+built only when ``table`` is first read.
 """
 
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from itertools import repeat, starmap
+from operator import eq, getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, StructureError, integers
 
 class FiniteLoop:
     """Cayley-table loop: the validated table, packed (None above order 256),
-    its two inverse maps and the facts :func:`kept` keeps: its property
-    report, first non-commuting pair, Sigma and orbit decompositions.
-    ``_checked`` (entries are ints already) skips only ``integers``; with it
-    the table may also be a packed ``bytes`` one, as an extension is built,
-    whose rows ``table`` builds on first read."""
+    its two inverse maps and the facts :func:`kept` keeps: its rows and
+    columns (``_lines``), property report, first non-commuting pair, Sigma
+    and orbit decompositions.  ``_checked`` (entries are ints already) skips
+    only ``integers``; with it the table may also be a packed ``bytes`` one,
+    as an extension is built, whose rows ``table`` builds on first read."""
 
     __slots__ = ("size", "_table", "_packed", "_left_inverse", "_right_inverse", "_kept")
 
@@ -56,7 +59,8 @@ class FiniteLoop:
         # left-inverse map is the inverse permutation of the right one
         self._right_inverse = right
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
-        self._kept = {}  # "report", "noncommuting", "sigma" and each orbit mode -> its fact
+        # "rows", "columns", "report", "noncommuting", "sigma" and each orbit mode -> its fact
+        self._kept = {}
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -92,12 +96,18 @@ class FiniteLoop:
         """Kept default property analysis (see :func:`analyze_properties`)."""
         return kept(self, "report", analyze_properties, self)
 
-    def _row(self, x: int) -> Sequence[int]:
-        """Row x: a slice of the packed table, else the row tuple."""
-        if self._packed is None:
-            return self.table[x]
-        l = self.size
-        return self._packed[x * l:x * l + l]
+    def _lines(self, axis: int):
+        """The rows (axis 0) or columns (axis 1) in the table's own container,
+        kept: slices of the packed table, else the row tuples and a
+        :class:`_Columns` view."""
+        return kept(self, ("rows", "columns")[axis], self._make_lines, axis)
+
+    def _make_lines(self, axis: int):
+        packed, l = self._packed, self.size
+        if packed is None:
+            return _Columns(self.table) if axis else self.table
+        return ([packed[j::l] for j in range(l)] if axis
+                else [packed[i:i + l] for i in range(0, l * l, l)])
 
     def _check(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.size:
@@ -115,6 +125,35 @@ class FiniteLoop:
 
     def __repr__(self) -> str:
         return f"FiniteLoop(size={self.size})"
+
+
+class _Columns:
+    """The columns of a row-tuple table, none of them kept, as a kept
+    transpose would double the table: iterating walks them by one ``zip``,
+    and column j is gathered from the rows only when it is indexed."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+
+    def __iter__(self):
+        return zip(*self.rows)
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        return tuple(map(itemgetter(j), self.rows))
+
+
+def _read_through(lines, throughs):
+    """Each line of ``lines`` read through the matching one of ``throughs``,
+    in the lines' container: entry y is ``through[line[y]]``.  A ``bytes``
+    line is read by one ``translate``, the through padded to its 256-byte
+    table with bytes no entry reaches; a tuple by one ``itemgetter`` gather,
+    a scalar at length 1.  The one reader outside :class:`FiniteLoop` that
+    tests the container, once per scan."""
+    if isinstance(lines[0], bytes):
+        return map(bytes.translate, lines, map(bytes.ljust, throughs, repeat(256)))
+    return map(itemgetter.__call__, starmap(itemgetter, lines), throughs)
 
 
 def kept(owner, key, compute, *args):
@@ -222,10 +261,8 @@ class LoopPropertyReport:
         self.inverse_map = self._order3 = None
         if self.two_sided_inverses_coincide:
             inverse_map = self.inverse_map = loop._left_inverse
-            l, packed = loop.size, loop._packed
-            diagonal = (packed[::l + 1] if packed is not None
-                        else [row[x] for x, row in enumerate(loop.table)])
-            self._order3 = any(map(eq, diagonal[1:], inverse_map[1:]))
+            diagonal = map(getitem, loop._lines(0)[1:], range(1, loop.size))
+            self._order3 = any(map(eq, diagonal, inverse_map[1:]))
 
     @property
     def has_order3_element(self) -> bool:
@@ -251,82 +288,42 @@ def first_inverse_mismatch(loop: FiniteLoop) -> Optional[int]:
 
 
 def first_lip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
-    """First (x, y) with (e/x)*(x*y) != y.
-
-    Each row is checked whole at C speed; only the first failing row is
-    scanned cell by cell for its witness.  At size 1 ``itemgetter`` returns a
-    scalar, so that row takes the cell scan, which finds nothing.
-    """
-    l, packed, inverse = loop.size, loop._packed, loop._left_inverse
-    if packed is None:
-        lines = loop.table
-        identity = tuple(range(l))
-        failing = ((x, row) for x, (row, ix) in enumerate(zip(lines, inverse))
-                   if itemgetter(*row)(lines[ix]) != identity)
-    else:
-        lines = [packed[i:i + l] for i in range(0, l * l, l)]
-        failing = _failing_lines(lines, inverse)
-    return _first_witness(failing, lines, inverse)
+    """First (x, y) with (e/x)*(x*y) != y: row x read through row e/x."""
+    return _first_witness(loop._lines(0), loop._left_inverse)
 
 
 def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
-    """First (x, y) with (y*x)*(e/x) != y.
+    """First (x, y) with (y*x)*(e/x) != y: column x read through column e/x.
 
-    This is the LIP law of the opposite loop, but not its row scan: the
-    columns of the table (the rows of the opposite loop) are taken one at a
-    time, in the same (x, y) order, so an early witness costs only the
-    columns before it, not a full transpose.  Packed, each column is checked
-    whole first, and only the first failing one is scanned cell by cell.
+    This is the LIP law of the opposite loop, whose rows are the columns, in
+    the same (x, y) order; above order 256 the columns are walked one at a
+    time and only column e/x is built, so no transpose is made.
     """
-    l, packed, inverse = loop.size, loop._packed, loop._left_inverse
-    if packed is not None:
-        lines = [packed[j::l] for j in range(l)]
-        return _first_witness(_failing_lines(lines, inverse), lines, inverse)
-    t = loop.table
-    for x, column in enumerate(zip(*t)):
-        ix = inverse[x]
-        for y, yx in enumerate(column):
-            if t[yx][ix] != y:
-                return (x, y)
-    return None
+    return _first_witness(loop._lines(1), loop._left_inverse)
 
 
-def _failing_lines(lines: list[bytes], inverse: Sequence[int]):
-    """``(x, lines[x])`` for each x, ascending, whose packed line read
-    through line ``inverse[x]`` by one ``translate`` is not 0..l-1; the
-    256-byte table pads that line with bytes no entry below l reaches."""
-    pad, identity = bytes(256 - len(lines)), bytes(range(len(lines)))
-    return ((x, lines[x]) for x, ix in enumerate(inverse)
-            if lines[x].translate(lines[ix] + pad) != identity)
-
-
-def _first_witness(failing, lines: Sequence[Sequence[int]],
-                   inverse: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The first (x, y), over the ``(x, line)`` pairs of ``failing``, with
-    ``lines[inverse[x]][line[y]] != y``: rows give the LIP witness, columns
-    the RIP one."""
-    for x, line in failing:
-        through = lines[inverse[x]]
-        for y, xy in enumerate(line):
-            if through[xy] != y:
-                return (x, y)
+def _first_witness(lines, inverse: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (x, y) with ``lines[inverse[x]][lines[x][y]] != y``.  Each
+    line x is read whole through line ``inverse[x]`` and compared with line
+    0, the identity; only a failing line is scanned cell by cell (a tuple
+    of length 1 reads as a scalar, so it fails whole and its cell scan finds
+    nothing)."""
+    identity = lines[0]
+    for x, read in enumerate(_read_through(lines, map(lines.__getitem__, inverse))):
+        if read != identity:
+            line, through = lines[x], lines[inverse[x]]
+            for y, xy in enumerate(line):
+                if through[xy] != y:
+                    return (x, y)
     return None
 
 
 def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
-    l, packed = loop.size, loop._packed
-    if packed is not None:
-        for x in range(l):
-            row, column = packed[x * l:x * l + l], packed[x::l]
-            if row != column:
-                # rows and columns before x agree, so they differ first at a y > x
-                return (x, next(y for y in range(x + 1, l) if row[y] != column[y]))
-        return None
-    t = loop.table
-    for x in range(l):
-        for y in range(x + 1, l):
-            if t[x][y] != t[y][x]:
-                return (x, y)
+    """First (x, y), x < y, with x*y != y*x: row x against column x."""
+    for x, (row, column) in enumerate(zip(loop._lines(0), loop._lines(1))):
+        if row != column:
+            # rows and columns before x agree, so they differ first at a y > x
+            return (x, next(y for y in range(x + 1, loop.size) if row[y] != column[y]))
     return None
 
 
@@ -351,8 +348,9 @@ def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:
         raise InputError("subloop must contain the identity")
     for x in members:
         loop._check(x)
+    rows = loop._lines(0)
     for x in members:
-        row = loop._row(x)
+        row = rows[x]
         for y in members:
             if row[y] not in members:
                 raise InputError(f"set is not closed under multiplication at ({x}, {y})")
@@ -367,37 +365,31 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
     canonical ascending-least-element ones, with the identity coset at 0.
     The table is read off the representatives and every row of the loop is
     then checked against it, the classes of a whole row read by one
-    ``itemgetter`` gather (of a packed table, by one ``translate``), which
-    proves coset multiplication well defined.
+    :func:`_read_through`, which proves coset multiplication well defined.
     That also gives Nv = vN: take u = n in N, then n*v lies in the class of
     e*v = v, so Nv is inside the class of v, and |Nv| = |N| = |vN|.
     """
     _validate_subloop(loop, members)
+    rows = loop._lines(0)
     coset_of: list[Optional[int]] = [None] * loop.size
     reps: list[int] = []
     for x in range(loop.size):
         if coset_of[x] is not None:
             continue
-        row = loop._row(x)
+        row = rows[x]
         for m in members:
             if coset_of[row[m]] is not None:
                 return None
             coset_of[row[m]] = len(reps)
         reps.append(x)
-    table = [[coset_of[row[b]] for b in reps] for row in map(loop._row, reps)]
-    # row u must read, at each v, the class of (class of u)*(class of v)
-    classes, packed = tuple(coset_of), loop._packed
-    if packed is not None:
-        labels = bytes(classes)
-        spread = [labels.translate(bytes(row).ljust(256, b"\0")) for row in table]
-        read = packed.translate(labels.ljust(256, b"\0"))
-        return table if read == b"".join(map(spread.__getitem__, classes)) else None
-    # both sides are gathers of l indices, so at l = 1 both are scalars
-    spread = list(map(itemgetter(*classes), table))
-    for row, cu in zip(loop.table, classes):
-        if itemgetter(*row)(classes) != spread[cu]:
-            return None
-    return table
+    table = [[coset_of[row[b]] for b in reps] for row in map(rows.__getitem__, reps)]
+    # row u must read, at each v, the class of (class of u)*(class of v):
+    # class v read through the table row of class u, spread over the loop
+    line = type(rows[0])  # bytes or tuple, the table's container
+    labels = line(coset_of)
+    spread = list(_read_through([labels] * len(reps), map(line, table)))
+    reads = _read_through(rows, repeat(labels))
+    return table if all(map(eq, reads, map(spread.__getitem__, coset_of))) else None
 
 
 def is_normal_subloop(loop: FiniteLoop, members: Iterable[int]) -> bool:

@@ -79,6 +79,16 @@ def noncommuting_pair_by_rows(loop):
     return None
 
 
+def unpacked(loop):
+    """A copy of ``loop`` without its packed table or kept facts, so every
+    scan, the quotient check and the closed-form checks read its lines in
+    the row container."""
+    copy = make_loop(loop.table)
+    copy._packed = None
+    copy._kept.clear()
+    return copy
+
+
 def edited_table(table, edit):
     """An extension table as the builder returns it, packed ``bytes`` or a
     list of row tuples, with ``edit`` applied to its list of row tuples; the

@@ -26,6 +26,7 @@ from loopext.fileio import (
     text_sha256,
 )
 from loopext.extension import build_extension
+from loopext.loops import make_loop
 
 Z2_TEXT = "loop 2\n0 1\n1 0\n"
 
@@ -339,3 +340,14 @@ class TestStreamedLoopFile:
             # one row at a time: the whole text (about 1 MB) is never held
             assert peak < 0.25e6, peak
             assert path.read_bytes() == dumps_loop(ext, given).encode()
+
+    def test_packed_born_extension_builds_no_rows(self):
+        # an extension of order <= 256 is written from its packed lines
+        loop, group = abelian_group_loop([2] * 5), make_group((2, 2, 2))
+        ext = build_extension(construct_ip_cocycle(loop, group, ChoiceSource(1)))[0]
+        assert ext.size == 256 and ext._packed is not None and ext._table is None
+        text = dumps_loop(ext, ("a comment",))
+        assert ext._table is None
+        assert text == dumps_loop(make_loop(ext.table), ("a comment",))
+        assert text == "# a comment\nloop 256\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in ext.table)

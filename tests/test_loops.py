@@ -13,7 +13,7 @@ from loopext.loops import (
     make_loop,
     quotient_loop,
 )
-from reference import exhaustive_iota, left_div, opposite_loop, right_div
+from reference import exhaustive_iota, left_div, opposite_loop, right_div, unpacked
 
 CORPUS = ["trivial", "z2", "z3", "z4", "z5", "z6", "z7", "z8",
           "klein", "ip7", "ip8", "lip_only", "mismatch"]
@@ -239,8 +239,8 @@ def reference_rip_scan(loop, iota=None):
 
 class TestRipScanDuality:
     """The RIP scan checks the LIP law of the opposite loop, one column of
-    the table at a time, cell by cell; its witnesses must be those of a
-    direct scan of the original table."""
+    the table at a time, read whole through column e/x; its witnesses must
+    be those of a direct scan of the original table."""
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_corpus_witnesses(self, loops, name):
@@ -506,14 +506,6 @@ def test_refusals(case):
     assert str(caught.value) == message
 
 
-def unpacked(loop):
-    """A copy of ``loop`` without its packed table, so every scan and the
-    quotient check take the row path."""
-    copy = make_loop(loop.table)
-    copy._packed = None
-    return copy
-
-
 def closed_subsets(loop):
     """Product-closed subsets of a small loop; of a large one, the chain of
     kernels {0..k-1} that are subloops."""
@@ -565,13 +557,15 @@ class TestPackedTable:
     @pytest.mark.parametrize("name", [*CORPUS, "rip_only", "s3", "ill_defined", "z256", "lip256",
                                       "rip256"])
     def test_both_paths_agree(self, packed_corpus, name):
-        from loopext.loops import _quotient_table
+        from loopext.loops import LoopPropertyReport, _quotient_table, first_noncommuting_pair
 
         loop = packed_corpus[name]
         rows = unpacked(loop)
         assert loop._packed is not None
         assert first_lip_counterexample(loop) == first_lip_counterexample(rows)
         assert first_rip_counterexample(loop) == first_rip_counterexample(rows)
+        assert first_noncommuting_pair(loop) == first_noncommuting_pair(rows)
+        assert repr(LoopPropertyReport(loop)) == repr(LoopPropertyReport(rows))
         assert first_lip_counterexample(loop) == reference_lip_scan(loop)
         assert first_rip_counterexample(loop) == reference_rip_scan(loop)
         subsets = closed_subsets(loop)
@@ -580,6 +574,71 @@ class TestPackedTable:
             members = frozenset(members)
             assert _quotient_table(loop, members) == _quotient_table(rows, members)
             assert is_normal_subloop(loop, members) == is_normal_subloop(rows, members)
+
+
+class TestRowContainer:
+    """Above order 256 the table is held as row tuples: every scan reads its
+    rows and a column view, and must match the cell-by-cell references."""
+
+    @pytest.fixture(scope="class")
+    def extensions(self):
+        # abelian_group_loop([2] * 5) by Z3^2: N = 288, one past the packed bound
+        from loopext.abelian import make_group
+        from loopext.catalog import abelian_group_loop
+        from loopext.constructions import (ChoiceSource, construct_ip_cocycle,
+                                           construct_lip_cocycle, construct_rip_cocycle,
+                                           random_cocycle)
+        from loopext.extension import build_extension
+
+        base, group = abelian_group_loop([2] * 5), make_group((3, 3))
+        construct = {"lip": construct_lip_cocycle, "rip": construct_rip_cocycle,
+                     "ip": construct_ip_cocycle, "random": random_cocycle}
+        return {mode: build_extension(make(base, group, ChoiceSource(1)))[0]
+                for mode, make in construct.items()}
+
+    @pytest.mark.parametrize("mode", ["lip", "rip", "ip", "random"])
+    def test_scans_match_references(self, extensions, mode):
+        from loopext.loops import _quotient_table, first_noncommuting_pair
+        from reference import noncommuting_pair_by_rows, quotient_table
+
+        ext = extensions[mode]
+        assert ext.size == 288 and ext._packed is None
+        lip, rip = first_lip_counterexample(ext), first_rip_counterexample(ext)
+        assert lip == reference_lip_scan(ext) and rip == reference_rip_scan(ext)
+        if mode != "random":  # each law is met and missed on some mode
+            assert {"lip": (True, False), "rip": (False, True),
+                    "ip": (True, True)}[mode] == (lip is None, rip is None)
+        assert first_noncommuting_pair(ext) == noncommuting_pair_by_rows(ext)
+        subsets = closed_subsets(ext)
+        assert frozenset(range(9)) in map(frozenset, subsets)
+        for members in subsets:
+            assert _quotient_table(ext, frozenset(members)) == quotient_table(ext, members)
+
+    def test_rip_scan_builds_no_transpose(self):
+        # N = 512 held as rows: a RIP scan that holds to the end walks every
+        # column and reads each through column e/x without keeping either
+        import tracemalloc
+
+        from loopext.abelian import make_group
+        from loopext.catalog import abelian_group_loop
+        from loopext.constructions import ChoiceSource, construct_rip_cocycle
+        from loopext.extension import build_extension
+
+        cocycle = construct_rip_cocycle(abelian_group_loop([2] * 6), make_group((2, 2, 2)),
+                                        ChoiceSource(1))
+        rows = build_extension(cocycle)[0].table
+        tracemalloc.start()
+        try:
+            loop = make_loop(rows)
+            table = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            witness = first_rip_counterexample(loop)
+            scan = tracemalloc.get_traced_memory()[1] - table
+        finally:
+            tracemalloc.stop()
+        assert loop.size == 512 and loop._packed is None and witness is None
+        assert table > 2e6
+        assert scan < table / 4, (scan, table)
 
 
 def mutated(l, fault):

@@ -16,7 +16,13 @@ from loopext.constructions import (
     random_cocycle,
 )
 from loopext.errors import PreconditionError
-from loopext.extension import build_extension, is_commutative_extension, make_cocycle
+from loopext.extension import (
+    build_extension,
+    check_lip_conditions,
+    check_rip_conditions,
+    is_commutative_extension,
+    make_cocycle,
+)
 from loopext.fileio import dumps_cocycle
 from loopext.loops import _quotient_table, first_noncommuting_pair, make_loop
 from loopext.verification import (
@@ -31,6 +37,7 @@ from reference import (
     inverse_formula_mismatch,
     noncommuting_pair_by_rows,
     quotient_table,
+    unpacked,
 )
 
 
@@ -497,6 +504,26 @@ def test_frozen_fuzz_grid_text():
                                       f"{report.to_text()}".encode())
     assert warm.hexdigest() == FUZZ_GRID_DIGEST
     assert cold.hexdigest() == FUZZ_GRID_DIGEST
+
+
+@pytest.mark.parametrize("mode", ["random", "lip", "rip", "ip"])
+def test_closed_forms_read_either_container(mode):
+    # the LIP and RIP conditions read the base loop's rows and columns; over
+    # a row-container copy of each base the verdicts are the same
+    verdicts = set()
+    for loop in fuzz_bases():
+        rows = unpacked(loop)
+        for orders in FUZZ_GROUP_ORDERS:
+            for seed in (0, 1):
+                cocycle = fuzz_cocycle(loop, make_group(orders), mode, ChoiceSource(seed))
+                twin = make_cocycle(rows, cocycle.group, cocycle.ptable, cocycle.qtable)
+                verdict = (check_lip_conditions(cocycle), check_rip_conditions(cocycle))
+                assert verdict == (check_lip_conditions(twin), check_rip_conditions(twin))
+                verdicts.add(verdict)
+        assert rows._packed is None and loop._packed is not None
+    expected = {"random": {(False, False)}, "lip": {(True, False)}, "rip": {(False, True)},
+                "ip": {(True, True)}}[mode]
+    assert expected <= verdicts
 
 
 class TestPackedExtension:
