@@ -107,6 +107,7 @@ class AbelianGroup:
             raise InputError(
                 f"residue tuple has {len(residues)} entries, group has {len(self.orders)} factors"
             )
+        residues = integers(residues, "residue")
         return sum((r % n) * s for r, n, s in zip(residues, self.orders, self._strides))
 
     def _check(self, a: int) -> None:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .abelian import AbelianGroup, AutomorphismGroup, enumerate_automorphisms
 from .errors import InputError, PreconditionError, ResourceError, StructureError, integers
-from .loops import FiniteLoop, kept
+from .loops import _BYTES_ORDER, FiniteLoop, kept
 from .orbits import PAIR_MAPS, gamma_orbits
 
 # Largest extension order N = l * |A| admitted; cyclic_loop(64) with A = Z64
@@ -115,24 +115,24 @@ def _build(cocycle: LoopCocycle):
         return None, defect.with_traceback(None)
 
 
-def _extension_table(cocycle: LoopCocycle):
-    """The multiplication table of the extension: at order N = l * |A| <= 256
-    one ``bytes`` object, row after row, and above it a list of row tuples.
+def _extension_table(cocycle: LoopCocycle) -> list:
+    """The rows of the extension's multiplication table, in the container
+    :class:`FiniteLoop` holds for order N = l * |A|: ``bytes`` rows when
+    N <= 256, else int tuples.
 
     Row (x, a) is l segments of n = |A| entries.  Segment y is
     (x*y)*n + (P(x,y)a + Q(x,y)b) for b in A: the block
     ``shifted[x*y][P(x,y)a]``, whose entry d is (x*y)*n + (P(x,y)a + d),
-    read at the positions Q(x,y)b.  Packed, a block is a 256-byte
+    read at the positions Q(x,y)b.  For ``bytes`` rows a block is a 256-byte
     ``translate`` table and the bytes of Q(x,y) are translated through it;
-    on rows, one ``itemgetter`` call reads it.  Entries below 256 fit a
-    byte, so the packed table is the row one, entry for entry."""
+    for tuples, one ``itemgetter`` call reads it."""
     autgroup = cocycle.autgroup
     ptable, qtable = cocycle.ptable, cocycle.qtable
     used = set().union(*ptable, *qtable)
     images = {i: autgroup[i] for i in used}
     n, size = cocycle.group.size, cocycle.loop.size * cocycle.group.size
     # how a block is made and read, and how a row grows and is sealed
-    if packed := size <= 256:
+    if size <= _BYTES_ORDER:
         block, pad, grow, seal = bytes, bytes(256 - n), bytearray, bytes
         readers = {i: bytes(images[i]).translate for i in used}
     else:
@@ -141,14 +141,14 @@ def _extension_table(cocycle: LoopCocycle):
     shifted = [[block([base + d for d in row]) + pad for row in cocycle.group.add_table]
                for base in range(0, size, n)]
     rows = []
-    for lrow, prow, qrow in zip(cocycle.loop.table, ptable, qtable):
+    for lrow, prow, qrow in zip(cocycle.loop._lines(0), ptable, qtable):
         segments = [(shifted[z], images[p], readers[q]) for z, p, q in zip(lrow, prow, qrow)]
         for a in range(n):
             row = grow()
             for blocks, image, read in segments:
                 row += read(blocks[image[a]])
             rows.append(seal(row))
-    return b"".join(rows) if packed else rows
+    return rows
 
 
 def is_commutative_extension(cocycle: LoopCocycle) -> bool:

@@ -10,16 +10,17 @@ decompositions of ``loopext.orbits``.  Every predicate here is a pure
 function.  Of the divisions only e/x and x\\e are kept, as the two inverse
 maps; no library path divides general elements.
 
-A table of order l <= 256 is also kept packed, one byte per cell at
-x*l + y.  Only :class:`FiniteLoop` knows which container holds the table:
-``_lines`` hands out its rows or columns in that container (slices of the
-packed table, else the row tuples and a column view), and every scan here
-is written once over those lines.  A line is read through another by one
-``translate`` or one ``itemgetter`` gather (:func:`_read_through`), so a law
-is tested a whole line at a time and only a failing line is scanned cell by
-cell: every witness is the cell scan's.  An extension of order <= 256 is
-born packed (:func:`loopext.extension.build_extension`), and its rows are
-built only when ``table`` is first read.
+A loop is its rows, in the container its order selects: at order
+l <= 256 (``_BYTES_ORDER``) each row is one ``bytes`` object, an entry a
+byte, and above it each row is a tuple of ints.  Only :class:`FiniteLoop`
+(with :func:`_columns`) and :func:`_read_through` know the container:
+``_lines`` hands out the rows or the columns (strided slices of the joined
+rows, else a column view), and every scan here is written once over those
+lines.  A line is read through another by one ``translate`` or one
+``itemgetter`` gather, so a law is tested a whole line at a time and only
+a failing line is scanned cell by cell: every witness is the cell scan's.
+``table`` is the int-tuple rows, a kept view at order <= 256 that no
+library scan reads.
 """
 
 from __future__ import annotations
@@ -30,46 +31,37 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, StructureError, integers
 
+# The largest order whose rows are bytes: every entry then fits a byte.
+_BYTES_ORDER = 256
+
+
 class FiniteLoop:
-    """Cayley-table loop: the validated table, packed (None above order 256),
-    its two inverse maps and the facts :func:`kept` keeps: its rows and
-    columns (``_lines``), property report, first non-commuting pair, Sigma
-    and orbit decompositions.  ``_checked`` (entries are ints already) skips
-    only ``integers``; with it the table may also be a packed ``bytes`` one,
-    as an extension is built, whose rows ``table`` builds on first read."""
+    """Cayley-table loop: its validated rows (``bytes`` at order <= 256,
+    else int tuples), its two inverse maps and the facts :func:`kept` keeps:
+    its columns (``_lines``), property report, first non-commuting pair,
+    Sigma and orbit decompositions.  ``_checked`` (entries are ints already,
+    as the extension builder makes them) skips only ``integers``."""
 
-    __slots__ = ("size", "_table", "_packed", "_left_inverse", "_right_inverse", "_kept")
+    __slots__ = ("size", "_rows", "_left_inverse", "_right_inverse", "_kept")
 
-    def __init__(self, table: Sequence[Sequence[int]] | bytes, *, _checked: bool = False):
-        if _checked and isinstance(table, bytes):
-            # a square of at most 256**2 entries, whose float root is exact
-            self.size = l = int(len(table) ** 0.5)
-            if not is_packed_loop(table, l):
-                check_rows([table[i:i + l] for i in range(0, len(table), l)])
-            self._packed, self._table = table, None
-            right = tuple(table.index(0, i) - i for i in range(0, l * l, l))
-        else:
-            rows = (tuple(map(tuple, table)) if _checked
-                    else tuple(integers(row, "loop table entry") for row in table))
-            self._packed = validate_table(rows)
-            self.size = len(rows)
-            self._table = rows
-            right = tuple(row.index(0) for row in rows)
+    def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
+        if not _checked:
+            table = [integers(row, "loop table entry") for row in table]
+        self._rows = rows = validate_table(table)
+        self.size = len(rows)
         # x\e is where row x holds e; e/z = x exactly when x\e = z, so the
         # left-inverse map is the inverse permutation of the right one
-        self._right_inverse = right
+        self._right_inverse = right = tuple(row.index(0) for row in rows)
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
-        # "rows", "columns", "report", "noncommuting", "sigma" and each orbit mode -> its fact
+        # "columns", "table", "report", "noncommuting", "sigma" and each orbit mode -> its fact
         self._kept = {}
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of the Cayley table, built from the packed table on first
-        read when the loop was born packed."""
-        if self._table is None:
-            packed, l = self._packed, self.size
-            self._table = tuple(tuple(packed[i:i + l]) for i in range(0, l * l, l))
-        return self._table
+        """The rows of the Cayley table as int tuples: the rows themselves
+        above order 256, else a view of the ``bytes`` rows kept on first read."""
+        rows = self._rows
+        return rows if self.size > _BYTES_ORDER else kept(self, "table", tuple, map(tuple, rows))
 
     def left_inverse(self, x: int) -> int:
         """The element e/x, i.e. the solution of z*x = e."""
@@ -86,28 +78,20 @@ class FiniteLoop:
 
     def is_associative(self) -> bool:
         """Whether (x*y)*z = x*(y*z) for all z, pair by pair: row x*y against
-        row y read through row x, one gather.  At size 1 a gather is a scalar."""
-        t = self.table
-        reads = [itemgetter(*row) for row in t]
-        return self.size == 1 or all(t[xy] == reads[y](row) for row in t
-                                     for y, xy in enumerate(row))
+        row y read through row x."""
+        rows = self._rows
+        return all(all(map(eq, map(rows.__getitem__, row), _read_through(rows, repeat(row))))
+                   for row in rows)
 
     def properties(self) -> "LoopPropertyReport":
         """Kept default property analysis (see :func:`analyze_properties`)."""
         return kept(self, "report", analyze_properties, self)
 
     def _lines(self, axis: int):
-        """The rows (axis 0) or columns (axis 1) in the table's own container,
-        kept: slices of the packed table, else the row tuples and a
+        """The rows (axis 0) or the kept columns (axis 1), in the rows'
+        container: strided slices of the joined ``bytes`` rows, else a
         :class:`_Columns` view."""
-        return kept(self, ("rows", "columns")[axis], self._make_lines, axis)
-
-    def _make_lines(self, axis: int):
-        packed, l = self._packed, self.size
-        if packed is None:
-            return _Columns(self.table) if axis else self.table
-        return ([packed[j::l] for j in range(l)] if axis
-                else [packed[i:i + l] for i in range(0, l * l, l)])
+        return kept(self, "columns", _columns, self._rows) if axis else self._rows
 
     def _check(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.size:
@@ -116,15 +100,21 @@ class FiniteLoop:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteLoop):
             return NotImplemented
-        if self._packed is not None and other._packed is not None:
-            return self._packed == other._packed
-        return self.table == other.table
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self.table if self._packed is None else self._packed)
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"FiniteLoop(size={self.size})"
+
+
+def _columns(rows):
+    """The columns of ``rows`` in their container (see ``FiniteLoop._lines``)."""
+    if isinstance(rows[0], bytes):
+        joined, l = b"".join(rows), len(rows)
+        return [joined[j::l] for j in range(l)]
+    return _Columns(rows)
 
 
 class _Columns:
@@ -148,9 +138,9 @@ def _read_through(lines, throughs):
     """Each line of ``lines`` read through the matching one of ``throughs``,
     in the lines' container: entry y is ``through[line[y]]``.  A ``bytes``
     line is read by one ``translate``, the through padded to its 256-byte
-    table with bytes no entry reaches; a tuple by one ``itemgetter`` gather,
-    a scalar at length 1.  The one reader outside :class:`FiniteLoop` that
-    tests the container, once per scan."""
+    table with bytes no entry reaches; a tuple line by one ``itemgetter``
+    gather.  Beside :func:`_columns`, the one reader that tests the
+    container, once per scan."""
     if isinstance(lines[0], bytes):
         return map(bytes.translate, lines, map(bytes.ljust, throughs, repeat(256)))
     return map(itemgetter.__call__, starmap(itemgetter, lines), throughs)
@@ -168,21 +158,22 @@ def kept(owner, key, compute, *args):
     return facts[key]
 
 
-def validate_table(rows: Sequence[Sequence[int]]) -> Optional[bytes]:
+def validate_table(rows: Sequence[Sequence[int]]) -> tuple:
     """Raise StructureError unless ``rows`` is a loop table with identity 0;
-    return it packed when l <= 256, else None.  A table that cannot be
-    packed, or whose packed form fails :func:`is_packed_loop`, takes
-    :func:`check_rows`, which names the defect."""
+    return the rows in the container the order l selects: ``bytes`` rows
+    when l <= 256 (a ``bytes`` row is kept, not copied), else tuples.  Rows
+    that cannot be made bytes, or whose join fails :func:`is_packed_loop`,
+    take :func:`check_rows`, which names the defect."""
     l = len(rows)
     try:
-        packed = (b"".join(map(bytes, rows))
-                  if 0 < l <= 256 and all(len(row) == l for row in rows) else None)
+        packed = (tuple(map(bytes, rows))
+                  if 0 < l <= _BYTES_ORDER and all(len(row) == l for row in rows) else None)
     except (TypeError, ValueError):  # an entry outside 0..255: the row path names it
         packed = None
-    if packed is not None and is_packed_loop(packed, l):
+    if packed is not None and is_packed_loop(b"".join(packed), l):
         return packed
     check_rows(rows)
-    return None
+    return tuple(map(tuple, rows))
 
 
 def is_packed_loop(packed: bytes, l: int) -> bool:

@@ -80,24 +80,20 @@ def noncommuting_pair_by_rows(loop):
 
 
 def unpacked(loop):
-    """A copy of ``loop`` without its packed table or kept facts, so every
-    scan, the quotient check and the closed-form checks read its lines in
-    the row container."""
+    """A copy of ``loop`` held as int-tuple rows, whatever its order, with no
+    kept facts, so every scan, the quotient check and the closed-form checks
+    read its lines in the tuple container."""
     copy = make_loop(loop.table)
-    copy._packed = None
+    copy._rows = loop.table
     copy._kept.clear()
     return copy
 
 
-def edited_table(table, edit):
-    """An extension table as the builder returns it, packed ``bytes`` or a
-    list of row tuples, with ``edit`` applied to its list of row tuples; the
-    result is in the builder's container, packed again when it was packed."""
-    if not isinstance(table, bytes):
-        return edit(list(table))
-    l = round(len(table) ** 0.5)
-    rows = edit([tuple(table[i:i + l]) for i in range(0, len(table), l)])
-    return b"".join(map(bytes, rows))
+def edited_table(rows, edit):
+    """Extension rows as the builder returns them, a list of ``bytes`` or of
+    int-tuple rows, with ``edit`` applied to the list of their int tuples;
+    each edited row goes back into the builder's container."""
+    return list(map(type(rows[0]), edit(list(map(tuple, rows)))))
 
 
 def quotient_table(loop, members):

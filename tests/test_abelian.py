@@ -159,6 +159,18 @@ class TestArithmetic:
         for a in range(g.size):
             assert g.index_of(g.tuple_of(a)) == a
 
+    @pytest.mark.parametrize("residues", [[1.5, 2], ["1", 2]])
+    def test_index_of_refuses_non_integer_residues(self, residues):
+        with pytest.raises(InputError, match="residue is not an integer"):
+            make_group([2, 3]).index_of(residues)
+
+    def test_index_of_int_and_bool_residues(self):
+        # entries reduced modulo the orders, strides (3, 1); a bool is 0 or 1
+        g = make_group([2, 3])
+        assert g.index_of([1, 2]) == 5 == g.index_of([True, 2])
+        assert g.index_of([3, -1]) == 5 == g.index_of([-1, 5])
+        assert g.index_of([False, True]) == 1 == g.index_of((0, 1))
+
     def test_out_of_range(self):
         g = make_group([4])
         with pytest.raises(InputError):

@@ -818,9 +818,9 @@ class TestBrokenBuild:
 @pytest.mark.parametrize("fault", ["column", "row"])
 @pytest.mark.parametrize("base,spec,n", [("klein", "3", 12), ("z2^5", "3,3", 288)])
 def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, spec, n, fault):
-    # FiniteLoop Latin-checks every built extension, born packed at N <= 256
-    # and as rows above; either way a table that fails is the kept defect,
-    # with the row path's text, and frees without the collector
+    # FiniteLoop Latin-checks every built extension, born as bytes rows at
+    # N <= 256 and as int-tuple rows above; either way a table that fails is
+    # the kept defect, with the row path's text, and frees without the collector
     import gc
 
     from loopext import extension
@@ -845,7 +845,7 @@ def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, sp
 
     def broken(cocycle):
         table = original(cocycle)
-        containers.append(type(table))
+        containers.append((type(table), type(table[0])))
         return edited_table(table, fault_row_1)
 
     monkeypatch.setattr(extension, "_extension_table", broken)
@@ -863,7 +863,8 @@ def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, sp
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert containers == [bytes if n <= 256 else list]  # the defect went in packed, or as rows
+    # the defect went in as a list of bytes rows, or of tuple rows
+    assert containers == [(list, bytes if n <= 256 else tuple)]
     code, out, _ = run(capsys, "verify", "--loop", loop_path, "--cocycle", coc_path,
                        "--mode", "ip")
     assert code == 1
@@ -873,6 +874,34 @@ def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, sp
         f"counterexample extension-latin: {index}",
     ]
     assert lines[-1] == "result: fail"
+
+
+def test_verify_reads_only_bytes_rows(capsys, tmp_path, monkeypatch):
+    # a parsed base of order 32 and its extension of order 256 are held as
+    # bytes rows; verify reads them, never their int-tuple ``table`` view
+    from loopext import cli
+
+    loop_path, coc_path = str(tmp_path / "base.loop"), str(tmp_path / "c.coc")
+    emit_loop_file(abelian_group_loop([2] * 5), loop_path)
+    code, _, _ = run(capsys, "construct", "--loop", loop_path, "--group", "2,2,2", "--mode",
+                     "ip", "--seed", "1", "--out", coc_path)
+    assert code == 0
+    parsed = []
+
+    def spy(path, loop):
+        parsed.append(parse_cocycle_file(path, loop))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_cocycle_file", spy)
+    code, out, _ = run(capsys, "verify", "--loop", loop_path, "--cocycle", coc_path,
+                       "--mode", "ip")
+    assert code == 0 and out.splitlines()[-1] == "result: pass"
+    (cocycle, _), = parsed
+    base, ext = cocycle.loop, build_extension(cocycle)[0]
+    assert (base.size, ext.size) == (32, 256)
+    for loop in (base, ext):
+        assert all(type(row) is bytes for row in loop._rows)
+        assert "table" not in loop._kept, loop
 
 
 # sha256 of the construct -> extend -> verify transcript of each chain below,

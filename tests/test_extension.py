@@ -230,8 +230,8 @@ EXTENSION_ROW_BASES = {
 
 EXTENSION_ROW_ORDERS = [(2,), (3,), (4,), (2, 2), (2, 2, 2), (5,)]
 
-# the grid (N <= 128), then N = 256, the fuzz workload's largest packed
-# build, and N = 288 on the row path
+# the grid (N <= 128), then N = 256, the fuzz workload's largest bytes-row
+# build, and N = 288 with tuple rows
 EXTENSION_ROW_CASES = [
     *[(base, orders, f"{base}-orders{i}") for i, orders in enumerate(EXTENSION_ROW_ORDERS)
       for base in ("ip8", "ip8x2", "klein", "z5")],
@@ -249,8 +249,8 @@ class TestExtensionRows:
         for seed in (1, 2):
             cocycle = random_cocycle(loop, group, ChoiceSource(seed))
             reference = extension_rows_by_cells(cocycle)
-            # packed bytes, row after row, up to N = 256; row tuples above
-            expected = (b"".join(map(bytes, reference)) if loop.size * group.size <= 256
+            # a list of bytes rows up to N = 256, of int-tuple rows above
+            expected = (list(map(bytes, reference)) if loop.size * group.size <= 256
                         else reference)
             assert _extension_table(cocycle) == expected
 

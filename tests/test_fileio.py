@@ -342,12 +342,14 @@ class TestStreamedLoopFile:
             assert path.read_bytes() == dumps_loop(ext, given).encode()
 
     def test_packed_born_extension_builds_no_rows(self):
-        # an extension of order <= 256 is written from its packed lines
+        # an extension of order <= 256 is written from its bytes rows, and
+        # its int-tuple view is never built
         loop, group = abelian_group_loop([2] * 5), make_group((2, 2, 2))
         ext = build_extension(construct_ip_cocycle(loop, group, ChoiceSource(1)))[0]
-        assert ext.size == 256 and ext._packed is not None and ext._table is None
+        assert ext.size == 256 and all(type(row) is bytes for row in ext._rows)
+        assert "table" not in ext._kept
         text = dumps_loop(ext, ("a comment",))
-        assert ext._table is None
+        assert "table" not in ext._kept
         assert text == dumps_loop(make_loop(ext.table), ("a comment",))
         assert text == "# a comment\nloop 256\n" + "".join(
             " ".join(map(str, row)) + "\n" for row in ext.table)

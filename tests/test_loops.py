@@ -537,20 +537,23 @@ def packed_corpus(loops):
 
 
 class TestPackedTable:
-    """A table of order l <= 256 is kept packed and every whole-line check
-    reads it; each must agree with the row path on every loop."""
+    """A loop of order l <= 256 is held as ``bytes`` rows and every
+    whole-line check reads them; each must agree with the tuple rows on
+    every loop."""
 
     def test_packed_slot(self):
         from loopext.catalog import cyclic_loop
 
         z256 = make_loop(cyclic_loop(256).table)
-        assert z256._packed == b"".join(map(bytes, z256.table))
-        assert make_loop(cyclic_loop(257).table)._packed is None
+        assert z256._rows == tuple(map(bytes, z256.table))
+        assert all(type(row) is bytes for row in z256._rows)
+        z257 = make_loop(cyclic_loop(257).table)
+        assert z257._rows == z257.table and all(type(row) is tuple for row in z257._rows)
 
     def test_big_cases_fail_one_law(self, packed_corpus):
         lip256, rip256 = packed_corpus["lip256"], packed_corpus["rip256"]
         assert lip256.size == rip256.size == 256
-        assert lip256._packed is not None and rip256._packed is not None
+        assert type(lip256._rows[0]) is bytes is type(rip256._rows[0])
         assert first_lip_counterexample(lip256) is None is not first_rip_counterexample(lip256)
         assert first_rip_counterexample(rip256) is None is not first_lip_counterexample(rip256)
 
@@ -561,7 +564,8 @@ class TestPackedTable:
 
         loop = packed_corpus[name]
         rows = unpacked(loop)
-        assert loop._packed is not None
+        assert all(type(row) is bytes for row in loop._rows)
+        assert all(type(row) is tuple for row in rows._rows)
         assert first_lip_counterexample(loop) == first_lip_counterexample(rows)
         assert first_rip_counterexample(loop) == first_rip_counterexample(rows)
         assert first_noncommuting_pair(loop) == first_noncommuting_pair(rows)
@@ -582,7 +586,7 @@ class TestRowContainer:
 
     @pytest.fixture(scope="class")
     def extensions(self):
-        # abelian_group_loop([2] * 5) by Z3^2: N = 288, one past the packed bound
+        # abelian_group_loop([2] * 5) by Z3^2: N = 288, one past the bytes-row bound
         from loopext.abelian import make_group
         from loopext.catalog import abelian_group_loop
         from loopext.constructions import (ChoiceSource, construct_ip_cocycle,
@@ -602,7 +606,7 @@ class TestRowContainer:
         from reference import noncommuting_pair_by_rows, quotient_table
 
         ext = extensions[mode]
-        assert ext.size == 288 and ext._packed is None
+        assert ext.size == 288 and all(type(row) is tuple for row in ext._rows)
         lip, rip = first_lip_counterexample(ext), first_rip_counterexample(ext)
         assert lip == reference_lip_scan(ext) and rip == reference_rip_scan(ext)
         if mode != "random":  # each law is met and missed on some mode
@@ -636,7 +640,7 @@ class TestRowContainer:
             scan = tracemalloc.get_traced_memory()[1] - table
         finally:
             tracemalloc.stop()
-        assert loop.size == 512 and loop._packed is None and witness is None
+        assert loop.size == 512 and type(loop._rows[0]) is tuple and witness is None
         assert table > 2e6
         assert scan < table / 4, (scan, table)
 
@@ -668,8 +672,8 @@ FAULTS = ["repeated", "entry=l", "entry=255", "entry=256", "entry=-1", "short-ro
 @pytest.mark.parametrize("l", [4, 255, 256, 257])
 @pytest.mark.parametrize("fault", FAULTS)
 def test_latin_faults_named_alike_packed_or_not(monkeypatch, l, fault):
-    # with ``bytes`` refused inside loopext.loops no table can be packed, so
-    # validate_table takes the row path; the error must be the same
+    # with ``bytes`` refused inside loopext.loops no row can be made bytes,
+    # so validate_table takes the row path; the error must be the same
     from loopext import loops as loops_module
     from loopext.loops import validate_table
 
@@ -681,9 +685,53 @@ def test_latin_faults_named_alike_packed_or_not(monkeypatch, l, fault):
     for packing in (True, False):
         if not packing:
             monkeypatch.setattr(loops_module, "bytes", refused, raising=False)
-        assert (validate_table(sound) is not None) == (packing and l <= 256)
+        assert (type(validate_table(sound)[0]) is bytes) == (packing and l <= 256)
         with pytest.raises(StructureError) as caught:
             validate_table(table)
         errors.append((str(caught.value), caught.value.index, caught.value.axis))
     assert errors[0] == errors[1]
     assert errors[0][2] == ("column" if fault in ("column-only", "identity-column") else "row")
+
+
+class TestOneContainer:
+    """A loop is its rows, in the container its order selects: ``bytes``
+    rows exactly when l <= 256, else int tuples, however the loop was made."""
+
+    @staticmethod
+    def check(loop, cells):
+        container = bytes if loop.size <= 256 else tuple
+        assert len(loop._rows) == loop.size
+        assert all(type(row) is container for row in loop._rows)
+        assert loop.table == tuple(map(tuple, cells))
+        remade = make_loop(loop.table)
+        assert remade is not loop and remade == loop and hash(remade) == hash(loop)
+
+    @pytest.mark.parametrize("l", [1, 256, 257])
+    @pytest.mark.parametrize("source", ["make_loop", "loads_loop", "catalog", "quotient_loop"])
+    def test_cyclic_loops(self, source, l):
+        from loopext.catalog import cyclic_loop
+        from loopext.fileio import dumps_loop, loads_loop
+
+        cells = [[(x + y) % l for y in range(l)] for x in range(l)]
+        if source == "make_loop":
+            loop = make_loop(cells)
+        elif source == "loads_loop":
+            loop = loads_loop(dumps_loop(make_loop(cells)))
+        elif source == "catalog":
+            loop = cyclic_loop(l)
+        else:  # Z_2l by {0, l}: the coset of x < l is labelled x
+            loop = quotient_loop(cyclic_loop(2 * l), [0, l])
+        self.check(loop, cells)
+
+    @pytest.mark.parametrize("orders,n", [((2, 2, 2), 256), ((3, 3), 288)])
+    def test_extensions(self, orders, n):
+        from loopext.abelian import make_group
+        from loopext.catalog import abelian_group_loop
+        from loopext.constructions import ChoiceSource, random_cocycle
+        from loopext.extension import build_extension
+        from reference import extension_rows_by_cells
+
+        cocycle = random_cocycle(abelian_group_loop([2] * 5), make_group(orders), ChoiceSource(3))
+        ext = build_extension(cocycle)[0]
+        assert ext.size == n
+        self.check(ext, extension_rows_by_cells(cocycle))

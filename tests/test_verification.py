@@ -520,15 +520,15 @@ def test_closed_forms_read_either_container(mode):
                 verdict = (check_lip_conditions(cocycle), check_rip_conditions(cocycle))
                 assert verdict == (check_lip_conditions(twin), check_rip_conditions(twin))
                 verdicts.add(verdict)
-        assert rows._packed is None and loop._packed is not None
+        assert type(rows._rows[0]) is tuple and type(loop._rows[0]) is bytes
     expected = {"random": {(False, False)}, "lip": {(True, False)}, "rip": {(False, True)},
                 "ip": {(True, True)}}[mode]
     assert expected <= verdicts
 
 
 class TestPackedExtension:
-    """An extension of order N <= 256 is born packed; every scan on the way
-    to a verify report reads the packed table, never its rows."""
+    """An extension of order N <= 256 is born as ``bytes`` rows; every scan
+    on the way to a verify report reads them, never their int-tuple view."""
 
     @pytest.fixture(scope="class")
     def bases(self):
@@ -543,13 +543,13 @@ class TestPackedExtension:
                 cocycle = fuzz_cocycle(loop, make_group(orders), mode, ChoiceSource(0))
                 assert verify_cocycle(cocycle, mode="all" if mode == "random" else mode).passed
                 ext = build_extension(cocycle)[0]
-                assert ext.size <= 256 and ext._packed is not None
-                assert ext._table is None, (loop.size, orders, mode)
-                # == and hash read the packed table too
+                assert ext.size <= 256 and all(type(row) is bytes for row in ext._rows)
+                assert "table" not in ext._kept, (loop.size, orders, mode)
+                # == and hash read the bytes rows too
                 twin = build_extension(make_cocycle(loop, cocycle.group, cocycle.ptable,
                                                     cocycle.qtable))[0]
                 assert twin is not ext and twin == ext and hash(twin) == hash(ext)
-                assert ext._table is None is twin._table
+                assert "table" not in ext._kept and "table" not in twin._kept
                 assert ext.table == tuple(extension_rows_by_cells(cocycle))
                 remade = make_loop(ext.table)
                 assert ext == remade and hash(ext) == hash(remade)
@@ -572,7 +572,7 @@ class TestPackedExtension:
             back = sorted(range(l), key=name.__getitem__)  # back[name[u]] = u
             loop = make_loop([[name[base[back[x]][back[y]]] for y in range(l)]
                               for x in range(l)])
-            assert loop._packed is not None
+            assert type(loop._rows[0]) is bytes
             witness = first_noncommuting_pair(loop)
             assert witness == noncommuting_pair_by_rows(loop) is not None
             witnesses.add(witness)
