@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .abelian import make_group
-from .errors import InputError
+from .errors import InputError, integers
 from .loops import FiniteLoop, make_loop
 
 
@@ -26,6 +26,7 @@ def abelian_group_loop(orders: list[int]) -> FiniteLoop:
 
 def cyclic_loop(n: int) -> FiniteLoop:
     """Z_n by its addition table, of any order n >= 1."""
+    (n,) = integers((n,), "loop order")
     if n < 1:
         raise InputError(f"cyclic loop order must be >= 1, got {n}")
     return make_loop([[(x + y) % n for y in range(n)] for x in range(n)])
@@ -140,6 +141,9 @@ def _first_over_inverse_maps(l: int, **constraints) -> Optional[FiniteLoop]:
 def search_ip_loop(l: int, *, forbid_order3: bool = True) -> Optional[FiniteLoop]:
     """Search for a non-associative inverse-property loop of order l,
     smallest table first."""
+    (l,) = integers((l,), "loop order")
+    if l < 1:
+        raise InputError(f"loop order must be >= 1, got {l}")
     return _first_over_inverse_maps(l, lip=True, rip=True, forbid_order3=forbid_order3,
                                     predicate=lambda L: not L.is_associative())
 

@@ -141,7 +141,7 @@ def _extension_table(cocycle: LoopCocycle) -> list:
     shifted = [[block([base + d for d in row]) + pad for row in cocycle.group.add_table]
                for base in range(0, size, n)]
     rows = []
-    for lrow, prow, qrow in zip(cocycle.loop._lines(0), ptable, qtable):
+    for lrow, prow, qrow in zip(cocycle.loop._rows, ptable, qtable):
         segments = [(shifted[z], images[p], readers[q]) for z, p, q in zip(lrow, prow, qrow)]
         for a in range(n):
             row = grow()
@@ -191,7 +191,7 @@ def check_lip_conditions(cocycle: LoopCocycle) -> bool:
     report = cocycle.loop.properties()
     if not report.has_lip:
         raise PreconditionError("base loop does not have the left inverse property")
-    return kept(cocycle, "lip", _lip_conditions_hold, cocycle.loop._lines(0),
+    return kept(cocycle, "lip", _lip_conditions_hold, cocycle.loop._rows,
                 report.inverse_map, cocycle.ptable, cocycle.qtable, cocycle.autgroup)
 
 
@@ -209,7 +209,7 @@ def check_rip_conditions(cocycle: LoopCocycle) -> bool:
     if not report.has_rip:
         raise PreconditionError("base loop does not have the right inverse property")
     return kept(cocycle, "rip", lambda: _lip_conditions_hold(
-        cocycle.loop._lines(1), report.inverse_map, tuple(zip(*cocycle.qtable)),
+        cocycle.loop._columns, report.inverse_map, tuple(zip(*cocycle.qtable)),
         tuple(zip(*cocycle.ptable)), cocycle.autgroup))
 
 

@@ -80,7 +80,7 @@ def _loop_lines(loop: FiniteLoop, comments: Iterable[str]):
         if len(line.splitlines()) > 1:
             raise InputError(f"loop-file comment {line[2:-1]!r} holds a line break")
     decimal = [str(v) for v in range(loop.size)].__getitem__  # entries are in range
-    return chain(head, (" ".join(map(decimal, row)) + "\n" for row in loop._lines(0)))
+    return chain(head, (" ".join(map(decimal, row)) + "\n" for row in loop._rows))
 
 
 def dumps_loop(loop: FiniteLoop, comments: Iterable[str] = ()) -> str:

@@ -12,11 +12,12 @@ maps; no library path divides general elements.
 
 A loop is its rows, in the container its order selects: at order
 l <= 256 (``_BYTES_ORDER``) each row is one ``bytes`` object, an entry a
-byte, and above it each row is a tuple of ints.  Only :class:`FiniteLoop`
-(with :func:`_columns`) and :func:`_read_through` know the container:
-``_lines`` hands out the rows or the columns (strided slices of the joined
-rows, else a column view), and every scan here is written once over those
-lines.  A line is read through another by one ``translate`` or one
+byte, and above it each row is a tuple of ints.  Its columns are held
+beside the rows, as the Latin check :func:`validate_table` returns them:
+strided slices of the joined rows, else a column view.  Only that check
+(with :func:`_columns`), ``table`` and :func:`_read_through` know the
+container, and every scan here is written once over ``_rows`` and
+``_columns``.  A line is read through another by one ``translate`` or one
 ``itemgetter`` gather, so a law is tested a whole line at a time and only
 a failing line is scanned cell by cell: every witness is the cell scan's.
 ``table`` is the int-tuple rows, a kept view at order <= 256 that no
@@ -37,23 +38,24 @@ _BYTES_ORDER = 256
 
 class FiniteLoop:
     """Cayley-table loop: its validated rows (``bytes`` at order <= 256,
-    else int tuples), its two inverse maps and the facts :func:`kept` keeps:
-    its columns (``_lines``), property report, first non-commuting pair,
-    Sigma and orbit decompositions.  ``_checked`` (entries are ints already,
-    as the extension builder makes them) skips only ``integers``."""
+    else int tuples) and columns, as :func:`validate_table` returns them, its
+    two inverse maps and the facts :func:`kept` keeps: its property report,
+    first non-commuting pair, Sigma and orbit decompositions.  ``_checked``
+    (entries are ints already, as the extension builder makes them) skips
+    only ``integers``."""
 
-    __slots__ = ("size", "_rows", "_left_inverse", "_right_inverse", "_kept")
+    __slots__ = ("size", "_rows", "_columns", "_left_inverse", "_right_inverse", "_kept")
 
     def __init__(self, table: Sequence[Sequence[int]], *, _checked: bool = False):
         if not _checked:
             table = [integers(row, "loop table entry") for row in table]
-        self._rows = rows = validate_table(table)
-        self.size = len(rows)
+        rows, self._columns = validate_table(table)
+        self._rows, self.size = rows, len(rows)
         # x\e is where row x holds e; e/z = x exactly when x\e = z, so the
         # left-inverse map is the inverse permutation of the right one
         self._right_inverse = right = tuple(row.index(0) for row in rows)
         self._left_inverse = tuple(sorted(range(self.size), key=right.__getitem__))
-        # "columns", "table", "report", "noncommuting", "sigma" and each orbit mode -> its fact
+        # "table", "report", "noncommuting", "sigma" and each orbit mode -> its fact
         self._kept = {}
 
     @property
@@ -87,12 +89,6 @@ class FiniteLoop:
         """Kept default property analysis (see :func:`analyze_properties`)."""
         return kept(self, "report", analyze_properties, self)
 
-    def _lines(self, axis: int):
-        """The rows (axis 0) or the kept columns (axis 1), in the rows'
-        container: strided slices of the joined ``bytes`` rows, else a
-        :class:`_Columns` view."""
-        return kept(self, "columns", _columns, self._rows) if axis else self._rows
-
     def _check(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.size:
             raise InputError(f"element index {x!r} out of range for loop of size {self.size}")
@@ -110,7 +106,8 @@ class FiniteLoop:
 
 
 def _columns(rows):
-    """The columns of ``rows`` in their container (see ``FiniteLoop._lines``)."""
+    """The columns of ``rows`` in their container: strided slices of the
+    joined ``bytes`` rows, else a :class:`_Columns` view."""
     if isinstance(rows[0], bytes):
         joined, l = b"".join(rows), len(rows)
         return [joined[j::l] for j in range(l)]
@@ -139,8 +136,8 @@ def _read_through(lines, throughs):
     in the lines' container: entry y is ``through[line[y]]``.  A ``bytes``
     line is read by one ``translate``, the through padded to its 256-byte
     table with bytes no entry reaches; a tuple line by one ``itemgetter``
-    gather.  Beside :func:`_columns`, the one reader that tests the
-    container, once per scan."""
+    gather.  Beside :func:`validate_table` and :func:`_columns`, the one
+    reader that tests the container, once per scan."""
     if isinstance(lines[0], bytes):
         return map(bytes.translate, lines, map(bytes.ljust, throughs, repeat(256)))
     return map(itemgetter.__call__, starmap(itemgetter, lines), throughs)
@@ -159,62 +156,49 @@ def kept(owner, key, compute, *args):
 
 
 def validate_table(rows: Sequence[Sequence[int]]) -> tuple:
-    """Raise StructureError unless ``rows`` is a loop table with identity 0;
-    return the rows in the container the order l selects: ``bytes`` rows
-    when l <= 256 (a ``bytes`` row is kept, not copied), else tuples.  Rows
-    that cannot be made bytes, or whose join fails :func:`is_packed_loop`,
-    take :func:`check_rows`, which names the defect."""
-    l = len(rows)
-    try:
-        packed = (tuple(map(bytes, rows))
-                  if 0 < l <= _BYTES_ORDER and all(len(row) == l for row in rows) else None)
-    except (TypeError, ValueError):  # an entry outside 0..255: the row path names it
-        packed = None
-    if packed is not None and is_packed_loop(b"".join(packed), l):
-        return packed
-    check_rows(rows)
-    return tuple(map(tuple, rows))
-
-
-def is_packed_loop(packed: bytes, l: int) -> bool:
-    """Whether a packed table is a loop table of order l with identity 0:
-    row and column 0 are 0..l-1 and each row and column holds all of
-    ``bytes(range(l))``."""
-    full = bytes(range(l))
-    return (packed[:l] == full == packed[::l]
-            and not any(full.translate(None, packed[i:i + l]) for i in range(0, l * l, l))
-            and not any(full.translate(None, packed[j::l]) for j in range(l)))
-
-
-def check_rows(rows: Sequence[Sequence[int]]) -> None:
-    """Raise StructureError naming the first defect of a table that is not a
-    loop table with identity 0: one pass over the rows (length, range,
-    permutation), one over the columns, then the identity row and column."""
+    """Raise StructureError naming the first defect unless ``rows`` is a loop
+    table with identity 0, else return ``(rows, columns)``: ``bytes`` rows at
+    order l <= 256 (a ``bytes`` row is kept, not copied), else tuples, and
+    their :func:`_columns`.  Each row's length is tested, then its whole line
+    (at l <= 256 ``bytes(range(l)).translate(None, row)`` is empty, above it
+    its set is that of 0..l-1); only a failing row is scanned cell by cell,
+    for the entry to name.  Then the columns, then the identity row and column."""
     l = len(rows)
     if l < 1:
         raise StructureError("loop table must have at least one row")
-    full = set(range(l))
+    packed = l <= _BYTES_ORDER
+    identity = bytes(range(l)) if packed else tuple(range(l))
+    full = set(identity)
+    lines = []
     for i, row in enumerate(rows):
         if len(row) != l:
             raise StructureError(f"row {i} has {len(row)} entries, expected {l}",
                                  index=i, axis="row")
-        if set(row) != full:
+        try:
+            line = bytes(row) if packed else tuple(row)
+        except ValueError:  # an entry outside 0..255 is no byte: the cell scan names it
+            line = None
+        if line is None or (identity.translate(None, line) if packed else set(line) != full):
             for v in row:
                 if not 0 <= v < l:
                     raise StructureError(f"row {i} contains out-of-range entry {v}", index=i,
                                          axis="row")
             raise StructureError(f"row {i} is not a permutation of 0..{l - 1}", index=i,
                                  axis="row")
-    for j, col in enumerate(zip(*rows)):
-        if len(set(col)) != l:  # the rows hold only 0..l-1, so l distinct entries are all
+        lines.append(line)
+    rows = tuple(lines)
+    columns = _columns(rows)
+    for j, column in enumerate(columns):
+        # the rows hold only 0..l-1, so l distinct entries are all of them
+        if identity.translate(None, column) if packed else len(set(column)) != l:
             raise StructureError(f"column {j} is not a permutation of 0..{l - 1}", index=j,
                                  axis="column")
-    identity = tuple(range(l))
-    if tuple(rows[0]) != identity:
+    if rows[0] != identity:
         raise StructureError("row 0 is not the identity permutation", index=0, axis="row")
-    if tuple(row[0] for row in rows) != identity:
+    if columns[0] != identity:
         raise StructureError("column 0 is not the identity permutation", index=0,
                              axis="column")
+    return rows, columns
 
 
 def make_loop(table: Sequence[Sequence[int]]) -> FiniteLoop:
@@ -252,7 +236,7 @@ class LoopPropertyReport:
         self.inverse_map = self._order3 = None
         if self.two_sided_inverses_coincide:
             inverse_map = self.inverse_map = loop._left_inverse
-            diagonal = map(getitem, loop._lines(0)[1:], range(1, loop.size))
+            diagonal = map(getitem, loop._rows[1:], range(1, loop.size))
             self._order3 = any(map(eq, diagonal, inverse_map[1:]))
 
     @property
@@ -280,7 +264,7 @@ def first_inverse_mismatch(loop: FiniteLoop) -> Optional[int]:
 
 def first_lip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     """First (x, y) with (e/x)*(x*y) != y: row x read through row e/x."""
-    return _first_witness(loop._lines(0), loop._left_inverse)
+    return _first_witness(loop._rows, loop._left_inverse)
 
 
 def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
@@ -290,7 +274,7 @@ def first_rip_counterexample(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     the same (x, y) order; above order 256 the columns are walked one at a
     time and only column e/x is built, so no transpose is made.
     """
-    return _first_witness(loop._lines(1), loop._left_inverse)
+    return _first_witness(loop._columns, loop._left_inverse)
 
 
 def _first_witness(lines, inverse: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -311,7 +295,7 @@ def _first_witness(lines, inverse: Sequence[int]) -> Optional[tuple[int, int]]:
 
 def first_noncommuting_pair(loop: FiniteLoop) -> Optional[tuple[int, int]]:
     """First (x, y), x < y, with x*y != y*x: row x against column x."""
-    for x, (row, column) in enumerate(zip(loop._lines(0), loop._lines(1))):
+    for x, (row, column) in enumerate(zip(loop._rows, loop._columns)):
         if row != column:
             # rows and columns before x agree, so they differ first at a y > x
             return (x, next(y for y in range(x + 1, loop.size) if row[y] != column[y]))
@@ -339,7 +323,7 @@ def _validate_subloop(loop: FiniteLoop, members: frozenset[int]) -> None:
         raise InputError("subloop must contain the identity")
     for x in members:
         loop._check(x)
-    rows = loop._lines(0)
+    rows = loop._rows
     for x in members:
         row = rows[x]
         for y in members:
@@ -361,7 +345,7 @@ def _quotient_table(loop: FiniteLoop, members: frozenset[int]) -> Optional[list[
     e*v = v, so Nv is inside the class of v, and |Nv| = |N| = |vN|.
     """
     _validate_subloop(loop, members)
-    rows = loop._lines(0)
+    rows = loop._rows
     coset_of: list[Optional[int]] = [None] * loop.size
     reps: list[int] = []
     for x in range(loop.size):

@@ -110,7 +110,7 @@ def _orbits(loop: FiniteLoop, mode: str, names: tuple[str, ...],
     otherwise the maps do not partition the complement.  One flag per cell
     marks Sigma and the cells met.
     """
-    table, l = loop._lines(0), loop.size
+    table, l = loop._rows, loop.size
     maps = [CELL_MAPS[name] for name in names]
     generators = [(name, CELL_MAPS[name]) for name in ("phi", "psi") if name in names]
     met = bytearray(l * l)

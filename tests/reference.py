@@ -7,8 +7,9 @@ none of them uses a loop's cached inverse maps, and the automorphism
 helpers work on image tables, not on canonical indices.
 """
 
+from loopext.errors import StructureError
 from loopext.extension import make_cocycle
-from loopext.loops import make_loop
+from loopext.loops import _columns, make_loop
 from loopext.orbits import CELL_MAPS
 
 MASK64 = (1 << 64) - 1
@@ -85,8 +86,41 @@ def unpacked(loop):
     read its lines in the tuple container."""
     copy = make_loop(loop.table)
     copy._rows = loop.table
+    copy._columns = _columns(copy._rows)
     copy._kept.clear()
     return copy
+
+
+def latin_defect(rows):
+    """Raise StructureError naming the first defect of a table that is not a
+    loop table with identity 0: one pass over the rows (length, range,
+    permutation), one over the columns, then the identity row and column.
+    The cell-by-cell reference for ``validate_table``'s defect names."""
+    l = len(rows)
+    if l < 1:
+        raise StructureError("loop table must have at least one row")
+    full = set(range(l))
+    for i, row in enumerate(rows):
+        if len(row) != l:
+            raise StructureError(f"row {i} has {len(row)} entries, expected {l}",
+                                 index=i, axis="row")
+        if set(row) != full:
+            for v in row:
+                if not 0 <= v < l:
+                    raise StructureError(f"row {i} contains out-of-range entry {v}", index=i,
+                                         axis="row")
+            raise StructureError(f"row {i} is not a permutation of 0..{l - 1}", index=i,
+                                 axis="row")
+    for j, col in enumerate(zip(*rows)):
+        if len(set(col)) != l:  # the rows hold only 0..l-1, so l distinct entries are all
+            raise StructureError(f"column {j} is not a permutation of 0..{l - 1}", index=j,
+                                 axis="column")
+    identity = tuple(range(l))
+    if tuple(rows[0]) != identity:
+        raise StructureError("row 0 is not the identity permutation", index=0, axis="row")
+    if tuple(row[0] for row in rows) != identity:
+        raise StructureError("column 0 is not the identity permutation", index=0,
+                             axis="column")
 
 
 def edited_table(rows, edit):

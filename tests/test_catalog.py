@@ -22,6 +22,13 @@ def test_cyclic_tables():
     assert cyclic_loop(1).size == 1
 
 
+def test_int_and_bool_orders():
+    # an order is read by operator.index, so a bool is the int it stands for
+    assert cyclic_loop(True) == cyclic_loop(1) and cyclic_loop(True).table == ((0,),)
+    assert cyclic_loop(3).table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert search_ip_loop(True) is None and search_ip_loop(5) is None
+
+
 @pytest.mark.parametrize("n", [65, 128])
 def test_cyclic_beyond_group_size_cap(n):
     # Z_n as a loop is not bounded by the size cap of the groups A
@@ -131,6 +138,20 @@ def test_search_machinery_complete_for_order5():
 REFUSALS = {
     "cyclic-order-zero": (lambda: cyclic_loop(0), InputError,
                           "cyclic loop order must be >= 1, got 0"),
+    "cyclic-order-float": (lambda: cyclic_loop(2.0), InputError,
+                           "loop order is not an integer: 'float' object cannot be "
+                           "interpreted as an integer"),
+    "cyclic-order-str": (lambda: cyclic_loop("3"), InputError,
+                         "loop order is not an integer: 'str' object cannot be "
+                         "interpreted as an integer"),
+    "search-order-zero": (lambda: search_ip_loop(0), InputError,
+                          "loop order must be >= 1, got 0"),
+    "search-order-float": (lambda: search_ip_loop(5.0), InputError,
+                           "loop order is not an integer: 'float' object cannot be "
+                           "interpreted as an integer"),
+    "search-order-str": (lambda: search_ip_loop("5"), InputError,
+                         "loop order is not an integer: 'str' object cannot be "
+                         "interpreted as an integer"),
 }
 
 

@@ -820,7 +820,7 @@ class TestBrokenBuild:
 def test_latin_defect_kept_packed_or_not(capsys, tmp_path, monkeypatch, base, spec, n, fault):
     # FiniteLoop Latin-checks every built extension, born as bytes rows at
     # N <= 256 and as int-tuple rows above; either way a table that fails is
-    # the kept defect, with the row path's text, and frees without the collector
+    # the kept defect, with the cell scan's text, and frees without the collector
     import gc
 
     from loopext import extension

@@ -671,23 +671,20 @@ FAULTS = ["repeated", "entry=l", "entry=255", "entry=256", "entry=-1", "short-ro
 
 @pytest.mark.parametrize("l", [4, 255, 256, 257])
 @pytest.mark.parametrize("fault", FAULTS)
-def test_latin_faults_named_alike_packed_or_not(monkeypatch, l, fault):
-    # with ``bytes`` refused inside loopext.loops no row can be made bytes,
-    # so validate_table takes the row path; the error must be the same
-    from loopext import loops as loops_module
+def test_latin_faults_named_alike_packed_or_not(l, fault):
+    # validate_table names each fault as the cell-by-cell reference does,
+    # on bytes rows (l <= 256) and on tuple rows alike
     from loopext.loops import validate_table
-
-    def refused(*args):
-        raise ValueError("packing off")
+    from reference import latin_defect
 
     sound, table = mutated(l, None), mutated(l, fault.replace("=l", f"={l}"))
+    rows = validate_table(sound)[0]
+    latin_defect(sound)
+    assert all(type(row) is (bytes if l <= 256 else tuple) for row in rows)
     errors = []
-    for packing in (True, False):
-        if not packing:
-            monkeypatch.setattr(loops_module, "bytes", refused, raising=False)
-        assert (type(validate_table(sound)[0]) is bytes) == (packing and l <= 256)
+    for check in (validate_table, latin_defect):
         with pytest.raises(StructureError) as caught:
-            validate_table(table)
+            check(table)
         errors.append((str(caught.value), caught.value.index, caught.value.axis))
     assert errors[0] == errors[1]
     assert errors[0][2] == ("column" if fault in ("column-only", "identity-column") else "row")
@@ -695,13 +692,23 @@ def test_latin_faults_named_alike_packed_or_not(monkeypatch, l, fault):
 
 class TestOneContainer:
     """A loop is its rows, in the container its order selects: ``bytes``
-    rows exactly when l <= 256, else int tuples, however the loop was made."""
+    rows exactly when l <= 256, else int tuples, however the loop was made;
+    its columns come with them, in the same container."""
 
     @staticmethod
     def check(loop, cells):
+        from loopext.loops import _Columns
+
         container = bytes if loop.size <= 256 else tuple
         assert len(loop._rows) == loop.size
         assert all(type(row) is container for row in loop._rows)
+        columns = loop._columns
+        if container is tuple:  # a view over the rows themselves, nothing kept
+            assert type(columns) is _Columns and columns.rows is loop._rows
+        assert all(type(columns[j]) is container for j in range(loop.size))
+        assert all(type(column) is container for column in columns)
+        assert list(map(tuple, columns)) == list(zip(*loop.table))
+        assert [tuple(columns[j]) for j in range(loop.size)] == list(zip(*loop.table))
         assert loop.table == tuple(map(tuple, cells))
         remade = make_loop(loop.table)
         assert remade is not loop and remade == loop and hash(remade) == hash(loop)
@@ -735,3 +742,28 @@ class TestOneContainer:
         ext = build_extension(cocycle)[0]
         assert ext.size == n
         self.check(ext, extension_rows_by_cells(cocycle))
+
+    def test_commutativity_scan_builds_no_lines(self):
+        # a fresh N = 256 extension holds its columns from birth, so the
+        # first non-commuting pair reads them and builds no line of its own
+        import tracemalloc
+
+        from loopext.abelian import make_group
+        from loopext.catalog import abelian_group_loop
+        from loopext.constructions import ChoiceSource, random_cocycle
+        from loopext.extension import build_extension
+        from loopext.loops import first_noncommuting_pair
+        from reference import noncommuting_pair_by_rows
+
+        cocycle = random_cocycle(abelian_group_loop([2] * 5), make_group((2, 2, 2)),
+                                 ChoiceSource(1))
+        ext = build_extension(cocycle)[0]
+        tracemalloc.start()
+        try:
+            pair = first_noncommuting_pair(ext)
+            scan = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ext.size == 256 and type(ext._rows[0]) is bytes
+        assert pair == noncommuting_pair_by_rows(ext) and pair is not None
+        assert scan < ext.size ** 2 / 4, scan
